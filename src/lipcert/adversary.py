@@ -14,10 +14,9 @@ was tight, not wasteful.
 from __future__ import annotations
 
 import json
-import os
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from .core import (
     midpoint_grid,
     sigma_from_trace,
 )
-from .optimizers import candidates_for, cdoo_run, ps_run_1d, ps_run_grid
-from .partition import bisection_setup
+from .optimizers import ALGORITHMS, CERTIFIED
 
 
 @dataclass(frozen=True)
@@ -157,99 +155,6 @@ def perturbed_pair(
 
 
 @dataclass(frozen=True)
-class WedgePair1D:
-    """Upper and lower envelopes through a triple of interval points.
-
-    Given strictly increasing points t0 < t1 < t2, the pair brackets
-    every function that agrees with the base objective outside the
-    triple's span: the upper wedge rises from ``f(t0)`` at the full
-    Lipschitz rate over the shorter side of the triple and returns
-    linearly to ``f(t2)``; the lower wedge mirrors it downward.  When
-    the left side is the longer one the construction is reflected so
-    that the steep leg always spans the shorter side.
-    """
-
-    triple: tuple[float, float, float]
-    lip: float
-    base: Callable[[np.ndarray], np.ndarray]
-    anchor_low: float
-    anchor_high: float
-    mirrored: bool
-
-    def _eval(self, x: np.ndarray, steep_sign: float) -> np.ndarray:
-        t0, t1, t2 = self.triple
-        x = np.asarray(x, dtype=float)
-        f = np.asarray(self.base(x[:, None] if x.ndim == 1 else x), dtype=float)
-        f0 = self.anchor_low
-        f2 = self.anchor_high
-        if not self.mirrored:
-            knee = f0 + steep_sign * self.lip * (t1 - t0)
-            steep = f0 + steep_sign * self.lip * (x - t0)
-            ramp = knee + (x - t1) * (f2 - knee) / (t2 - t1)
-            inside = np.where(x <= t1, steep, ramp)
-        else:
-            knee = f2 + steep_sign * self.lip * (t2 - t1)
-            steep = f2 + steep_sign * self.lip * (t2 - x)
-            ramp = f0 + (x - t0) * (knee - f0) / (t1 - t0)
-            inside = np.where(x >= t1, steep, ramp)
-        return np.where((x >= t0) & (x <= t2), inside, f)
-
-    def upper(self, x: np.ndarray) -> Union[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        out = self._eval(np.atleast_1d(x), +1.0)
-        return float(out[0]) if x.ndim == 0 else out
-
-    def lower(self, x: np.ndarray) -> Union[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        out = self._eval(np.atleast_1d(x), -1.0)
-        return float(out[0]) if x.ndim == 0 else out
-
-
-def build_wedges_1d(
-    fn: TestFunction, triple: tuple[float, float, float], lip: Optional[float] = None
-) -> WedgePair1D:
-    """Wedge envelopes for a strictly increasing triple of domain points.
-
-    Args:
-      fn: one-dimensional objective supplying the values at the triple's
-        outer points.
-      triple: three strictly increasing points; anything else raises.
-      lip: slope of the steep leg; defaults to the declared bound.
-    """
-    if fn.dim != 1:
-        raise ValueError("wedges are a one-dimensional construction")
-    t0, t1, t2 = (float(t) for t in triple)
-    if not t0 < t1 < t2:
-        raise ValueError(f"triple must be strictly increasing, got {triple}")
-    if lip is None:
-        lip = fn.lip_bound
-    mirrored = (t1 - t0) > (t2 - t1)
-    return WedgePair1D(
-        triple=(t0, t1, t2),
-        lip=lip,
-        base=fn.evaluator,
-        anchor_low=float(fn(np.array([t0]))),
-        anchor_high=float(fn(np.array([t2]))),
-        mirrored=mirrored,
-    )
-
-
-def query_floor_constant(lip_ratio: float, dim: int) -> float:
-    """Constant in the guaranteed query floor for certified runs.
-
-    A certified run on a function whose exact constant is ``lip_ratio``
-    times the bound must spend more than this constant times the
-    certified complexity per schedule entry.  The constant is tiny; its
-    point is the order of growth, not the numerical value.
-    """
-    if not 0 <= lip_ratio < 1:
-        raise ValueError(f"Lipschitz ratio must lie in [0, 1), got {lip_ratio}")
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return 0.25 * (2.0**-7 * (1.0 - lip_ratio)) ** dim
-
-
-@dataclass(frozen=True)
 class AuditReport:
     """Outcome of an adversarial audit at one stopped run.
 
@@ -274,32 +179,6 @@ class AuditReport:
     coincidence: Optional[bool]
     regret_achieved: Optional[float]
     scales_tried: tuple[float, ...] = ()
-
-
-def _runner(
-    algorithm: str, fn: TestFunction, eps: float, budget: int
-) -> Callable[[TestFunction, int], RunTrace]:
-    if algorithm == "cdoo":
-        partition, lip = bisection_setup(fn)
-
-        def run(variant: TestFunction, steps: int) -> RunTrace:
-            return cdoo_run(variant, eps, steps, partition=partition, lip=lip)
-
-        return run
-    if algorithm == "ps1d":
-
-        def run(variant: TestFunction, steps: int) -> RunTrace:
-            return ps_run_1d(variant, eps, steps)
-
-        return run
-    if algorithm == "psgrid":
-        candidates = candidates_for(fn.domain, fn.lip_bound, eps, fn.norm)
-
-        def run(variant: TestFunction, steps: int) -> RunTrace:
-            return ps_run_grid(variant, eps, steps, candidates=candidates)
-
-        return run
-    raise ValueError(f"audit does not support algorithm {algorithm!r}")
 
 
 def _min_distance_to(queries: np.ndarray, points: np.ndarray, norm: Norm) -> np.ndarray:
@@ -353,7 +232,12 @@ def audit_certified_run(
         raise ValueError(
             "auditing needs an exact Lipschitz constant strictly below the bound"
         )
-    run = _runner(algorithm, fn, eps, budget)
+    if algorithm not in CERTIFIED:
+        raise ValueError(f"audit does not support algorithm {algorithm!r}")
+
+    def run(variant: TestFunction, steps: int) -> RunTrace:
+        return ALGORITHMS[algorithm](variant, eps, steps)
+
     base = run(fn, budget)
     sigma = sigma_from_trace(base, eps)
     if not math.isfinite(sigma):
@@ -472,12 +356,3 @@ def audit_to_json(report: AuditReport) -> str:
         "regret_achieved": report.regret_achieved,
     }
     return json.dumps(doc, indent=2)
-
-
-def write_audit(report: AuditReport, fp: Union[str, os.PathLike, IO[str]]) -> None:
-    text = audit_to_json(report)
-    if isinstance(fp, (str, os.PathLike)):
-        with open(os.fspath(fp), "w") as handle:
-            handle.write(text + "\n")
-    else:
-        fp.write(text + "\n")

@@ -17,31 +17,32 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from ..adversary import audit_certified_run, write_audit
+from ..adversary import audit_certified_run, audit_to_json
 from ..complexity import (
     estimate_sc,
     lemma_consistency_trials,
+    report_to_json,
     sandwich_check,
-    write_report,
 )
 from ..core import (
     Norm,
     certificate_validity,
     recommendations_consistent,
     sigma_from_trace,
+    write_json,
     write_trace,
     zeta_from_trace,
 )
-from ..optimizers import cdoo_run, ncdoo_run, ps_run_1d, ps_run_grid
+from ..optimizers import ALGORITHMS, CERTIFIED
 from ..partition import BisectionPartition, verify_assumptions
 from .registry import LABELS, default_algorithm, get_function, registry
 from .sweep import parse_sweep_config, run_sweep
-
-from dataclasses import replace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="single optimization run")
     run.add_argument("--function", required=True, choices=LABELS)
-    run.add_argument(
-        "--algo", default="cdoo", choices=("cdoo", "ncdoo", "ps1d", "psgrid")
-    )
+    run.add_argument("--algo", default="cdoo", choices=tuple(ALGORITHMS))
     run.add_argument("--L", type=float, default=1.0, help="Lipschitz bound")
     run.add_argument("--eps", type=float, help="accuracy target (certified runs)")
     run.add_argument("--budget", type=int, default=100_000)
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "audit", help="adversarial lower-bound audit"
     )
     audit.add_argument("--function", required=True, choices=LABELS)
-    audit.add_argument("--algo", default="cdoo", choices=("cdoo", "ps1d", "psgrid"))
+    audit.add_argument("--algo", default="cdoo", choices=CERTIFIED)
     audit.add_argument("--L", type=float, default=1.0)
     audit.add_argument("--eps", type=float, required=True)
     audit.add_argument("--budget", type=int, default=200_000)
@@ -124,18 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     fn = get_function(args.function, lip=args.L)
-    if args.algo == "ncdoo":
-        trace = ncdoo_run(fn, args.budget)
-    else:
-        if args.eps is None:
-            print("lipcert run: --eps is required for certified runs", file=sys.stderr)
+    if args.eps is None and args.algo in CERTIFIED:
+        print("lipcert run: --eps is required for certified runs", file=sys.stderr)
+        return 1
+    runner = ALGORITHMS[args.algo]
+    if args.x1 is not None:
+        if args.algo != "ps1d":
+            print("lipcert run: --x1 applies to ps1d only", file=sys.stderr)
             return 1
-        if args.algo == "cdoo":
-            trace = cdoo_run(fn, args.eps, args.budget)
-        elif args.algo == "ps1d":
-            trace = ps_run_1d(fn, args.eps, args.budget, x1=args.x1)
-        else:
-            trace = ps_run_grid(fn, args.eps, args.budget)
+        runner = partial(runner, x1=args.x1)
+    trace = runner(fn, args.eps, args.budget)
     for warning in trace.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     out = _resolve_out(args.out)
@@ -196,7 +193,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
     )
     out = _resolve_out(args.out)
     if out:
-        write_report(report, out)
+        write_json(report_to_json(report), out)
     verdict = sandwich_check(report)
     print(
         f"function={report.function} eps={report.eps!r} SC={report.sc} "
@@ -213,7 +210,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     out = _resolve_out(args.out)
     if out:
-        write_audit(report, out)
+        write_json(audit_to_json(report), out)
     parts = [
         f"function={report.function}",
         f"n={report.n}",
@@ -269,10 +266,7 @@ def _verify_traces() -> bool:
             continue
         eps = fn.lip_bound * 0.125
         algo = default_algorithm(fn)
-        if algo == "cdoo":
-            trace = cdoo_run(fn, eps, 4000)
-        else:
-            trace = ps_run_grid(fn, eps, 4000)
+        trace = ALGORITHMS[algo](fn, eps, 4000)
         check = certificate_validity(trace, fn.known_max)
         consistent = recommendations_consistent(trace)
         good = check.ok and consistent

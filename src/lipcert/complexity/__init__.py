@@ -11,7 +11,6 @@ from .layers import (
     layer_decomposition,
     report_to_json,
     sandwich_check,
-    write_report,
 )
 from .packing import (
     LemmaSuiteVerdict,
@@ -37,5 +36,4 @@ __all__ = [
     "lemma_consistency_trials",
     "report_to_json",
     "sandwich_check",
-    "write_report",
 ]

@@ -13,10 +13,9 @@ constants, which is checked rather than assumed.
 from __future__ import annotations
 
 import json
-import os
 import math
 from dataclasses import dataclass
-from typing import IO, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -396,12 +395,3 @@ def report_to_json(report: ComplexityReport) -> str:
         "verdicts": report.verdicts,
     }
     return json.dumps(doc, indent=2)
-
-
-def write_report(report: ComplexityReport, fp: Union[str, os.PathLike, IO[str]]) -> None:
-    text = report_to_json(report)
-    if isinstance(fp, (str, os.PathLike)):
-        with open(os.fspath(fp), "w") as handle:
-            handle.write(text + "\n")
-    else:
-        fp.write(text + "\n")

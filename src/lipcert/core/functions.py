@@ -8,6 +8,7 @@ validity checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -63,20 +64,40 @@ class TestFunction:
 
     def __call__(self, x: np.ndarray) -> Union[float, np.ndarray]:
         """Evaluate at a point ``(d,)``, a batch ``(n, d)``, or, for
-        one-dimensional domains, a scalar or flat batch ``(n,)``."""
+        one-dimensional domains, a scalar or flat batch ``(n,)``.
+
+        The evaluator must return ``n`` finite values; anything else
+        raises, so a broken evaluation never reaches a certificate.
+        """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0 and self.dim == 1:
-            return float(self.evaluator(x.reshape(1, 1))[0])
-        if x.ndim == 1:
-            if x.shape[0] == self.dim:
-                return float(self.evaluator(x[None, :])[0])
-            if self.dim == 1:
-                return np.asarray(self.evaluator(x[:, None]), dtype=float)
-        elif x.ndim == 2 and x.shape[1] == self.dim:
-            return np.asarray(self.evaluator(x), dtype=float)
-        raise ValueError(
-            f"expected shape ({self.dim},) or (n, {self.dim}), got {x.shape}"
-        )
+        dim = self.dim
+        single = x.shape == (dim,) or (x.ndim == 0 and dim == 1)
+        if single:
+            points = x.reshape(1, dim)
+        elif x.ndim == 1 and dim == 1:
+            points = x[:, None]
+        elif x.ndim == 2 and x.shape[1] == dim:
+            points = x
+        else:
+            raise ValueError(f"expected shape ({dim},) or (n, {dim}), got {x.shape}")
+        out = np.asarray(self.evaluator(points), dtype=float)
+        if out.shape == (len(points),):
+            if single:
+                value = float(out[0])
+                if math.isfinite(value):
+                    return value
+            elif np.isfinite(out).all():
+                return out
+        raise ValueError(self._bad_output(points, out))
+
+    def _bad_output(self, points: np.ndarray, out: np.ndarray) -> str:
+        if out.shape != (len(points),):
+            return (
+                f"{self.label}: evaluator returned shape {out.shape} for "
+                f"{len(points)} points"
+            )
+        i = int(np.flatnonzero(~np.isfinite(out))[0])
+        return f"{self.label}: non-finite value {out[i]} at x = {points[i].tolist()}"
 
     def shifted(self, offset: float) -> "TestFunction":
         """Same function plus a constant; gaps and layer structure are

@@ -91,6 +91,69 @@ class RunTrace:
         return self.queries.shape[1]
 
 
+def check_run_args(
+    eps: Optional[float], budget: int, lip: Optional[float], declared: float
+) -> float:
+    """Argument checks shared by the optimizers.
+
+    ``eps`` is None for runs that certify nothing.  Returns the Lipschitz
+    bound the run uses: ``declared`` when ``lip`` is None, else ``lip``,
+    which may not undercut ``declared`` because certificates built on a
+    smaller bound would be meaningless.
+    """
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget}")
+    if eps is not None and not eps > 0:
+        raise ValueError(f"accuracy target must be positive, got {eps}")
+    if lip is None:
+        return declared
+    if lip < declared * (1 - 1e-12):
+        raise ValueError(
+            f"Lipschitz bound {lip} is below the bound {declared} implied by "
+            "the objective's metadata; certificates would be meaningless"
+        )
+    return lip
+
+
+def build_trace(
+    algorithm: str,
+    function: str,
+    lip_bound: float,
+    eps: Optional[float],
+    budget: int,
+    queries: np.ndarray,
+    values: np.ndarray,
+    certificates: Optional[np.ndarray] = None,
+    warnings: tuple[str, ...] = (),
+) -> RunTrace:
+    """Trace of a run from what it queried, observed and certified.
+
+    The recommendation after n queries is the best of the first n, ties
+    going to the earliest index: the rule
+    :func:`recommendations_consistent` checks.
+    """
+    values = np.asarray(values, dtype=float)
+    running = np.maximum.accumulate(values)
+    improved = np.ones(len(values), dtype=bool)
+    improved[1:] = values[1:] > running[:-1]
+    best = np.maximum.accumulate(np.where(improved, np.arange(len(values)), 0))
+    queries = np.asarray(queries, dtype=float)
+    return RunTrace(
+        algorithm=algorithm,
+        function=function,
+        lip_bound=lip_bound,
+        eps=eps,
+        budget=budget,
+        seed=None,
+        queries=queries,
+        values=values,
+        rec_points=queries[best],
+        rec_values=values[best],
+        certificates=certificates,
+        warnings=warnings,
+    )
+
+
 def recommendations_consistent(trace: RunTrace) -> bool:
     """Check the recommendation bookkeeping bitwise.
 
@@ -252,13 +315,17 @@ def trace_from_json(text: str) -> RunTrace:
     )
 
 
-def write_trace(trace: RunTrace, fp: Union[str, os.PathLike, IO[str]]) -> None:
-    text = trace_to_json(trace)
+def write_json(text: str, fp: Union[str, os.PathLike, IO[str]]) -> None:
+    """Write a JSON document and a final newline to a path or open handle."""
     if isinstance(fp, (str, os.PathLike)):
         with open(os.fspath(fp), "w") as handle:
             handle.write(text + "\n")
     else:
         fp.write(text + "\n")
+
+
+def write_trace(trace: RunTrace, fp: Union[str, os.PathLike, IO[str]]) -> None:
+    write_json(trace_to_json(trace), fp)
 
 
 def read_trace(fp: Union[str, os.PathLike, IO[str]]) -> RunTrace:

@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import RunTrace, TestFunction, convert_lip_bound
+from ..core import RunTrace, TestFunction, build_trace, check_run_args
 from ..partition import ROOT, BisectionPartition, CellKey, bisection_setup
 
 
-class ActiveLeafSet:
+class _ActiveLeafSet:
     """Max-heap of active leaves keyed by optimistic value.
 
     Ties are broken toward smaller depth, then smaller index, so pop
@@ -28,75 +28,49 @@ class ActiveLeafSet:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, np.ndarray, float]] = []
+        self._heap: list[tuple[float, int, int]] = []
 
-    def push(self, key: CellKey, rep: np.ndarray, value: float, optimistic: float) -> None:
-        heapq.heappush(self._heap, (-optimistic, key.depth, key.index, rep, value))
+    def push(self, key: CellKey, optimistic: float) -> None:
+        heapq.heappush(self._heap, (-optimistic, key.depth, key.index))
 
-    def pop(self) -> tuple[CellKey, np.ndarray, float, float]:
-        neg_b, depth, index, rep, value = heapq.heappop(self._heap)
-        return CellKey(depth, index), rep, value, -neg_b
+    def pop(self) -> tuple[CellKey, float]:
+        neg_b, depth, index = heapq.heappop(self._heap)
+        return CellKey(depth, index), -neg_b
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def items(self) -> list[tuple[CellKey, float]]:
-        """Current (key, optimistic value) pairs, for inspection only."""
-        return [(CellKey(d, i), -nb) for nb, d, i, _, _ in self._heap]
 
-
-def _resolve_setup(
+def _tree_search(
     fn: TestFunction,
     partition: Optional[BisectionPartition],
     lip: Optional[float],
-) -> tuple[BisectionPartition, float]:
+    eps: Optional[float],
+    budget: int,
+    algorithm: str,
+) -> RunTrace:
     default_partition, required = bisection_setup(fn)
     if partition is None:
         partition = default_partition
     if partition.dim != fn.dim:
         raise ValueError("partition dimension does not match the objective")
-    if lip is None:
-        lip = required
-    elif lip < required * (1 - 1e-12):
-        raise ValueError(
-            f"Lipschitz bound {lip} is below the bound {required} implied by "
-            "the objective's metadata; certificates would be meaningless"
-        )
-    return partition, lip
-
-
-def _tree_search(
-    fn: TestFunction,
-    partition: BisectionPartition,
-    lip: float,
-    eps: Optional[float],
-    budget: int,
-    algorithm: str,
-) -> RunTrace:
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget}")
+    lip = check_run_args(eps, budget, lip, required)
     certified = eps is not None
-    if certified and not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
 
     rep0 = partition.representative(ROOT)
     v0 = float(fn(rep0))
     queries = [rep0]
     values = [v0]
-    best_rep, best_val = rep0, v0
-    rec_points = [rep0]
-    rec_values = [v0]
-    certs: Optional[list[float]] = None
-    if certified:
-        certs = [max(0.0, lip * partition.diam_bound)]
+    certs = [max(0.0, lip * partition.diam_bound)]
+    best_val = v0
 
-    leaves = ActiveLeafSet()
-    leaves.push(ROOT, rep0, v0, v0 + lip * partition.diam_bound)
+    leaves = _ActiveLeafSet()
+    leaves.push(ROOT, v0 + lip * partition.diam_bound)
     depth_limit = getattr(partition, "max_depth", None)
     frozen_b = -np.inf
     done = certified and certs[0] <= eps
     while len(leaves) and len(values) < budget and not done:
-        key, _, _, optimistic = leaves.pop()
+        key, optimistic = leaves.pop()
         if depth_limit is not None and key.depth >= depth_limit:
             # Cell indices (and dyadic geometry) cannot resolve another
             # split.  The cell stays in the certificate envelope but is
@@ -107,22 +81,18 @@ def _tree_search(
         if not kids:
             continue
         kid_reps = np.stack([partition.representative(k) for k in kids])
-        kid_vals = np.asarray(fn(kid_reps), dtype=float)
+        kid_vals = fn(kid_reps)
         slack = lip * partition.diam_bound * partition.shrink ** (key.depth + 1)
         for kid, rep, val in zip(kids, kid_reps, kid_vals):
             val = float(val)
             queries.append(rep)
             values.append(val)
-            if val > best_val:
-                best_rep, best_val = rep, val
-            rec_points.append(best_rep)
-            rec_values.append(best_val)
-            if certified:
-                # The popped leaf had the largest optimistic value among
-                # the still-splittable cells; together with the frozen
-                # cells' envelope this bounds the maximum over the domain.
-                certs.append(max(0.0, max(optimistic, frozen_b) - best_val))
-            leaves.push(kid, rep, val, val + slack)
+            best_val = max(best_val, val)
+            # The popped leaf had the largest optimistic value among the
+            # still-splittable cells; together with the frozen cells'
+            # envelope this bounds the maximum over the domain.
+            certs.append(max(0.0, max(optimistic, frozen_b) - best_val))
+            leaves.push(kid, val + slack)
             if len(values) == budget:
                 done = True
                 break
@@ -131,18 +101,9 @@ def _tree_search(
         if certified and not done and certs[-1] <= eps:
             done = True
 
-    return RunTrace(
-        algorithm=algorithm,
-        function=fn.label,
-        lip_bound=lip,
-        eps=eps,
-        budget=budget,
-        seed=None,
-        queries=np.asarray(queries),
-        values=np.asarray(values),
-        rec_points=np.asarray(rec_points),
-        rec_values=np.asarray(rec_values),
-        certificates=None if certs is None else np.asarray(certs),
+    return build_trace(
+        algorithm, fn.label, lip, eps, budget, np.asarray(queries), values,
+        certs if certified else None,
     )
 
 
@@ -170,7 +131,6 @@ def cdoo_run(
       A trace whose certificates, for any truly valid bound, dominate the
       recommendation's suboptimality at every step.
     """
-    partition, lip = _resolve_setup(fn, partition, lip)
     return _tree_search(fn, partition, lip, eps, budget, "cdoo")
 
 
@@ -183,5 +143,4 @@ def ncdoo_run(
     """Non-certified tree search: same expansion rule and query order as
     :func:`cdoo_run`, but no certificates and no accuracy stop; the run
     uses the whole budget."""
-    partition, lip = _resolve_setup(fn, partition, lip)
     return _tree_search(fn, partition, lip, None, budget, "ncdoo")

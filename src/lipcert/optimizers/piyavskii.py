@@ -26,6 +26,8 @@ from ..core import (
     Norm,
     RunTrace,
     TestFunction,
+    build_trace,
+    check_run_args,
     enclosing_box,
     midpoint_grid,
 )
@@ -135,17 +137,8 @@ def ps_run_1d(
     """
     if fn.dim != 1 or not isinstance(fn.domain, Box):
         raise ValueError("exact sawtooth certification needs a 1-D box domain")
-    if not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget}")
+    lip = check_run_args(eps, budget, lip, fn.lip_bound)
     a, b = float(fn.domain.lower[0]), float(fn.domain.upper[0])
-    if lip is None:
-        lip = fn.lip_bound
-    elif lip < fn.lip_bound * (1 - 1e-12):
-        raise ValueError(
-            f"Lipschitz bound {lip} is below the objective's declared bound"
-        )
     x = 0.5 * (a + b) if x1 is None else float(x1)
     if not a <= x <= b:
         raise ValueError(f"first query {x} outside [{a}, {b}]")
@@ -153,19 +146,14 @@ def ps_run_1d(
     env = Envelope1D(a, b, lip)
     queries: list[float] = []
     values: list[float] = []
-    rec_points: list[float] = []
-    rec_values: list[float] = []
     certs: list[float] = []
-    best_x, best_v = x, -math.inf
+    best_v = -math.inf
     while True:
         fx = float(fn(np.array([x])))
         env.insert(x, fx)
         queries.append(x)
         values.append(fx)
-        if fx > best_v:
-            best_x, best_v = x, fx
-        rec_points.append(best_x)
-        rec_values.append(best_v)
+        best_v = max(best_v, fx)
         env_max, env_argmax = env.max_and_argmax()
         certs.append(max(0.0, env_max - best_v))
         if certs[-1] <= eps or len(queries) == budget:
@@ -176,18 +164,8 @@ def ps_run_1d(
             break
         x = env_argmax
 
-    return RunTrace(
-        algorithm="ps1d",
-        function=fn.label,
-        lip_bound=lip,
-        eps=eps,
-        budget=budget,
-        seed=None,
-        queries=np.asarray(queries)[:, None],
-        values=np.asarray(values),
-        rec_points=np.asarray(rec_points)[:, None],
-        rec_values=np.asarray(rec_values),
-        certificates=np.asarray(certs),
+    return build_trace(
+        "ps1d", fn.label, lip, eps, budget, np.asarray(queries)[:, None], values, certs
     )
 
 
@@ -321,16 +299,7 @@ def ps_run_grid(
     """
     if fn.dim < 2:
         raise ValueError("use the exact 1-D sawtooth method in one dimension")
-    if not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget}")
-    if lip is None:
-        lip = fn.lip_bound
-    elif lip < fn.lip_bound * (1 - 1e-12):
-        raise ValueError(
-            f"Lipschitz bound {lip} is below the objective's declared bound"
-        )
+    lip = check_run_args(eps, budget, lip, fn.lip_bound)
     norm = fn.norm
     if candidates is None:
         candidates = candidates_for(fn.domain, lip, eps, norm)
@@ -360,10 +329,7 @@ def ps_run_grid(
     used = np.zeros(len(cand), dtype=bool)
     queries: list[np.ndarray] = []
     values: list[float] = []
-    rec_points: list[np.ndarray] = []
-    rec_values: list[float] = []
     certs: list[float] = []
-    best_x: Optional[np.ndarray] = None
     best_v = -math.inf
     slack = lip * candidates.cover_radius
     while True:
@@ -372,10 +338,7 @@ def ps_run_grid(
         np.minimum(best_on_cand, fx + lip * norm.length(cand - x), out=best_on_cand)
         queries.append(x)
         values.append(fx)
-        if fx > best_v:
-            best_x, best_v = x, fx
-        rec_points.append(best_x)
-        rec_values.append(best_v)
+        best_v = max(best_v, fx)
         # On the queried points themselves the envelope equals the best
         # observation (for a valid bound), so the domain-wide envelope
         # maximum is at most the larger of the candidate maximum and the
@@ -389,17 +352,7 @@ def ps_run_grid(
             break
         x = cand[pick]
 
-    return RunTrace(
-        algorithm="psgrid",
-        function=fn.label,
-        lip_bound=lip,
-        eps=eps,
-        budget=budget,
-        seed=None,
-        queries=np.asarray(queries),
-        values=np.asarray(values),
-        rec_points=np.asarray(rec_points),
-        rec_values=np.asarray(rec_values),
-        certificates=np.asarray(certs),
-        warnings=warnings,
+    return build_trace(
+        "psgrid", fn.label, lip, eps, budget, np.asarray(queries), values, certs,
+        warnings,
     )

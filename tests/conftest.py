@@ -8,6 +8,9 @@ scrolling through the full pytest output.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import lipcert
@@ -60,3 +63,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def all_functions() -> tuple[lipcert.TestFunction, ...]:
     return lipcert.registry()
+
+
+@pytest.fixture
+def poison():
+    """Builder of an objective that evaluates to ``bad`` at the given
+    points and like the original everywhere else."""
+
+    def make(fn: lipcert.TestFunction, points, bad: float) -> lipcert.TestFunction:
+        inner = fn.evaluator
+        points = np.asarray(points, dtype=float).reshape(-1, fn.dim)
+
+        def evaluate(x: np.ndarray) -> np.ndarray:
+            out = np.array(inner(x), dtype=float)
+            for p in points:
+                out[np.all(x == p, axis=1)] = bad
+            return out
+
+        return replace(fn, evaluator=evaluate)
+
+    return make

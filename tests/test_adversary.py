@@ -1,4 +1,4 @@
-"""Cone perturbations, wedge envelopes, and audits of certified stops."""
+"""Cone perturbations and audits of certified stops."""
 
 from __future__ import annotations
 
@@ -16,13 +16,11 @@ from lipcert import (
     audit_certified_run,
     audit_to_json,
     build_bump,
-    build_wedges_1d,
     cdoo_run,
     perturbed_pair,
-    query_floor_constant,
     sigma_from_trace,
-    write_audit,
 )
+from lipcert.core import write_json
 
 unit_interval = st.integers(min_value=0, max_value=1000).map(lambda k: k / 1000)
 
@@ -113,59 +111,6 @@ def test_perturbed_pair_drops_max_without_enough_headroom():
     assert plus.known_max is None
 
 
-def test_wedges_steep_leg_on_the_shorter_side():
-    tent = lc.get_function("tent-d1")
-    w = build_wedges_1d(tent, (0.2, 0.3, 0.8))
-    assert not w.mirrored
-    f0 = float(tent(np.array([0.2])))
-    f2 = float(tent(np.array([0.8])))
-    assert w.upper(np.array(0.2)) == pytest.approx(f0)
-    assert w.upper(np.array(0.8)) == pytest.approx(f2)
-    assert w.upper(np.array(0.3)) == pytest.approx(f0 + 0.1)
-    assert w.lower(np.array(0.3)) == pytest.approx(f0 - 0.1)
-    # outside the span both wedges coincide with the base objective
-    assert w.upper(np.array(0.9)) == float(tent(np.array([0.9])))
-    assert w.lower(np.array(0.05)) == float(tent(np.array([0.05])))
-
-    xs = np.linspace(0.2, 0.8, 301)
-    up = np.asarray(w.upper(xs))
-    lo = np.asarray(w.lower(xs))
-    assert np.all(up >= lo - 1e-12)
-    assert np.all(np.abs(np.diff(up)) <= tent.lip_bound * (xs[1] - xs[0]) + 1e-12)
-    assert np.all(np.abs(np.diff(lo)) <= tent.lip_bound * (xs[1] - xs[0]) + 1e-12)
-
-
-def test_wedges_mirrored_case_and_validation():
-    tent = lc.get_function("tent-d1")
-    wm = build_wedges_1d(tent, (0.2, 0.7, 0.8))
-    assert wm.mirrored
-    f2 = float(tent(np.array([0.8])))
-    assert wm.upper(np.array(0.7)) == pytest.approx(f2 + 0.1)
-    assert wm.lower(np.array(0.7)) == pytest.approx(f2 - 0.1)
-    with pytest.raises(ValueError):
-        build_wedges_1d(tent, (0.5, 0.5, 0.8))
-    with pytest.raises(ValueError):
-        build_wedges_1d(lc.get_function("cone-d2"), (0.1, 0.2, 0.3))
-    slow = build_wedges_1d(tent, (0.2, 0.3, 0.8), lip=0.25)
-    assert slow.upper(np.array(0.3)) == pytest.approx(
-        float(tent(np.array([0.2]))) + 0.025
-    )
-
-
-def test_query_floor_constant_values_and_guards():
-    assert query_floor_constant(0.5, 1) == 2.0 ** -10
-    assert query_floor_constant(0.5, 2) == 2.0 ** -18
-    assert query_floor_constant(0.0, 1) == 0.25 / 128
-    assert query_floor_constant(0.9, 1) < query_floor_constant(0.5, 1)
-    assert query_floor_constant(0.5, 3) < query_floor_constant(0.5, 2)
-    with pytest.raises(ValueError):
-        query_floor_constant(1.0, 1)
-    with pytest.raises(ValueError):
-        query_floor_constant(-0.1, 1)
-    with pytest.raises(ValueError):
-        query_floor_constant(0.5, 0)
-
-
 def test_audit_halftent_one_before_the_stop():
     rep = audit_certified_run(lc.get_function("halftent-d1"), 1 / 16)
     assert rep.algorithm == "cdoo" and rep.function == "halftent-d1"
@@ -240,8 +185,8 @@ def test_audit_json_layout(tmp_path):
     assert doc["eps_tilde"] == 1 / 2048
     assert isinstance(doc["center"], list)
     target = tmp_path / "audit.json"
-    write_audit(rep, target)
+    write_json(audit_to_json(rep), target)
     assert json.loads(target.read_text()) == doc
     with open(tmp_path / "handle.json", "w") as handle:
-        write_audit(rep, handle)
+        write_json(audit_to_json(rep), handle)
     assert (tmp_path / "handle.json").read_text() == target.read_text()

@@ -11,7 +11,9 @@ import pytest
 import importlib
 
 from lipcert import LemmaSuiteVerdict
-from lipcert.cli.main import main
+from lipcert.cli.main import build_parser, main
+from lipcert.cli.sweep import parse_sweep_config
+from lipcert.optimizers import ALGORITHMS, CERTIFIED
 
 # the package re-exports the entry function under the same name, so the
 # module object has to come from the import system directly
@@ -66,6 +68,62 @@ def test_run_domain_error_exits_one(capsys):
     ])
     assert code == 1
     assert "outside" in capsys.readouterr().err
+
+
+def test_run_non_finite_evaluation_exits_one(capsys, monkeypatch, poison):
+    tent = cli_module.get_function("tent-d1")
+    monkeypatch.setattr(
+        cli_module, "get_function",
+        lambda label, lip=1.0: poison(tent, [0.25], float("nan")),
+    )
+    code = main(["run", "--function", "tent-d1", "--eps", "0.0625"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite value nan at x = [0.25]" in captured.err
+
+
+def test_every_algorithm_runs_from_the_table(capsys):
+    for name in ALGORITHMS:
+        label = "cone-d2" if name == "psgrid" else "tent-d1"
+        argv = ["run", "--function", label, "--algo", name, "--eps", "0.5",
+                "--budget", "20"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"algorithm={name} ")
+
+
+def test_certified_algorithms_accepted_by_sweep_and_audit():
+    tent = cli_module.get_function("tent-d1")
+    for name, runner in ALGORITHMS.items():
+        if name != "psgrid":
+            trace = runner(tent, 0.5, 20)
+            assert (trace.certificates is not None) == (name in CERTIFIED)
+    parser = build_parser()
+    for name in CERTIFIED:
+        config = parse_sweep_config(f"algorithm.tent-d1 = {name}\n")
+        assert config.algorithms == {"tent-d1": name}
+        args = parser.parse_args(
+            ["audit", "--function", "tent-d1", "--eps", "0.1", "--algo", name]
+        )
+        assert args.algo == name
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        parse_sweep_config("algorithm.tent-d1 = ncdoo\n")
+    with pytest.raises(SystemExit):
+        parser.parse_args(
+            ["audit", "--function", "tent-d1", "--eps", "0.1", "--algo", "ncdoo"]
+        )
+
+
+def test_run_x1_only_for_ps1d(capsys):
+    code = main(["run", "--function", "tent-d1", "--eps", "0.25", "--x1", "0.3"])
+    assert code == 1
+    assert "--x1 applies to ps1d only" in capsys.readouterr().err
+    code = main([
+        "run", "--function", "tent-d1", "--algo", "ps1d", "--eps", "0.25",
+        "--x1", "0.3",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("algorithm=ps1d ")
 
 
 def test_usage_errors_exit_one():

@@ -126,6 +126,15 @@ def test_invalid_budget_and_eps():
         cdoo_run(fn, eps=0.0, budget=10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_evaluation_raises_instead_of_certifying(poison, bad):
+    # max(0.0, nan) is 0.0, so a poisoned value used to become a zero
+    # certificate and a "certified" stop
+    fn = poison(lc.get_function("tent-d1"), [0.25, 0.75], bad)
+    with pytest.raises(ValueError, match=r"non-finite value .* at x = \[0\.25\]"):
+        cdoo_run(fn, eps=1 / 16, budget=1000)
+
+
 def test_depth_cap_freezes_instead_of_crashing():
     # a 1-d run long enough to drive the peak cell to the index depth
     # cap must keep going on other cells and stay sound

@@ -22,9 +22,9 @@ from lipcert import (
     layer_decomposition,
     report_to_json,
     sandwich_check,
-    write_report,
 )
 from lipcert import TestFunction as LipschitzFunction
+from lipcert.core import write_json
 
 
 def make_cone_mix(peaks, heights, lip=1.0):
@@ -251,12 +251,12 @@ def test_report_json_layout(tmp_path):
     assert doc["verdicts"]["sandwich_lower"] is True
 
     target = tmp_path / "report.json"
-    write_report(rep, target)
+    write_json(report_to_json(rep), target)
     text = target.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == doc
     with open(tmp_path / "handle.json", "w") as handle:
-        write_report(rep, handle)
+        write_json(report_to_json(rep), handle)
     assert (tmp_path / "handle.json").read_text() == text
 
 

@@ -141,6 +141,13 @@ def test_x1_outside_domain_rejected():
         ps_run_1d(fn, eps=0.1, budget=10, x1=2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_first_query_raises(poison, bad):
+    fn = poison(lc.get_function("tent-d1"), [0.25], bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        ps_run_1d(fn, eps=1 / 16, budget=100, x1=0.25)
+
+
 def test_1d_only():
     fn = lc.get_function("multibump-d2")
     with pytest.raises(ValueError):
@@ -213,6 +220,13 @@ def test_grid_run_valid_on_2d_registry():
         check = certificate_validity(trace, fn.known_max)
         assert check.ok, (fn.label, check)
         assert lc.recommendations_consistent(trace)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_run_rejects_non_finite_values(poison, bad):
+    fn = poison(lc.get_function("multibump-d2"), [0.5, 0.5], bad)
+    with pytest.raises(ValueError, match=r"non-finite value .* at x = \[0\.5, 0\.5\]"):
+        ps_run_grid(fn, eps=1 / 16, budget=100)
 
 
 def test_grid_run_rejects_outside_candidates():

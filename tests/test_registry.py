@@ -128,6 +128,18 @@ def test_evaluators_are_deterministic_batch_maps():
         assert np.array_equal(first, np.asarray(fn(pts)))
 
 
+def test_evaluator_output_shape_checked():
+    tent = get_function("tent-d1")
+    column = lc.TestFunction(
+        label="column", domain=tent.domain, norm=tent.norm, lip_bound=1.0,
+        evaluator=lambda x: tent.evaluator(x)[:, None],
+    )
+    with pytest.raises(ValueError, match=r"shape \(3, 1\) for 3 points"):
+        column(np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="shape"):
+        column(np.array([0.1]))
+
+
 def test_domains():
     for fn in registry():
         if isinstance(fn.domain, Box):

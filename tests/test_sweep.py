@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from lipcert import LABELS
+from lipcert import LABELS, get_function, ncdoo_run, ps_run_grid, zeta_from_trace
 from lipcert.cli.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -127,6 +127,49 @@ def test_sweep_determinism_and_thread_equivalence(tmp_path):
     assert open(threaded.csv_path, "rb").read() == bytes_first
     for path, blob in zip(threaded.plot_paths, plots_first):
         assert open(path, "rb").read() == blob
+
+
+def test_cdoo_zeta_equals_the_plain_twin(tmp_path):
+    # the certified run's own prefix replaces a full-budget plain run
+    config = parse_sweep_config(
+        "functions = slope-d1, cone-d2\n"
+        "algorithm.cone-d2 = cdoo\n"
+        "eps-count = 4\n"
+        "budget = 1000\n"
+        f"out = {tmp_path / 'twin.csv'}\n"
+    )
+    _, rows = read_rows(run_sweep(config).csv_path)
+    assert len(rows) == 8
+    for row in rows:
+        fn = get_function(row[0])
+        twin = zeta_from_trace(ncdoo_run(fn, 1000), fn.known_max, float(row[4]))
+        assert row[6] == str(twin), row
+    assert [r[6] for r in rows] == ["1", "2", "4", "6", "1", "2", "7", "22"]
+
+
+def test_cone_row_reads_its_own_run_and_skips_prop1(tmp_path):
+    # The cone runs psgrid by default, and a cdoo run there searches a
+    # ball-restricted partition, whose separation constant is refuted:
+    # Proposition 1 applies to neither.
+    rows = {}
+    for name, override in (("default", ""), ("cdoo", "algorithm.cone-d2 = cdoo\n")):
+        config = parse_sweep_config(
+            "functions = cone-d2\n"
+            "eps-count = 3\n"
+            "budget = 1000\n"
+            f"out = {tmp_path / name}.csv\n" + override
+        )
+        _, rows[name] = read_rows(run_sweep(config).csv_path)
+        assert len(rows[name]) == 3
+        for row in rows[name]:
+            assert row[-1] == "cert=pass;prop1=na;sandwich=pass"
+    cone = get_function("cone-d2")
+    for row in rows["default"]:
+        eps = float(row[4])
+        own = ps_run_grid(cone, eps, 1000)
+        assert row[6] == str(zeta_from_trace(own, cone.known_max, eps))
+    # a plain tree-search twin needed 7 queries at 2^-3
+    assert [r[6] for r in rows["default"]] == ["1", "2", "2"]
 
 
 def test_budget_cap_yields_inf_sigma_not_an_error(tmp_path):
