@@ -13,6 +13,7 @@ covering radius is accounted for in the certificate.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -38,9 +39,17 @@ class Envelope1D:
 
     Supports exact maximisation: on each gap between consecutive queried
     points the two bounding cones cross at one peak, and when the bound
-    is valid every other cone is at least as large there, so scanning
-    endpoint values and interior peaks left to right finds the maximum
-    and its leftmost argmax.
+    is valid every other cone is at least as large there, so the maximum
+    over the interval ends, the queried points and the interior peaks is
+    the envelope's maximum.
+
+    The candidates are kept up to date per insertion rather than
+    rescanned: a heap holds the gap peaks, and running extrema hold the
+    best queried point and the envelope at the interval ends.  An
+    insertion replaces one gap by two, so it pushes two peaks and
+    leaves the old gap's peak in the heap until it reaches the top.
+    ``insert`` costs O(log n) plus a list insertion, and
+    ``max_and_argmax`` O(log n) amortised, for n observations.
     """
 
     def __init__(self, a: float, b: float, lip: float) -> None:
@@ -53,6 +62,14 @@ class Envelope1D:
         self.lip = float(lip)
         self._xs: list[float] = []
         self._fs: list[float] = []
+        # (-value, x, xl, xr) for the peak of the gap (xl, xr); a peak
+        # is stale once the gap is split
+        self._peaks: list[tuple[float, float, float, float]] = []
+        # (-value, x) of the best queried point, leftmost on ties
+        self._point = (math.inf, math.inf)
+        # envelope at the interval ends: min_j f_j + lip * |end - x_j|
+        self._end_a = math.inf
+        self._end_b = math.inf
 
     def __len__(self) -> int:
         return len(self._xs)
@@ -60,15 +77,32 @@ class Envelope1D:
     def insert(self, x: float, fx: float) -> None:
         if not self.a <= x <= self.b:
             raise ValueError(f"query {x} outside [{self.a}, {self.b}]")
-        pos = bisect.bisect_left(self._xs, x)
-        if pos < len(self._xs) and self._xs[pos] == x:
+        if not math.isfinite(fx):
+            raise ValueError(f"non-finite value {fx} at {x}")
+        xs, fs = self._xs, self._fs
+        pos = bisect.bisect_left(xs, x)
+        if pos < len(xs) and xs[pos] == x:
             raise ValueError(f"point {x} already observed")
-        self._xs.insert(pos, x)
-        self._fs.insert(pos, fx)
+        xs.insert(pos, x)
+        fs.insert(pos, fx)
+        self._point = min(self._point, (-fx, x))
+        if pos > 0:
+            self._push_peak(pos - 1)
+        if pos + 1 < len(xs):
+            self._push_peak(pos)
+        self._end_a = min(self._end_a, fx + self.lip * abs(self.a - x))
+        self._end_b = min(self._end_b, fx + self.lip * abs(self.b - x))
 
-    def queried(self, x: float) -> bool:
-        pos = bisect.bisect_left(self._xs, x)
-        return pos < len(self._xs) and self._xs[pos] == x
+    def _push_peak(self, j: int) -> None:
+        """Push the peak of the gap between observations ``j`` and
+        ``j + 1`` if the two cones cross strictly inside it."""
+        xl, xr = self._xs[j], self._xs[j + 1]
+        fl, fr = self._fs[j], self._fs[j + 1]
+        lip = self.lip
+        peak_x = 0.5 * (xl + xr) + (fr - fl) / (2.0 * lip)
+        if xl < peak_x < xr:
+            peak_v = 0.5 * (fl + fr) + 0.5 * lip * (xr - xl)
+            heapq.heappush(self._peaks, (-peak_v, peak_x, xl, xr))
 
     def value(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Envelope value from all cones, for a scalar or an array."""
@@ -83,33 +117,31 @@ class Envelope1D:
     def max_and_argmax(self) -> tuple[float, float]:
         """Exact envelope maximum and its leftmost argmax.
 
-        Candidates left to right: the left interval end, each queried
-        point, each interior peak of a gap, the right end.  Strictly
-        larger values win, so ties resolve to the leftmost candidate.
+        Candidates: the left interval end unless it was queried, each
+        queried point, each interior peak of a gap, and the right end
+        unless it was queried.  Their positions are distinct, and the
+        best point and the top peak both order equal values by position,
+        so taking the better of the two and comparing it with the ends
+        (the left end winning ties, the right end only when strictly
+        larger) resolves ties to the leftmost candidate.
         """
-        if not self._xs:
+        xs, peaks = self._xs, self._peaks
+        if not xs:
             raise ValueError("envelope has no observations")
-        xs, fs, lip = self._xs, self._fs, self.lip
+        while peaks:
+            _, _, xl, xr = peaks[0]
+            if xs[bisect.bisect_left(xs, xl) + 1] == xr:
+                break
+            heapq.heappop(peaks)
+        inner = min(self._point, peaks[0][:2]) if peaks else self._point
         best_x = self.a
         best_v = -math.inf
-
-        def consider(x: float, v: float) -> None:
-            nonlocal best_x, best_v
-            if v > best_v:
-                best_x, best_v = x, v
-
         if xs[0] > self.a:
-            consider(self.a, self.value(self.a))
-        for j in range(len(xs)):
-            consider(xs[j], fs[j])
-            if j + 1 < len(xs):
-                xl, xr = xs[j], xs[j + 1]
-                fl, fr = fs[j], fs[j + 1]
-                peak_x = 0.5 * (xl + xr) + (fr - fl) / (2.0 * lip)
-                if xl < peak_x < xr:
-                    consider(peak_x, 0.5 * (fl + fr) + 0.5 * lip * (xr - xl))
-        if xs[-1] < self.b:
-            consider(self.b, self.value(self.b))
+            best_v = self._end_a
+        if -inner[0] > best_v:
+            best_v, best_x = -inner[0], inner[1]
+        if xs[-1] < self.b and self._end_b > best_v:
+            best_v, best_x = self._end_b, self.b
         return best_v, best_x
 
 
@@ -157,10 +189,6 @@ def ps_run_1d(
         env_max, env_argmax = env.max_and_argmax()
         certs.append(max(0.0, env_max - best_v))
         if certs[-1] <= eps or len(queries) == budget:
-            break
-        if env.queried(env_argmax):
-            # Only reachable with an invalid bound; without this guard a
-            # repeated argmax would loop forever.
             break
         x = env_argmax
 
@@ -286,6 +314,16 @@ def ps_run_grid(
     round queries the not-yet-queried candidate with the largest
     envelope value (first index on ties).
 
+    The envelope is one array updated in place, with queried candidates
+    set to ``-inf``, so a query costs one distance pass and one
+    ``argmax`` over the n candidates: O(n d) time and O(n d) scratch
+    memory.  The distances are reduced over coordinates stored
+    contiguously per axis, so numpy sums the d terms in order.  The sup
+    norm is exact in any order, and the euclidean and l1 norms match a
+    row-by-row reduction bitwise for ``d <= 7``; from ``d = 8`` on,
+    numpy sums a contiguous row pairwise and the two may differ in the
+    last bit.
+
     Args:
       fn: objective in dimension at least two.
       eps: accuracy to certify.
@@ -325,8 +363,8 @@ def ps_run_grid(
         if not fn.domain.contains(x):
             raise ValueError("first query lies outside the domain")
 
-    best_on_cand = np.full(len(cand), math.inf)
-    used = np.zeros(len(cand), dtype=bool)
+    # envelope on the candidates, -inf on those already queried
+    env = np.full(len(cand), math.inf)
     queries: list[np.ndarray] = []
     values: list[float] = []
     certs: list[float] = []
@@ -334,21 +372,26 @@ def ps_run_grid(
     slack = lip * candidates.cover_radius
     while True:
         fx = float(fn(x))
-        used |= np.all(cand == x, axis=1)
-        np.minimum(best_on_cand, fx + lip * norm.length(cand - x), out=best_on_cand)
+        # differences stored as (d, n) in C order and passed as their
+        # (n, d) view, so the norm reduces across contiguous rows; no
+        # transposed copy of the candidates is kept
+        dist = norm.length(np.subtract(cand.T, x[:, None], order="C").T)
+        np.minimum(env, fx + lip * dist, out=env)
+        # only rows at distance 0 can equal x, but a nonzero difference
+        # can underflow to distance 0, so compare those rows
+        zero = np.flatnonzero(dist == 0)
+        env[zero[np.all(cand[zero] == x, axis=1)]] = -math.inf
         queries.append(x)
         values.append(fx)
         best_v = max(best_v, fx)
-        # On the queried points themselves the envelope equals the best
-        # observation (for a valid bound), so the domain-wide envelope
-        # maximum is at most the larger of the candidate maximum and the
-        # best value, plus the covering correction.
-        certs.append(max(0.0, max(float(best_on_cand.max()), best_v) + slack - best_v))
-        if certs[-1] <= eps or len(queries) == budget:
-            break
-        masked = np.where(used, -math.inf, best_on_cand)
-        pick = int(np.argmax(masked))
-        if masked[pick] == -math.inf:
+        pick = int(np.argmax(env))
+        top = float(env[pick])
+        # A queried candidate's envelope is at most its own observation,
+        # so at most best_v: leaving it out of top does not change
+        # max(top, best_v).  The covering correction bridges from the
+        # candidates to the whole domain.
+        certs.append(max(0.0, max(top, best_v) + slack - best_v))
+        if certs[-1] <= eps or len(queries) == budget or top == -math.inf:
             break
         x = cand[pick]
 

@@ -50,6 +50,17 @@ def test_norm_length_batches():
     assert np.allclose(L1.length(pts), np.array([3.0, 0.0, 6.0]))
 
 
+@pytest.mark.parametrize(
+    "norm, dim",
+    [(norm, d) for norm in (SUP, EUCLIDEAN, L1) for d in range(1, 8)]
+    + [(SUP, d) for d in range(8, 13)],
+)
+def test_norm_length_along_columns_is_bitwise_equal(norm, dim):
+    v = np.random.default_rng(dim).normal(size=(500, dim)) * np.logspace(-3, 3, dim)
+    # rows stored column by column, as ps_run_grid passes its differences
+    assert np.array_equal(norm.length(np.ascontiguousarray(v.T).T), norm.length(v))
+
+
 @given(vectors())
 @settings(deadline=None)
 def test_norm_ordering(v):

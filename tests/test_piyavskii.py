@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import lipcert as lc
 from lipcert import (
     EUCLIDEAN,
+    L1,
     SUP,
     Ball,
     Box,
@@ -81,6 +82,68 @@ def test_envelope_max_matches_dense_oracle(points, anchors, lip):
     assert np.all(env.value(grid) >= truth - 1e-9)
 
 
+def scan_envelope_max(a, b, lip, points):
+    """Reference maximisation of the envelope of ``points`` (pairs x, f)
+    on [a, b] by a full left-to-right scan: the left end, each queried
+    point, each gap's interior peak, the right end.  Strictly larger
+    values win, so ties go to the leftmost candidate."""
+    xs, fs = map(list, zip(*sorted(points)))
+    best_x = a
+    best_v = -math.inf
+
+    def consider(x, v):
+        nonlocal best_x, best_v
+        if v > best_v:
+            best_x, best_v = x, v
+
+    def end_value(end):
+        return float((np.asarray(fs) + lip * np.abs(end - np.asarray(xs))).min())
+
+    if xs[0] > a:
+        consider(a, end_value(a))
+    for j in range(len(xs)):
+        consider(xs[j], fs[j])
+        if j + 1 < len(xs):
+            xl, xr = xs[j], xs[j + 1]
+            fl, fr = fs[j], fs[j + 1]
+            peak_x = 0.5 * (xl + xr) + (fr - fl) / (2.0 * lip)
+            if xl < peak_x < xr:
+                consider(peak_x, 0.5 * (fl + fr) + 0.5 * lip * (xr - xl))
+    if xs[-1] < b:
+        consider(b, end_value(b))
+    return best_v, best_x
+
+
+@given(
+    st.one_of(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+        st.lists(st.integers(0, 16).map(lambda k: k / 16), min_size=1, max_size=17),
+    ),
+    st.lists(st.integers(-4, 4).map(lambda k: k / 4), min_size=30, max_size=30),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.5, 1.0, 3.0, 16.0]),
+)
+@settings(deadline=None, max_examples=200)
+def test_envelope_max_matches_full_scan(points, levels, flat, mirror, lip):
+    # values need not respect the bound: the heap must agree with the
+    # scan whatever the data, ties included (flat values, mirrored points)
+    if mirror:
+        points = [p for q in points for p in (q, 1.0 - q)]
+        levels = [v for w in levels for v in (w, w)]
+    seen = {}
+    env = Envelope1D(0.0, 1.0, lip)
+    for x, v in zip(points, levels):
+        if x in seen:
+            continue
+        seen[x] = 0.0 if flat else v
+        env.insert(x, seen[x])
+        got_val, got_arg = env.max_and_argmax()
+        want_val, want_arg = scan_envelope_max(0.0, 1.0, lip, seen.items())
+        assert (got_val, got_arg) == (want_val, want_arg)
+        assert math.copysign(1.0, got_val) == math.copysign(1.0, want_val)
+
+
 def test_envelope_prefers_leftmost_argmax():
     env = Envelope1D(0.0, 1.0, 1.0)
     env.insert(0.5, 0.0)
@@ -105,6 +168,17 @@ def test_envelope_rejects_duplicates_and_outside_points():
         env.insert(0.5, 0.1)
     with pytest.raises(ValueError):
         env.insert(1.5, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_envelope_rejects_non_finite_values(bad):
+    env = Envelope1D(0.0, 1.0, 1.0)
+    env.insert(0.5, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        env.insert(0.25, bad)
+    # the rejected point left no trace
+    assert len(env) == 1
+    assert env.max_and_argmax() == (0.5, 0.0)
 
 
 def test_hand_traced_tent_run():
@@ -203,6 +277,87 @@ def test_two_query_certification_on_cone():
     # second query is the planted boundary point, already optimal
     assert float(np.linalg.norm(trace.queries[1])) == 1.0
     assert trace.certificates[1] == pytest.approx(fn.lip_bound * cand.cover_radius)
+
+
+def scan_grid_run(fn, eps, budget, candidates, x1=None):
+    """Reference candidate-set run: the envelope kept in full, queried
+    candidates found by comparing every row, and a masked copy of the
+    envelope for each pick."""
+    lip, norm, cand = fn.lip_bound, fn.norm, candidates.points
+    if x1 is None:
+        x = fn.domain.lower + fn.domain.edges * 0.5
+    else:
+        x = np.asarray(x1, dtype=float)
+    best_on_cand = np.full(len(cand), math.inf)
+    used = np.zeros(len(cand), dtype=bool)
+    queries, values, certs = [], [], []
+    best_v = -math.inf
+    slack = lip * candidates.cover_radius
+    while True:
+        fx = float(fn(x))
+        used |= np.all(cand == x, axis=1)
+        np.minimum(best_on_cand, fx + lip * norm.length(cand - x), out=best_on_cand)
+        queries.append(x)
+        values.append(fx)
+        best_v = max(best_v, fx)
+        certs.append(max(0.0, max(float(best_on_cand.max()), best_v) + slack - best_v))
+        if certs[-1] <= eps or len(queries) == budget:
+            break
+        masked = np.where(used, -math.inf, best_on_cand)
+        pick = int(np.argmax(masked))
+        if masked[pick] == -math.inf:
+            break
+        x = cand[pick]
+    return np.asarray(queries), np.asarray(values), np.asarray(certs)
+
+
+def assert_grid_run_matches_scan(fn, eps, budget, candidates, x1=None):
+    trace = ps_run_grid(fn, eps, budget, candidates=candidates, x1=x1)
+    queries, values, certs = scan_grid_run(fn, eps, budget, candidates, x1)
+    assert np.array_equal(trace.queries, queries)
+    assert np.array_equal(trace.values, values)
+    assert np.array_equal(trace.certificates, certs)
+    return trace
+
+
+def bumpy_box_function(norm, dim, seed):
+    center = np.random.default_rng(seed).uniform(size=dim)
+
+    def evaluator(points):
+        wave = np.sin(7.0 * points).sum(axis=-1) / dim
+        return 1.0 - norm.length(points - center) + 0.2 * wave
+
+    box = Box(np.zeros(dim), np.ones(dim))
+    return lc.TestFunction(f"bumpy-{norm.kind}-d{dim}", box, norm, 2.5, evaluator)
+
+
+@pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1), ids=lambda n: n.kind)
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_grid_run_matches_full_scan(norm, dim):
+    fn = bumpy_box_function(norm, dim, seed=dim)
+    rng = np.random.default_rng(100 + dim)
+    points = rng.uniform(size=(300, dim))
+    # repeated rows are marked together when either copy is queried
+    points = np.concatenate([points, points[:40], points[:5]])
+    cand = CandidateSet(points, cover_radius=0.05)
+    trace = assert_grid_run_matches_scan(fn, 0.01, 400, cand)
+    assert len(trace) > 100
+    # a first query that is a candidate, and one of the repeated rows
+    assert_grid_run_matches_scan(fn, 0.01, 400, cand, x1=points[3])
+    # a midpoint grid of a few hundred points
+    grid = grid_candidates(fn.domain, 1.0 / round(400 ** (1.0 / dim)), norm)
+    assert_grid_run_matches_scan(fn, 0.01, 300, grid)
+
+
+def test_grid_run_matches_full_scan_on_registry_sets():
+    fn = lc.get_function("constant-d2")
+    # the default center is not a candidate of this set
+    cand = grid_candidates(fn.domain, 0.5, SUP)
+    assert len(assert_grid_run_matches_scan(fn, 1e-6, 50, cand)) == 5
+    fn = lc.get_function("multibump-d2")
+    cand = candidates_for(fn.domain, fn.lip_bound, 0.05, fn.norm)
+    assert_grid_run_matches_scan(fn, 0.05, 300, cand)
+    assert_grid_run_matches_scan(fn, 0.05, 300, cand, x1=cand.points[123])
 
 
 def test_grid_run_warns_on_coarse_candidates():
