@@ -115,6 +115,14 @@ def check_run_args(
     return lip
 
 
+def _best_so_far(values: np.ndarray, running: np.ndarray) -> np.ndarray:
+    """Index of the best of the first n values for every n, ties going to
+    the earliest; ``running`` is ``np.maximum.accumulate(values)``."""
+    improved = np.ones(len(values), dtype=bool)
+    improved[1:] = values[1:] > running[:-1]
+    return np.maximum.accumulate(np.where(improved, np.arange(len(values)), 0))
+
+
 def build_trace(
     algorithm: str,
     function: str,
@@ -133,10 +141,7 @@ def build_trace(
     :func:`recommendations_consistent` checks.
     """
     values = np.asarray(values, dtype=float)
-    running = np.maximum.accumulate(values)
-    improved = np.ones(len(values), dtype=bool)
-    improved[1:] = values[1:] > running[:-1]
-    best = np.maximum.accumulate(np.where(improved, np.arange(len(values)), 0))
+    best = _best_so_far(values, np.maximum.accumulate(values))
     queries = np.asarray(queries, dtype=float)
     return RunTrace(
         algorithm=algorithm,
@@ -164,15 +169,9 @@ def recommendations_consistent(trace: RunTrace) -> bool:
     running = np.maximum.accumulate(trace.values)
     if not np.array_equal(running, trace.rec_values):
         return False
-    best = -math.inf
-    best_idx = 0
-    for i, v in enumerate(trace.values):
-        if v > best:
-            best = v
-            best_idx = i
-        if not np.array_equal(trace.rec_points[i], trace.queries[best_idx]):
-            return False
-    return True
+    # A NaN value would have failed the check above, so ">" orders them all.
+    best = _best_so_far(trace.values, running)
+    return np.array_equal(trace.rec_points, trace.queries[best])
 
 
 def sigma_from_trace(trace: RunTrace, eps: Optional[float] = None) -> Union[int, float]:

@@ -7,6 +7,16 @@ bound times the cell diameter bound.  The certified variant additionally
 emits, after each query, a bound on how far the recommendation can be
 from the maximum, and stops once that bound reaches the target accuracy.
 The non-certified variant runs to its budget and emits no bounds.
+
+Each leaf carries its integer cell position, so expanding a cell costs
+one :meth:`BisectionPartition.split` (a fixed number of numpy passes
+over its ``2**d`` children), one batched evaluation, and one heap push
+per child.  Nothing is decoded from flat cell indices.
+
+Cells keep splitting down to ``max_depth``, past the depth where float64
+still tells neighbouring representatives apart, so a long run can query
+the same point again.  That is kept on purpose for now: a float-resolution
+depth cap would end such runs early and change their query sequences.
 """
 
 from __future__ import annotations
@@ -17,28 +27,26 @@ from typing import Optional
 import numpy as np
 
 from ..core import RunTrace, TestFunction, build_trace, check_run_args
-from ..partition import ROOT, BisectionPartition, CellKey, bisection_setup
+from ..partition import ROOT, BisectionPartition, bisection_setup
 
 
-class _ActiveLeafSet:
-    """Max-heap of active leaves keyed by optimistic value.
-
-    Ties are broken toward smaller depth, then smaller index, so pop
-    order is deterministic.  Each cell key may be pushed at most once.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int]] = []
-
-    def push(self, key: CellKey, optimistic: float) -> None:
-        heapq.heappush(self._heap, (-optimistic, key.depth, key.index))
-
-    def pop(self) -> tuple[CellKey, float]:
-        neg_b, depth, index = heapq.heappop(self._heap)
-        return CellKey(depth, index), -neg_b
-
-    def __len__(self) -> int:
-        return len(self._heap)
+def _fits(partition: object, canonical: BisectionPartition) -> bool:
+    """Whether ``partition`` has :func:`bisection_setup`'s geometry."""
+    if not isinstance(partition, BisectionPartition):
+        return False
+    box, ball, want = partition.box, partition.restrict_to, canonical.restrict_to
+    if not (
+        np.array_equal(box.lower, canonical.box.lower)
+        and np.array_equal(box.upper, canonical.box.upper)
+    ):
+        return False
+    if want is None or ball is None:
+        return ball is want
+    return (
+        np.array_equal(ball.center, want.center)
+        and ball.radius == want.radius
+        and ball.norm == want.norm
+    )
 
 
 def _tree_search(
@@ -49,60 +57,72 @@ def _tree_search(
     budget: int,
     algorithm: str,
 ) -> RunTrace:
-    default_partition, required = bisection_setup(fn)
+    canonical, required = bisection_setup(fn)
     if partition is None:
-        partition = default_partition
-    if partition.dim != fn.dim:
-        raise ValueError("partition dimension does not match the objective")
+        partition = canonical
+    elif not _fits(partition, canonical):
+        # A smaller box leaves part of the domain out of the certificate;
+        # a larger one queries points outside the domain.
+        raise ValueError(
+            "partition must bisect the objective's enclosing box, restricted "
+            "to the domain when it is a ball, as bisection_setup builds it"
+        )
     lip = check_run_args(eps, budget, lip, required)
     certified = eps is not None
 
+    diam = partition.diam_bound
+    arity = partition.arity
+    shrink = partition.shrink
+    max_depth = partition.max_depth
     rep0 = partition.representative(ROOT)
     v0 = float(fn(rep0))
-    queries = [rep0]
+    blocks = [rep0[None]]
     values = [v0]
-    certs = [max(0.0, lip * partition.diam_bound)]
+    certs = [max(0.0, lip * diam)]
     best_val = v0
 
-    leaves = _ActiveLeafSet()
-    leaves.push(ROOT, v0 + lip * partition.diam_bound)
-    depth_limit = getattr(partition, "max_depth", None)
+    # Active leaves as (-optimistic, depth, index, positions, row): ties
+    # go to smaller depth, then smaller index, and (depth, index) is
+    # unique, so the compare never reaches the position block the leaf's
+    # split returned.
+    leaves = [(-(v0 + lip * diam), 0, 0, np.zeros((1, partition.dim), np.int64), 0)]
     frozen_b = -np.inf
     done = certified and certs[0] <= eps
-    while len(leaves) and len(values) < budget and not done:
-        key, optimistic = leaves.pop()
-        if depth_limit is not None and key.depth >= depth_limit:
+    while leaves and len(values) < budget and not done:
+        neg_b, depth, index, block, row = heapq.heappop(leaves)
+        optimistic = -neg_b
+        if depth >= max_depth:
             # Cell indices (and dyadic geometry) cannot resolve another
             # split.  The cell stays in the certificate envelope but is
             # never refined; the run ends early if only such cells remain.
             frozen_b = max(frozen_b, optimistic)
             continue
-        kids = [k for k in partition.children(key) if partition.feasible(k)]
-        if not kids:
+        codes, kid_pos, kid_reps = partition.split(depth, block[row])
+        if not len(codes):
             continue
-        kid_reps = np.stack([partition.representative(k) for k in kids])
-        kid_vals = fn(kid_reps)
-        slack = lip * partition.diam_bound * partition.shrink ** (key.depth + 1)
-        for kid, rep, val in zip(kids, kid_reps, kid_vals):
-            val = float(val)
-            queries.append(rep)
+        kid_vals = fn(kid_reps).tolist()
+        taken = min(len(codes), budget - len(values))
+        blocks.append(kid_reps[:taken])
+        slack = lip * diam * shrink ** (depth + 1)
+        # The popped leaf had the largest optimistic value among the
+        # still-splittable cells; together with the frozen cells'
+        # envelope this bounds the maximum over the domain.
+        top = max(optimistic, frozen_b)
+        base = index * arity
+        for kid, code in enumerate(codes[:taken].tolist()):
+            val = kid_vals[kid]
             values.append(val)
             best_val = max(best_val, val)
-            # The popped leaf had the largest optimistic value among the
-            # still-splittable cells; together with the frozen cells'
-            # envelope this bounds the maximum over the domain.
-            certs.append(max(0.0, max(optimistic, frozen_b) - best_val))
-            leaves.push(kid, val + slack)
-            if len(values) == budget:
-                done = True
-                break
+            certs.append(max(0.0, top - best_val))
+            heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid_pos, kid))
+        done = len(values) == budget
         # The accuracy check sits at round granularity: a round whose
         # certificate passes the target is still recorded in full.
-        if certified and not done and certs[-1] <= eps:
+        if certified and certs[-1] <= eps:
             done = True
 
     return build_trace(
-        algorithm, fn.label, lip, eps, budget, np.asarray(queries), values,
+        algorithm, fn.label, lip, eps, budget, np.concatenate(blocks), values,
         certs if certified else None,
     )
 
@@ -122,7 +142,9 @@ def cdoo_run(
         it, or at the budget, whichever comes first.
       budget: maximum number of queries.
       partition: bisection partition to search over; defaults to the
-        canonical partition of the objective's domain.
+        canonical partition of the objective's domain.  Any other must
+        have the same geometry (a subclass may wrap its methods), or
+        ``ValueError`` is raised.
       lip: sup-norm Lipschitz bound; defaults to the objective's declared
         bound converted to the sup norm.  Passing a smaller value than
         the conversion implies is rejected.

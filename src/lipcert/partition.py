@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -141,11 +142,8 @@ class BisectionPartition:
         at its lower faces) except that faces on the box boundary are
         closed, so every box point belongs to exactly one cell per depth.
         """
-        pos = self._positions(key)
-        step = self.box.edges * 0.5**key.depth
-        lower = self.box.lower + pos * step
-        upper = self.box.lower + (pos + 1) * step
-        return lower, upper
+        lower, upper, _, _ = self._cells(self._positions(key)[None], key.depth)
+        return lower[0], upper[0]
 
     def representative(self, key: CellKey) -> np.ndarray:
         """Query point owned by a cell.
@@ -156,12 +154,8 @@ class BisectionPartition:
         cell meets it at all; representatives of feasible cells therefore
         always belong to the domain.
         """
-        lower, upper = self.cell_bounds(key)
-        center = lower + (upper - lower) * 0.5
-        ball = self.restrict_to
-        if ball is None or ball.contains(center):
-            return center
-        return np.clip(ball.center, lower, upper)
+        _, _, reps, _ = self._cells(self._positions(key)[None], key.depth)
+        return reps[0]
 
     def children(self, key: CellKey) -> list[CellKey]:
         """The ``arity`` sub-cells, in dimension-major binary order: the
@@ -178,11 +172,64 @@ class BisectionPartition:
         cell-to-center distance, so the cell meets the ball exactly when
         that point does.
         """
+        _, _, _, feas = self._cells(self._positions(key)[None], key.depth)
+        return feas is None or bool(feas[0])
+
+    def split(
+        self, depth: int, pos: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feasible children of the depth-``depth`` cell at integer
+        position ``pos`` (int64, shape ``(d,)``), in child-code order.
+
+        Returns ``(codes, positions, representatives)``: child ``c`` has
+        index ``parent_index * arity + c`` at depth ``depth + 1``, integer
+        position ``2 * pos + bits[c]`` and the point
+        :meth:`representative` gives for it, bit for bit.  ``bits[c, j]``
+        is bit ``d - 1 - j`` of ``c``.  One call costs a fixed number of
+        numpy passes over the ``(arity, d)`` child arrays, with no
+        per-child Python work and no index decoding.  Raises
+        ``ValueError`` past :attr:`max_depth`, as :meth:`children` does.
+        """
+        self._check_depth(depth + 1)
+        kid_pos = 2 * pos + self._bits
+        _, _, reps, feas = self._cells(kid_pos, depth + 1)
+        if feas is None:
+            return self._codes, kid_pos, reps
+        return np.flatnonzero(feas), kid_pos[feas], reps[feas]
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """``(arity, d)`` table of child offsets: ``bits[c, j]`` is 1 when
+        child ``c`` takes the upper half along dimension j."""
+        return (self._codes[:, None] >> np.arange(self.dim - 1, -1, -1)) & 1
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        # split hands this array to every caller, so none may write to it
+        codes = np.arange(self.arity, dtype=np.int64)
+        codes.flags.writeable = False
+        return codes
+
+    def _cells(
+        self, pos: np.ndarray, depth: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Geometry of the depth-``depth`` cells at integer positions
+        ``pos`` (shape ``(n, d)``): the one place it is computed.
+
+        Returns ``(lower, upper, reps, feasible)``.  ``feasible`` is None
+        when there is no ball restriction, since then every cell is.
+        """
+        step = self.box.edges * 0.5**depth
+        lower = self.box.lower + pos * step
+        upper = self.box.lower + (pos + 1) * step
+        center = lower + (upper - lower) * 0.5
         ball = self.restrict_to
         if ball is None:
-            return True
-        lower, upper = self.cell_bounds(key)
-        return bool(ball.contains(np.clip(ball.center, lower, upper)))
+            return lower, upper, center, None
+        clamped = np.clip(ball.center, lower, upper)
+        feas = ball.contains(clamped)
+        reps = np.where(ball.contains(center)[:, None], center, clamped)
+        return lower, upper, reps, feas
 
     def locate(self, x: np.ndarray, depth: int) -> CellKey:
         """Key of the depth-``depth`` cell containing a box point."""
@@ -202,45 +249,24 @@ class BisectionPartition:
             index = index * self.arity + code
         return CellKey(depth, index)
 
-    def _layout_at_depth(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised cell coordinates for a whole depth.
-
-        Returns ``(pos, step)`` where ``pos[i]`` are the integer
-        coordinates of the cell with index i and ``step`` the cell edge
-        lengths.  Only used by the bulk verifier; semantics match
-        :meth:`cell_bounds` exactly.
-        """
-        self._check_depth(depth)
-        d = self.dim
-        count = self.arity**depth
-        pos = np.zeros((count, d), dtype=np.int64)
-        rem = np.arange(count, dtype=np.int64)
-        for level in range(depth):
-            code = rem % self.arity
-            rem //= self.arity
-            for j in range(d):
-                pos[:, j] += ((code >> (d - 1 - j)) & 1) << level
-        return pos, self.box.edges * 0.5**depth
-
     def _depth_summary(
         self, depth: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Representatives and feasibility for every cell of a depth.
 
         Returns ``(lower, upper, reps, feasible_mask)`` as arrays over the
-        depth's cells in index order.
+        depth's cells in index order, bitwise equal to the keyed methods.
+        Only used by the bulk verifier.
         """
-        pos, step = self._layout_at_depth(depth)
-        lower = self.box.lower + pos * step
-        upper = self.box.lower + (pos + 1) * step
-        centers = lower + step * 0.5
-        ball = self.restrict_to
-        if ball is None:
-            return lower, upper, centers, np.ones(len(pos), dtype=bool)
-        clamped = np.clip(ball.center, lower, upper)
-        feas = np.asarray(ball.contains(clamped), dtype=bool)
-        inside = np.asarray(ball.contains(centers), dtype=bool)
-        reps = np.where(inside[:, None], centers, clamped)
+        self._check_depth(depth)
+        pos = np.zeros((1, self.dim), dtype=np.int64)
+        for _ in range(depth):
+            # index = parent_index * arity + code, so children of
+            # consecutive parents stay consecutive
+            pos = (2 * pos[:, None, :] + self._bits).reshape(-1, self.dim)
+        lower, upper, reps, feas = self._cells(pos, depth)
+        if feas is None:
+            feas = np.ones(len(pos), dtype=bool)
         return lower, upper, reps, feas
 
 

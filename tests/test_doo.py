@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -9,8 +10,14 @@ import pytest
 
 import lipcert as lc
 from lipcert import (
+    EUCLIDEAN,
+    ROOT,
+    Ball,
     BisectionPartition,
     Box,
+    CellKey,
+    Norm,
+    bisection_setup,
     cdoo_run,
     certificate_validity,
     ncdoo_run,
@@ -18,6 +25,7 @@ from lipcert import (
     sigma_from_trace,
     zeta_from_trace,
 )
+from lipcert.core import build_trace, check_run_args
 
 
 def test_hand_traced_tent_instance():
@@ -161,3 +169,266 @@ def test_cone_run_certifies_through_the_enclosing_box():
     assert trace.lip_bound == pytest.approx(math.sqrt(2.0))
     assert sigma_from_trace(trace) < math.inf
     assert certificate_validity(trace, fn.known_max).ok
+
+
+@pytest.mark.parametrize(
+    "label, box",
+    [
+        ("tent-d1", Box([0.0], [0.25])),
+        ("halftent-d1", Box([0.0], [0.25])),
+        ("tent-d1", Box([-1.0], [2.0])),
+        ("cone-d2", Box([-1.0, -1.0], [1.0, 1.0])),
+    ],
+)
+def test_partition_must_fit_the_domain(label, box):
+    # a sub-box certified tent-d1 at query 13 with a certificate below
+    # the true gap; a wider box queried points outside the domain; the
+    # cone's enclosing box without its ball does both
+    fn = lc.get_function(label)
+    with pytest.raises(ValueError, match="bisection_setup"):
+        cdoo_run(fn, eps=0.01, budget=1000, partition=BisectionPartition(box))
+    with pytest.raises(ValueError, match="bisection_setup"):
+        ncdoo_run(fn, budget=1000, partition=BisectionPartition(box))
+
+
+def test_partition_ball_must_be_the_domain():
+    fn = lc.get_function("cone-d2")
+    canonical, _ = bisection_setup(fn)
+    smaller = Ball(np.zeros(2), 0.5, EUCLIDEAN)
+    with pytest.raises(ValueError, match="bisection_setup"):
+        cdoo_run(fn, 0.1, 100, partition=BisectionPartition(canonical.box, smaller))
+    l1 = Ball(np.zeros(2), 1.0, Norm("l1"))
+    with pytest.raises(ValueError, match="bisection_setup"):
+        cdoo_run(fn, 0.1, 100, partition=BisectionPartition(canonical.box, l1))
+    with pytest.raises(ValueError, match="bisection_setup"):
+        cdoo_run(fn, 0.1, 100, partition=canonical.box)
+    fresh = BisectionPartition(canonical.box, Ball(np.zeros(2), 1.0, EUCLIDEAN))
+    assert np.array_equal(
+        cdoo_run(fn, 0.1, 100, partition=fresh).queries, cdoo_run(fn, 0.1, 100).queries
+    )
+
+
+# --- reference: the tree search as it ran on keyed cell methods ----------
+
+
+def _ref_positions(part, key):
+    pos = np.zeros(part.dim, dtype=np.int64)
+    rem = key.index
+    for level in range(key.depth):
+        code = rem % part.arity
+        rem //= part.arity
+        for j in range(part.dim):
+            pos[j] += ((code >> (part.dim - 1 - j)) & 1) << level
+    return pos
+
+
+def _ref_bounds(part, key):
+    pos = _ref_positions(part, key)
+    step = part.box.edges * 0.5**key.depth
+    return part.box.lower + pos * step, part.box.lower + (pos + 1) * step
+
+
+def _ref_representative(part, key):
+    lower, upper = _ref_bounds(part, key)
+    center = lower + (upper - lower) * 0.5
+    ball = part.restrict_to
+    if ball is None or ball.contains(center):
+        return center
+    return np.clip(ball.center, lower, upper)
+
+
+def _ref_feasible(part, key):
+    ball = part.restrict_to
+    if ball is None:
+        return True
+    lower, upper = _ref_bounds(part, key)
+    return bool(ball.contains(np.clip(ball.center, lower, upper)))
+
+
+def _ref_children(part, key):
+    if (key.depth + 1) * part.dim > 60:
+        raise ValueError("too deep")
+    return [CellKey(key.depth + 1, key.index * part.arity + c) for c in range(part.arity)]
+
+
+def _ref_search(fn, eps, budget, lip=None):
+    part, required = bisection_setup(fn)
+    lip = check_run_args(eps, budget, lip, required)
+    certified = eps is not None
+    rep0 = _ref_representative(part, ROOT)
+    v0 = float(fn(rep0))
+    queries, values = [rep0], [v0]
+    certs = [max(0.0, lip * part.diam_bound)]
+    best_val = v0
+    heap = [(-(v0 + lip * part.diam_bound), 0, 0)]
+    frozen_b = -np.inf
+    done = certified and certs[0] <= eps
+    while heap and len(values) < budget and not done:
+        neg_b, depth, index = heapq.heappop(heap)
+        optimistic = -neg_b
+        if depth >= part.max_depth:
+            frozen_b = max(frozen_b, optimistic)
+            continue
+        key = CellKey(depth, index)
+        kids = [k for k in _ref_children(part, key) if _ref_feasible(part, k)]
+        if not kids:
+            continue
+        kid_reps = np.stack([_ref_representative(part, k) for k in kids])
+        kid_vals = fn(kid_reps)
+        slack = lip * part.diam_bound * part.shrink ** (depth + 1)
+        for kid, rep, val in zip(kids, kid_reps, kid_vals):
+            val = float(val)
+            queries.append(rep)
+            values.append(val)
+            best_val = max(best_val, val)
+            certs.append(max(0.0, max(optimistic, frozen_b) - best_val))
+            heapq.heappush(heap, (-(val + slack), kid.depth, kid.index))
+            if len(values) == budget:
+                done = True
+                break
+        if certified and not done and certs[-1] <= eps:
+            done = True
+    return build_trace(
+        "ref", fn.label, lip, eps, budget, np.asarray(queries), values,
+        certs if certified else None,
+    )
+
+
+def _assert_same_run(trace, ref):
+    assert np.array_equal(trace.queries, ref.queries)
+    assert np.array_equal(trace.values, ref.values)
+    if ref.certificates is None:
+        assert trace.certificates is None
+    else:
+        assert np.array_equal(trace.certificates, ref.certificates)
+
+
+def _custom(label, domain, norm):
+    peak = domain.center + 0.1 if isinstance(domain, Ball) else domain.lower + 0.37 * domain.edges
+    return lc.TestFunction(
+        label=label,
+        domain=domain,
+        norm=norm,
+        lip_bound=1.0,
+        evaluator=lambda x: np.sin(7 * x).sum(axis=1) * 0.1 / x.shape[1]
+        - 0.9 * norm.length(x - peak),
+    )
+
+
+@pytest.mark.parametrize("fn", lc.registry(), ids=lambda fn: fn.label)
+def test_search_matches_reference_on_registry(fn):
+    budget = 600 if fn.dim == 1 else 2000
+    _assert_same_run(cdoo_run(fn, 0.01, budget), _ref_search(fn, 0.01, budget))
+    _assert_same_run(ncdoo_run(fn, budget), _ref_search(fn, None, budget))
+
+
+def test_search_matches_reference_at_depth_sixty():
+    # pos * step rounds past depth 53, so the run repeats representatives
+    # there, and the reference repeats them the same way
+    fn = lc.get_function("tent-d1")
+    trace = ncdoo_run(fn, 4000)
+    _assert_same_run(trace, _ref_search(fn, None, 4000))
+    assert len(np.unique(trace.queries)) < len(trace)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+@pytest.mark.parametrize("label", ["tent-d1", "multibump-d2", "cone-d2"])
+def test_search_matches_reference_when_budget_cuts_a_split(label, budget):
+    fn = lc.get_function(label)
+    _assert_same_run(cdoo_run(fn, 1e-9, budget), _ref_search(fn, 1e-9, budget))
+    _assert_same_run(ncdoo_run(fn, budget), _ref_search(fn, None, budget))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Box([0.1, -2.3, 0.7], [0.45, 1.9, 3.3]),
+        Ball([0.3, -0.2, 0.15], 0.71, EUCLIDEAN),
+        Ball([0.3, -0.2, 0.15], 0.71, Norm("l1")),
+    ],
+    ids=["box", "euclidean-ball", "l1-ball"],
+)
+def test_search_matches_reference_off_the_unit_box(domain):
+    fn = _custom("custom-d3", domain, domain.norm if isinstance(domain, Ball) else lc.SUP)
+    _assert_same_run(cdoo_run(fn, 1e-9, 2000), _ref_search(fn, 1e-9, 2000))
+    _assert_same_run(ncdoo_run(fn, 2000), _ref_search(fn, None, 2000))
+
+
+def test_search_matches_reference_with_a_custom_lip():
+    fn = lc.get_function("multibump-d2")
+    lip = bisection_setup(fn)[1] * 2.7
+    _assert_same_run(cdoo_run(fn, 0.05, 3000, lip=lip), _ref_search(fn, 0.05, 3000, lip=lip))
+
+
+def test_search_matches_reference_through_a_wrapping_subclass():
+    class Wrapping(BisectionPartition):
+        def representative(self, key):
+            return super().representative(key)
+
+        def children(self, key):
+            return super().children(key)
+
+        def feasible(self, key):
+            return super().feasible(key)
+
+    for label in ("multibump-d1", "cone-d2"):
+        fn = lc.get_function(label)
+        plain, _ = bisection_setup(fn)
+        wrapped = Wrapping(box=plain.box, restrict_to=plain.restrict_to)
+        _assert_same_run(cdoo_run(fn, 0.01, 2000, partition=wrapped), _ref_search(fn, 0.01, 2000))
+
+
+def _index(pos, depth, dim):
+    index = 0
+    for level in range(depth - 1, -1, -1):
+        code = 0
+        for j in range(dim):
+            code |= int((pos[j] >> level) & 1) << (dim - 1 - j)
+        index = (index << dim) | code
+    return index
+
+
+_SPLIT_PARTITIONS = [
+    BisectionPartition(Box([0.1], [1.73])),
+    BisectionPartition(Box([0.1, -2.3], [0.45, 1.9])),
+    BisectionPartition(Box([0.1, -2.3, 0.7], [0.45, 1.9, 3.3])),
+    BisectionPartition(Box(np.full(8, -1.3), np.full(8, 1.3)), Ball(np.zeros(8), 1.3, EUCLIDEAN)),
+    BisectionPartition(Box(np.full(2, -1.0), np.ones(2)), Ball(np.zeros(2), 1.0, EUCLIDEAN)),
+    BisectionPartition(
+        Box([-0.41, -0.91, -0.56], [1.01, 0.51, 0.86]),
+        Ball([0.3, -0.2, 0.15], 0.71, Norm("l1")),
+    ),
+    BisectionPartition(Box(np.zeros(8), np.ones(8))),
+]
+
+
+@pytest.mark.parametrize(
+    "part",
+    _SPLIT_PARTITIONS,
+    ids=lambda p: f"d{p.dim}-{'box' if p.restrict_to is None else p.restrict_to.norm.kind}",
+)
+def test_split_matches_the_keyed_methods(part):
+    rng = np.random.default_rng(part.dim)
+    depths = [0, 1, part.max_depth - 1] + rng.integers(0, part.max_depth, size=6).tolist()
+    ball = part.restrict_to
+    cells = []
+    for depth in depths:
+        cells.append((depth, rng.integers(0, 2**depth, size=part.dim, dtype=np.int64)))
+        if ball is not None:
+            # random cells of an 8-d box mostly miss its ball
+            point = ball.uniform_sample(rng, 1)[0]
+            cells.append((depth, _ref_positions(part, part.locate(point, depth))))
+    for depth, pos in cells:
+        key = CellKey(depth, _index(pos, depth, part.dim))
+        codes, kid_pos, reps = part.split(depth, pos)
+        kids = part.children(key)
+        mask = [part.feasible(k) for k in kids]
+        assert mask == [_ref_feasible(part, k) for k in kids]
+        assert codes.tolist() == [c for c in range(part.arity) if mask[c]]
+        for code, row_pos, rep in zip(codes.tolist(), kid_pos, reps):
+            kid = kids[code]
+            assert kid.index == _index(row_pos, depth + 1, part.dim)
+            assert np.array_equal(rep, part.representative(kid))
+            assert np.array_equal(rep, _ref_representative(part, kid))
+    with pytest.raises(ValueError):
+        part.split(part.max_depth, np.zeros(part.dim, dtype=np.int64))

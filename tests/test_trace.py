@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lipcert as lc
+from lipcert.core import build_trace
 from lipcert import (
     NOT_REACHED,
     RunTrace,
@@ -107,6 +109,64 @@ def test_recommendations_consistent_rejects_late_tie():
         certificates=None,
     )
     assert not recommendations_consistent(tr)
+
+
+def _loop_consistent(trace):
+    """The per-query loop recommendations_consistent ran before it was
+    vectorised, kept as the reference."""
+    running = np.maximum.accumulate(trace.values)
+    if not np.array_equal(running, trace.rec_values):
+        return False
+    best = -math.inf
+    best_idx = 0
+    for i, v in enumerate(trace.values):
+        if v > best:
+            best = v
+            best_idx = i
+        if not np.array_equal(trace.rec_points[i], trace.queries[best_idx]):
+            return False
+    return True
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -math.inf, math.inf, math.nan])
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_recommendations_consistent_matches_the_loop(data):
+    # ties, signed zeros, infinities and NaN in values and points, then
+    # a few tampered recommendation points, coordinates or values
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    values = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    queries = np.array(
+        data.draw(st.lists(st.lists(_ENTRIES, min_size=2, max_size=2), min_size=n, max_size=n))
+    )
+    honest = build_trace("stub", "stub-fn", 1.0, None, n, queries, values)
+    rec_points = honest.rec_points.copy()
+    rec_values = honest.rec_values.copy()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        how = data.draw(st.sampled_from(["point", "coordinate", "value"]))
+        if how == "point":
+            rec_points[i] = queries[data.draw(st.integers(min_value=0, max_value=n - 1))]
+        elif how == "coordinate":
+            rec_points[i, data.draw(st.integers(min_value=0, max_value=1))] = data.draw(_ENTRIES)
+        else:
+            rec_values[i] = data.draw(_ENTRIES)
+    trace = RunTrace(
+        algorithm="stub",
+        function="stub-fn",
+        lip_bound=1.0,
+        eps=None,
+        budget=n,
+        seed=None,
+        queries=queries,
+        values=values,
+        rec_points=rec_points,
+        rec_values=rec_values,
+        certificates=None,
+    )
+    assert recommendations_consistent(trace) == _loop_consistent(trace)
 
 
 def test_sigma_first_crossing():
