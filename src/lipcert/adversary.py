@@ -31,6 +31,7 @@ from .core import (
     midpoint_grid,
     sigma_from_trace,
 )
+from .core._buckets import Buckets, covering_side
 from .optimizers import ALGORITHMS, CERTIFIED
 
 
@@ -181,14 +182,14 @@ class AuditReport:
     scales_tried: tuple[float, ...] = ()
 
 
-def _min_distance_to(queries: np.ndarray, points: np.ndarray, norm: Norm) -> np.ndarray:
-    out = np.full(len(points), math.inf)
-    chunk = max(1, 2_000_000 // max(1, len(queries)))
-    for start in range(0, len(points), chunk):
-        block = points[start : start + chunk]
-        dists = norm.length(block[:, None, :] - queries[None, :, :])
-        out[start : start + chunk] = np.atleast_2d(dists).min(axis=1)
-    return out
+def _free_mask(queries: np.ndarray, sites: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
+    """Whether no query lies within ``radius`` of each site."""
+    side = covering_side(radius, max(float(np.abs(queries).max()), float(np.abs(sites).max())))
+    site, query = Buckets(queries, side).join(sites)
+    dists = np.atleast_1d(norm.length(sites[site] - queries[query]))
+    free = np.ones(len(sites), dtype=bool)
+    free[site[dists <= radius]] = False
+    return free
 
 
 def audit_certified_run(
@@ -281,9 +282,7 @@ def audit_certified_run(
         near_optimal = grid[gaps <= eps_tilde]
         if len(near_optimal) < 2:
             continue
-        free = near_optimal[
-            _min_distance_to(queries, near_optimal, norm) > ball_radius
-        ]
+        free = near_optimal[_free_mask(queries, near_optimal, ball_radius, norm)]
         if len(free) < 2:
             continue
         packed = greedy_packing(free, separation, norm)

@@ -18,8 +18,15 @@ from typing import Optional
 import numpy as np
 
 from ..core import Norm
+from ..core._buckets import Buckets, covering_side
 
 _EXACT_LIMIT = 24
+# Up to this many points, greedy packing measures every later point
+# directly instead of hashing them into buckets first.  On uniform random
+# sets in d = 1..3 with radii 0.05-0.5 the direct scan was faster at 256
+# points in every case and slower at 512 for the smallest radius
+# (d = 2: 2.3 against 2.6 ms at 256 points, 4.5 against 3.8 ms at 512).
+_SCAN_LIMIT = 256
 
 
 def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
@@ -29,12 +36,19 @@ def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
     previously kept point exceeds ``radius``.  The result is a packing by
     construction and maximal because every rejected point is within
     ``radius`` of some kept point.  Output depends only on the input
-    order, never on randomness.
+    order, sorted or not, never on randomness: each kept point ``p``
+    removes the later points ``q`` with ``norm.length(q - p) <= radius``,
+    and the next kept point is the first one not removed.
 
-    When the first coordinate is nondecreasing (true for the grid
-    enumerations used by the estimators) elimination is restricted to
-    the window of points whose first coordinate is within ``radius``,
-    which no supported norm allows a closer pair to escape.
+    Cost: up to ``max(_SCAN_LIMIT, 3**d)`` points, each kept point
+    measures every later point.  Larger sets are hashed once into
+    buckets of side a little above ``radius`` (``O(n log n)``, see
+    ``core._buckets``), and each kept point measures only the points not
+    yet removed in its own and the ``3**d - 1`` adjacent buckets: on a
+    grid of step ``h``, about ``(3 * radius / h)**d`` candidates.
+
+    Raises:
+      ValueError: if ``radius`` is not positive or a point is not finite.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not radius > 0:
@@ -42,27 +56,46 @@ def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
     n = len(points)
     if n == 0:
         return points.copy()
-    first = points[:, 0]
-    chosen: list[int] = []
-    alive = np.ones(n, dtype=bool)
-    if np.all(np.diff(first) >= 0):
-        i = 0
-        while i < n:
-            if alive[i]:
-                chosen.append(i)
-                hi = int(np.searchsorted(first, first[i] + radius, side="right"))
-                window = points[i:hi]
-                dists = np.atleast_1d(norm.length(window - points[i]))
-                alive[i:hi] &= dists > radius
-            i += 1
+    if not np.isfinite(points).all():
+        bad = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise ValueError(f"packing points must be finite, row {bad} is {points[bad].tolist()}")
+    # Hashing pays only when a point's 3**d neighbouring buckets can hold
+    # fewer points than the whole set.
+    if n <= max(_SCAN_LIMIT, 3 ** points.shape[1]):
+        buckets = None
     else:
-        for i in range(n):
-            if alive[i]:
-                chosen.append(i)
-                if i + 1 < n:
-                    dists = np.atleast_1d(norm.length(points[i + 1 :] - points[i]))
-                    alive[i + 1 :] &= dists > radius
+        buckets = Buckets(points, covering_side(radius, float(np.abs(points).max())))
+        order = buckets.order
+    alive = np.ones(n, dtype=bool)
+    chosen: list[int] = []
+    i = 0
+    while i < n:
+        chosen.append(i)
+        alive[i] = False
+        if buckets is None:
+            if i + 1 < n:
+                dists = np.atleast_1d(norm.length(points[i + 1 :] - points[i]))
+                alive[i + 1 :] &= dists > radius
+        else:
+            ends = buckets.runs(i)
+            idx = np.concatenate([order[a:b] for a, b in zip(ends[0::2], ends[1::2])])
+            idx = idx[alive[idx]]
+            if len(idx):
+                dists = np.atleast_1d(norm.length(points[idx] - points[i]))
+                alive[idx[dists <= radius]] = False
+        i = _next_alive(alive, i + 1)
     return points[chosen].copy()
+
+
+def _next_alive(alive: np.ndarray, start: int) -> int:
+    """First index at or after ``start`` still alive, or ``len(alive)``.
+    A boolean ``argmax`` stops at the first true entry, so a whole packing
+    scans each index once."""
+    if start < len(alive):
+        j = start + int(alive[start:].argmax())
+        if alive[j]:
+            return j
+    return len(alive)
 
 
 def _pairwise(points: np.ndarray, norm: Norm) -> np.ndarray:

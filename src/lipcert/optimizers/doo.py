@@ -100,9 +100,11 @@ def _tree_search(
         codes, kid_pos, kid_reps = partition.split(depth, block[row])
         if not len(codes):
             continue
-        kid_vals = fn(kid_reps).tolist()
+        # Only the children the budget lets the trace record are evaluated.
         taken = min(len(codes), budget - len(values))
-        blocks.append(kid_reps[:taken])
+        kid_reps = kid_reps[:taken]
+        kid_vals = fn(kid_reps).tolist()
+        blocks.append(kid_reps)
         slack = lip * diam * shrink ** (depth + 1)
         # The popped leaf had the largest optimistic value among the
         # still-splittable cells; together with the frozen cells'

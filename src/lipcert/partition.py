@@ -17,7 +17,6 @@ cells that miss the ball; such cells are infeasible and never queried.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -25,6 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound, enclosing_box
+from .core._buckets import Buckets
 
 
 class CellKey(NamedTuple):
@@ -299,52 +299,6 @@ class AssumptionCheck:
     pairs_checked: int
 
 
-def _near_pairs(
-    a_pts: np.ndarray, b_pts: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs (i, j) with sup distance possibly below
-    ``radius``, found by hashing points into buckets of that side length.
-    Complete: points closer than ``radius`` in any supported norm land in
-    the same or an adjacent bucket."""
-    d = a_pts.shape[1]
-    ka = np.floor(a_pts / radius).astype(np.int64)
-    kb = np.floor(b_pts / radius).astype(np.int64)
-    origin = np.minimum(ka.min(axis=0), kb.min(axis=0)) - 1
-    ka -= origin
-    kb -= origin
-    span = np.maximum(ka.max(axis=0), kb.max(axis=0)) + 2
-
-    def pack(keys: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(keys), dtype=np.int64)
-        for j in range(d):
-            out = out * span[j] + keys[:, j]
-        return out
-
-    b_packed = pack(kb)
-    order = np.argsort(b_packed, kind="stable")
-    b_sorted = b_packed[order]
-    a_idx_parts: list[np.ndarray] = []
-    b_idx_parts: list[np.ndarray] = []
-    for offset in itertools.product((-1, 0, 1), repeat=d):
-        shifted = pack(ka + np.asarray(offset, dtype=np.int64))
-        left = np.searchsorted(b_sorted, shifted, side="left")
-        right = np.searchsorted(b_sorted, shifted, side="right")
-        counts = right - left
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        a_idx = np.repeat(np.arange(len(a_pts)), counts)
-        starts = np.repeat(left, counts)
-        prefix = np.repeat(np.cumsum(counts) - counts, counts)
-        b_idx = order[starts + (np.arange(total) - prefix)]
-        a_idx_parts.append(a_idx)
-        b_idx_parts.append(b_idx)
-    if not a_idx_parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(a_idx_parts), np.concatenate(b_idx_parts)
-
-
 def _verify_bisection(
     partition: BisectionPartition,
     max_depth: int,
@@ -437,7 +391,13 @@ def _verify_bisection(
             all_pts = np.concatenate(seen_pts + [cur_pts])
             all_keys = np.concatenate(seen_keys + [cur_keys])
             bound_sep = partition.separation * partition.shrink**depth
-            ai, bi = _near_pairs(all_pts, cur_pts, bound_sep)
+            # Candidates share or touch a bucket of side bound_sep.  By the
+            # bound in core._buckets, the 1e-12 margin of the strict test
+            # below absorbs the key rounding while coordinates stay within
+            # about 4,500 bucket sides of zero; past that, completeness
+            # rests on the quotients being exact, as they are for dyadic
+            # boxes.
+            ai, bi = Buckets(cur_pts, bound_sep).join(all_pts)
             if len(ai):
                 dists = np.atleast_1d(norm.length(all_pts[ai] - cur_pts[bi]))
                 same = np.logical_and(

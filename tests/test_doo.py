@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,25 @@ def test_non_finite_evaluation_raises_instead_of_certifying(poison, bad):
     fn = poison(lc.get_function("tent-d1"), [0.25, 0.75], bad)
     with pytest.raises(ValueError, match=r"non-finite value .* at x = \[0\.25\]"):
         cdoo_run(fn, eps=1 / 16, budget=1000)
+
+
+def test_budget_cut_evaluates_only_the_recorded_children(poison):
+    fn = lc.get_function("multibump-d2")
+    evaluated = []
+
+    def counting(x, inner=fn.evaluator):
+        evaluated.append(len(x))
+        return inner(x)
+
+    # the root's split has four children, and the budget records one
+    trace = ncdoo_run(replace(fn, evaluator=counting), 2)
+    assert len(trace) == 2
+    assert sum(evaluated) == 2
+    # so a child left out of the trace can no longer fail the run
+    full = ncdoo_run(fn, 5)
+    poisoned = poison(fn, full.queries[2:], math.nan)
+    assert np.array_equal(ncdoo_run(poisoned, 2).queries, full.queries[:2])
+    assert np.array_equal(cdoo_run(poisoned, 1e-9, 2).queries, full.queries[:2])
 
 
 def test_depth_cap_freezes_instead_of_crashing():
