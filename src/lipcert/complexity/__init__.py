@@ -6,7 +6,6 @@ from .layers import (
     SandwichVerdict,
     default_gamma,
     estimate_sc,
-    estimate_snc,
     integral_estimate,
     layer_decomposition,
     report_to_json,
@@ -27,7 +26,6 @@ __all__ = [
     "SandwichVerdict",
     "default_gamma",
     "estimate_sc",
-    "estimate_snc",
     "exact_covering_bruteforce",
     "exact_packing_bruteforce",
     "greedy_packing",

@@ -359,23 +359,6 @@ def estimate_sc(
     )
 
 
-def estimate_snc(
-    fn: TestFunction,
-    eps: float,
-    lip: Optional[float] = None,
-    norm: Optional[Norm] = None,
-    grid_step: Optional[float] = None,
-    max_grid_points: int = 2_000_000,
-) -> int:
-    """Non-certified complexity estimate: layer packings only, without
-    the near-optimal term."""
-    decomposition = layer_decomposition(
-        fn, eps, lip=lip, norm=norm, grid_step=grid_step,
-        max_grid_points=max_grid_points,
-    )
-    return int(sum(_packing_counts(decomposition)[1:]))
-
-
 def report_to_json(report: ComplexityReport) -> str:
     """Serialize a report to the stable JSON layout."""
     doc = {

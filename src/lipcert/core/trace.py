@@ -39,7 +39,8 @@ class RunTrace:
       rec_points: recommendation after each query, shape ``(n, d)``.
       rec_values: value of each recommendation, shape ``(n,)``.
       certificates: claimed suboptimality bounds, shape ``(n,)``, or None
-        for non-certified runs.  Certificates are nonnegative.
+        for non-certified runs.  Certificates are nonnegative and not
+        NaN; ``+inf`` is a vacuous bound.
       warnings: free-form diagnostics attached by the producer.  Not
         serialized; the JSON layout carries only the fields above.
     """
@@ -72,8 +73,10 @@ class RunTrace:
             certificates = np.asarray(certificates, dtype=float).reshape(-1)
             if certificates.shape[0] != n:
                 raise ValueError("certificate array must have one entry per record")
-            if certificates.min(initial=0.0) < 0:
-                raise ValueError("certificates must be nonnegative")
+            # NaN compares false against every bound, so it would pass
+            # certificate_validity; +inf is allowed as a vacuous bound
+            if not (certificates >= 0).all():
+                raise ValueError("certificates must be nonnegative and not NaN")
             certificates.flags.writeable = False
         for arr in (queries, values, recs, rec_values):
             arr.flags.writeable = False
@@ -295,10 +298,13 @@ def trace_from_json(text: str) -> RunTrace:
     values = np.array([r["fx"] for r in records], dtype=float)
     recs = np.array([r["xstar"] for r in records], dtype=float)
     rec_values = np.array([r["fxstar"] for r in records], dtype=float)
-    if any(r.get("xi") is None for r in records):
+    has_xi = [r.get("xi") is not None for r in records]
+    if not any(has_xi):
         certificates = None
-    else:
+    elif all(has_xi):
         certificates = np.array([r["xi"] for r in records], dtype=float)
+    else:
+        raise ValueError("either every record or none must carry a certificate")
     return RunTrace(
         algorithm=header["algorithm"],
         function=header["function"],

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import RunTrace, TestFunction, build_trace, check_run_args
-from ..partition import ROOT, BisectionPartition, bisection_setup
+from ..partition import BisectionPartition, bisection_setup
 
 
 def _fits(partition: object, canonical: BisectionPartition) -> bool:
@@ -74,7 +74,9 @@ def _tree_search(
     arity = partition.arity
     shrink = partition.shrink
     max_depth = partition.max_depth
-    rep0 = partition.representative(ROOT)
+    root = np.zeros((1, partition.dim), np.int64)
+    _, _, root_reps, _ = partition._cells(root, 0)
+    rep0 = root_reps[0]
     v0 = float(fn(rep0))
     blocks = [rep0[None]]
     values = [v0]
@@ -85,7 +87,7 @@ def _tree_search(
     # go to smaller depth, then smaller index, and (depth, index) is
     # unique, so the compare never reaches the position block the leaf's
     # split returned.
-    leaves = [(-(v0 + lip * diam), 0, 0, np.zeros((1, partition.dim), np.int64), 0)]
+    leaves = [(-(v0 + lip * diam), 0, 0, root, 0)]
     frozen_b = -np.inf
     done = certified and certs[0] <= eps
     while leaves and len(values) < budget and not done:
@@ -145,8 +147,8 @@ def cdoo_run(
       budget: maximum number of queries.
       partition: bisection partition to search over; defaults to the
         canonical partition of the objective's domain.  Any other must
-        have the same geometry (a subclass may wrap its methods), or
-        ``ValueError`` is raised.
+        have the same geometry (a subclass may wrap
+        :meth:`~BisectionPartition.split`), or ``ValueError`` is raised.
       lip: sup-norm Lipschitz bound; defaults to the objective's declared
         bound converted to the sup norm.  Passing a smaller value than
         the conversion implies is rejected.

@@ -1,9 +1,12 @@
 """Hierarchical bisection partitions with verifiable geometric guarantees.
 
 Depth h of the tree splits the base box into ``2**(d*h)`` congruent cells
-by halving every coordinate h times.  Cells are addressed by (depth,
-index); each cell owns a representative point.  Two guarantees make the
-certified search sound:
+by halving every coordinate h times.  A depth-h cell is addressed by its
+integer position, one coordinate in ``range(2**h)`` per dimension, and
+owns a representative point.  The flat ``(depth, index)`` pair names a
+cell only in the violation reports of :func:`verify_assumptions` and in
+the tree search's tie order.  Two guarantees make the certified search
+sound:
 
   * shrinkage: a depth-h cell has sup-norm diameter at most
     ``diam_bound * shrink**h``;
@@ -19,26 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound, enclosing_box
 from .core._buckets import Buckets
 
-
-class CellKey(NamedTuple):
-    """Address of one cell: depth in the tree and index within the depth.
-
-    Depth-h indices run over ``range(arity ** h)`` in the dimension-major
-    binary order produced by :meth:`BisectionPartition.children`.
-    """
-
-    depth: int
-    index: int
-
-
-ROOT = CellKey(0, 0)
 
 # int64 cell indices and exact dyadic arithmetic both need d * depth to
 # stay well below 63 bits.
@@ -113,68 +103,6 @@ class BisectionPartition:
         """Deepest addressable level; cells there cannot be split again."""
         return _MAX_BITS // self.dim
 
-    def _check_depth(self, depth: int) -> None:
-        if depth < 0:
-            raise ValueError(f"depth must be nonnegative, got {depth}")
-        if depth * self.dim > _MAX_BITS:
-            raise ValueError(f"depth {depth} is too deep for {self.dim} dimensions")
-
-    def _positions(self, key: CellKey) -> np.ndarray:
-        """Per-dimension integer cell coordinates in ``range(2**depth)``."""
-        depth, index = key
-        self._check_depth(depth)
-        if not 0 <= index < self.arity**depth:
-            raise ValueError(f"index {index} out of range at depth {depth}")
-        d = self.dim
-        pos = np.zeros(d, dtype=np.int64)
-        rem = index
-        for level in range(depth):
-            code = rem % self.arity
-            rem //= self.arity
-            for j in range(d):
-                pos[j] += ((code >> (d - 1 - j)) & 1) << level
-        return pos
-
-    def cell_bounds(self, key: CellKey) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners of a cell.
-
-        Cells at a fixed depth tile the box: a cell is half-open (closed
-        at its lower faces) except that faces on the box boundary are
-        closed, so every box point belongs to exactly one cell per depth.
-        """
-        lower, upper, _, _ = self._cells(self._positions(key)[None], key.depth)
-        return lower[0], upper[0]
-
-    def representative(self, key: CellKey) -> np.ndarray:
-        """Query point owned by a cell.
-
-        Plain boxes use the cell center.  Under a ball restriction a
-        center outside the ball is replaced by the point of the cell
-        nearest to the ball's center, which lies in the ball whenever the
-        cell meets it at all; representatives of feasible cells therefore
-        always belong to the domain.
-        """
-        _, _, reps, _ = self._cells(self._positions(key)[None], key.depth)
-        return reps[0]
-
-    def children(self, key: CellKey) -> list[CellKey]:
-        """The ``arity`` sub-cells, in dimension-major binary order: the
-        child code's most significant bit selects the upper half along
-        dimension 0."""
-        self._check_depth(key.depth + 1)
-        base = key.index * self.arity
-        return [CellKey(key.depth + 1, base + c) for c in range(self.arity)]
-
-    def feasible(self, key: CellKey) -> bool:
-        """Whether the cell intersects the domain.
-
-        The nearest point of the cell to the ball center realises the
-        cell-to-center distance, so the cell meets the ball exactly when
-        that point does.
-        """
-        _, _, _, feas = self._cells(self._positions(key)[None], key.depth)
-        return feas is None or bool(feas[0])
-
     def split(
         self, depth: int, pos: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,14 +111,18 @@ class BisectionPartition:
 
         Returns ``(codes, positions, representatives)``: child ``c`` has
         index ``parent_index * arity + c`` at depth ``depth + 1``, integer
-        position ``2 * pos + bits[c]`` and the point
-        :meth:`representative` gives for it, bit for bit.  ``bits[c, j]``
-        is bit ``d - 1 - j`` of ``c``.  One call costs a fixed number of
-        numpy passes over the ``(arity, d)`` child arrays, with no
+        position ``2 * pos + bits[c]`` and the representative
+        :meth:`_cells` gives for that position.  ``bits[c, j]`` is bit
+        ``d - 1 - j`` of ``c``, so the code's most significant bit selects
+        the upper half along dimension 0.  One call costs a fixed number
+        of numpy passes over the ``(arity, d)`` child arrays, with no
         per-child Python work and no index decoding.  Raises
-        ``ValueError`` past :attr:`max_depth`, as :meth:`children` does.
+        ``ValueError`` for a negative depth or one at :attr:`max_depth`.
         """
-        self._check_depth(depth + 1)
+        if not 0 <= depth < self.max_depth:
+            raise ValueError(
+                f"cannot split a depth-{depth} cell; depths 0..{self.max_depth - 1} split"
+            )
         kid_pos = 2 * pos + self._bits
         _, _, reps, feas = self._cells(kid_pos, depth + 1)
         if feas is None:
@@ -214,10 +146,19 @@ class BisectionPartition:
         self, pos: np.ndarray, depth: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Geometry of the depth-``depth`` cells at integer positions
-        ``pos`` (shape ``(n, d)``): the one place it is computed.
+        ``pos`` (shape ``(n, d)``): the one place it is computed, read by
+        both :meth:`split` and :func:`verify_assumptions`.
 
-        Returns ``(lower, upper, reps, feasible)``.  ``feasible`` is None
-        when there is no ball restriction, since then every cell is.
+        Returns ``(lower, upper, reps, feasible)``.  Cells at a fixed depth
+        tile the box: a cell is half-open (closed at its lower faces)
+        except that faces on the box boundary are closed.  Plain boxes use
+        the cell center as representative.  Under a ball restriction a
+        center outside the ball is replaced by the point of the cell
+        nearest to the ball's center; that point realises the
+        cell-to-center distance, so it lies in the ball exactly when the
+        cell meets it, and ``feasible`` marks those cells.  ``feasible``
+        is None when there is no ball restriction, since then every cell
+        is.
         """
         step = self.box.edges * 0.5**depth
         lower = self.box.lower + pos * step
@@ -231,34 +172,17 @@ class BisectionPartition:
         reps = np.where(ball.contains(center)[:, None], center, clamped)
         return lower, upper, reps, feas
 
-    def locate(self, x: np.ndarray, depth: int) -> CellKey:
-        """Key of the depth-``depth`` cell containing a box point."""
-        self._check_depth(depth)
-        x = np.asarray(x, dtype=float)
-        if not self.box.contains(x):
-            raise ValueError("point lies outside the partitioned box")
-        frac = (x - self.box.lower) / self.box.edges
-        pos = np.minimum((frac * 2**depth).astype(np.int64), 2**depth - 1)
-        pos = np.maximum(pos, 0)
-        index = 0
-        d = self.dim
-        for level in range(depth - 1, -1, -1):
-            code = 0
-            for j in range(d):
-                code |= int((pos[j] >> level) & 1) << (d - 1 - j)
-            index = index * self.arity + code
-        return CellKey(depth, index)
-
     def _depth_summary(
         self, depth: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Representatives and feasibility for every cell of a depth.
 
         Returns ``(lower, upper, reps, feasible_mask)`` as arrays over the
-        depth's cells in index order, bitwise equal to the keyed methods.
-        Only used by the bulk verifier.
+        depth's cells in index order, the order in which
+        :func:`verify_assumptions` reports cells.
         """
-        self._check_depth(depth)
+        if not 0 <= depth <= self.max_depth:
+            raise ValueError(f"depth {depth} is outside 0..{self.max_depth}")
         pos = np.zeros((1, self.dim), dtype=np.int64)
         for _ in range(depth):
             # index = parent_index * arity + code, so children of
@@ -299,12 +223,34 @@ class AssumptionCheck:
     pairs_checked: int
 
 
-def _verify_bisection(
-    partition: BisectionPartition,
-    max_depth: int,
-    samples_per_cell: int,
-    rng: np.random.Generator,
+def verify_assumptions(
+    partition: BisectionPartition, max_depth: int, seed: int = 0
 ) -> AssumptionCheck:
+    """Verify shrinkage and separation for every cell up to a depth.
+
+    Diameters are checked exactly on cell corners and additionally on
+    seeded random interior pairs: at each depth, one pair in each of
+    ``min(cells, 512)`` cells drawn with replacement.  Representatives
+    must lie in their cells, and in the ball when the partition has one.
+    Separation is checked for every pair of feasible representatives
+    across all depth combinations, using a bucket join so that no pair
+    below the bound can be missed.  The first violation found is reported
+    with its cells, named by ``(depth, index)``, and measured distance.
+
+    Args:
+      partition: a :class:`BisectionPartition`.  A subclass is verified
+        through its own :meth:`~BisectionPartition._cells`, the geometry
+        its :meth:`~BisectionPartition.split` hands the tree search.
+      max_depth: deepest level to verify, inclusive.
+      seed: seed for the interior sampling; results are deterministic.
+    """
+    if not isinstance(partition, BisectionPartition):
+        raise ValueError(
+            f"expected a BisectionPartition, got {type(partition).__name__}"
+        )
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+    rng = np.random.default_rng(seed)
     norm = partition.norm
     cells_checked = 0
     pairs_checked = 0
@@ -327,26 +273,25 @@ def _verify_bisection(
                 cells_checked=cells_checked,
                 pairs_checked=pairs_checked,
             )
-        if samples_per_cell > 0 and len(reps) > 0:
-            pick = rng.integers(0, len(reps), size=min(len(reps), 512))
-            u = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
-            v = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
-            dists = np.atleast_1d(norm.length(u - v))
-            pairs_checked += len(pick)
-            if dists.max(initial=0.0) > bound * (1 + 1e-12):
-                bad = int(np.argmax(dists))
-                return AssumptionCheck(
-                    ok=False,
-                    violation={
-                        "kind": "diameter",
-                        "depth": depth,
-                        "cell": int(pick[bad]),
-                        "measured": float(dists[bad]),
-                        "required": bound,
-                    },
-                    cells_checked=cells_checked,
-                    pairs_checked=pairs_checked,
-                )
+        pick = rng.integers(0, len(reps), size=min(len(reps), 512))
+        u = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
+        v = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
+        dists = np.atleast_1d(norm.length(u - v))
+        pairs_checked += len(pick)
+        if dists.max(initial=0.0) > bound * (1 + 1e-12):
+            bad = int(np.argmax(dists))
+            return AssumptionCheck(
+                ok=False,
+                violation={
+                    "kind": "diameter",
+                    "depth": depth,
+                    "cell": int(pick[bad]),
+                    "measured": float(dists[bad]),
+                    "required": bound,
+                },
+                cells_checked=cells_checked,
+                pairs_checked=pairs_checked,
+            )
         inside = np.logical_and(
             reps >= lower - 1e-12, reps <= upper + 1e-12
         ).all(axis=1)
@@ -424,124 +369,3 @@ def _verify_bisection(
     return AssumptionCheck(
         ok=True, violation=None, cells_checked=cells_checked, pairs_checked=pairs_checked
     )
-
-
-def _verify_generic(
-    partition,
-    max_depth: int,
-    samples_per_cell: int,
-    rng: np.random.Generator,
-) -> AssumptionCheck:
-    norm: Norm = getattr(partition, "norm", SUP)
-    cells_checked = 0
-    pairs_checked = 0
-    seen: list[tuple[CellKey, np.ndarray]] = []
-    frontier = [ROOT] if partition.feasible(ROOT) else []
-    for depth in range(max_depth + 1):
-        bound = partition.diam_bound * partition.shrink**depth
-        bound_sep = partition.separation * partition.shrink**depth
-        for key in frontier:
-            cells_checked += 1
-            lower, upper = partition.cell_bounds(key)
-            diam = float(norm.length(upper - lower))
-            if diam > bound * (1 + 1e-12):
-                return AssumptionCheck(
-                    ok=False,
-                    violation={
-                        "kind": "diameter",
-                        "depth": depth,
-                        "cell": key.index,
-                        "measured": diam,
-                        "required": bound,
-                    },
-                    cells_checked=cells_checked,
-                    pairs_checked=pairs_checked,
-                )
-            for _ in range(samples_per_cell):
-                u = lower + rng.random(len(lower)) * (upper - lower)
-                v = lower + rng.random(len(lower)) * (upper - lower)
-                pairs_checked += 1
-                if float(norm.length(u - v)) > bound * (1 + 1e-12):
-                    return AssumptionCheck(
-                        ok=False,
-                        violation={
-                            "kind": "diameter",
-                            "depth": depth,
-                            "cell": key.index,
-                            "measured": float(norm.length(u - v)),
-                            "required": bound,
-                        },
-                        cells_checked=cells_checked,
-                        pairs_checked=pairs_checked,
-                    )
-            rep = np.asarray(partition.representative(key), dtype=float)
-            if np.any(rep < lower - 1e-12) or np.any(rep > upper + 1e-12):
-                return AssumptionCheck(
-                    ok=False,
-                    violation={
-                        "kind": "representative-outside-cell",
-                        "depth": depth,
-                        "cell": key.index,
-                    },
-                    cells_checked=cells_checked,
-                    pairs_checked=pairs_checked,
-                )
-            for other_key, other_rep in seen:
-                if other_key == key:
-                    continue
-                pairs_checked += 1
-                dist = float(norm.length(rep - other_rep))
-                if dist < bound_sep * (1 - 1e-12):
-                    return AssumptionCheck(
-                        ok=False,
-                        violation={
-                            "kind": "separation",
-                            "cell_a": tuple(other_key),
-                            "cell_b": tuple(key),
-                            "measured": dist,
-                            "required": bound_sep,
-                        },
-                        cells_checked=cells_checked,
-                        pairs_checked=pairs_checked,
-                    )
-            seen.append((key, rep))
-        if depth < max_depth:
-            frontier = [
-                child
-                for key in frontier
-                for child in partition.children(key)
-                if partition.feasible(child)
-            ]
-    return AssumptionCheck(
-        ok=True, violation=None, cells_checked=cells_checked, pairs_checked=pairs_checked
-    )
-
-
-def verify_assumptions(
-    partition,
-    max_depth: int,
-    samples_per_cell: int = 2,
-    seed: int = 0,
-) -> AssumptionCheck:
-    """Verify shrinkage and separation for every cell up to a depth.
-
-    Diameters are checked exactly on cell corners and additionally on
-    seeded random interior pairs.  Separation is checked for every pair
-    of feasible representatives across all depth combinations, using a
-    bucket join so that no pair below the bound can be missed.  The first
-    violation found is reported with its cells and measured distance.
-
-    Args:
-      partition: a :class:`BisectionPartition`, or any object exposing
-        the same cell interface (used for deliberately broken partitions
-        in tests).
-      max_depth: deepest level to verify, inclusive.
-      samples_per_cell: random interior pairs per sampled cell.
-      seed: seed for the interior sampling; results are deterministic.
-    """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    rng = np.random.default_rng(seed)
-    if type(partition) is BisectionPartition:
-        return _verify_bisection(partition, max_depth, samples_per_cell, rng)
-    return _verify_generic(partition, max_depth, samples_per_cell, rng)

@@ -12,11 +12,9 @@ import pytest
 import lipcert as lc
 from lipcert import (
     EUCLIDEAN,
-    ROOT,
     Ball,
     BisectionPartition,
     Box,
-    CellKey,
     Norm,
     bisection_setup,
     cdoo_run,
@@ -230,11 +228,15 @@ def test_partition_ball_must_be_the_domain():
 
 # --- reference: the tree search as it ran on keyed cell methods ----------
 
+# A cell key is a (depth, index) tuple; depth-h indices run over
+# range(arity ** h) in dimension-major child-code order.
+_ROOT = (0, 0)
+
 
 def _ref_positions(part, key):
+    depth, rem = key
     pos = np.zeros(part.dim, dtype=np.int64)
-    rem = key.index
-    for level in range(key.depth):
+    for level in range(depth):
         code = rem % part.arity
         rem //= part.arity
         for j in range(part.dim):
@@ -244,7 +246,7 @@ def _ref_positions(part, key):
 
 def _ref_bounds(part, key):
     pos = _ref_positions(part, key)
-    step = part.box.edges * 0.5**key.depth
+    step = part.box.edges * 0.5**key[0]
     return part.box.lower + pos * step, part.box.lower + (pos + 1) * step
 
 
@@ -266,16 +268,17 @@ def _ref_feasible(part, key):
 
 
 def _ref_children(part, key):
-    if (key.depth + 1) * part.dim > 60:
+    depth, index = key
+    if (depth + 1) * part.dim > 60:
         raise ValueError("too deep")
-    return [CellKey(key.depth + 1, key.index * part.arity + c) for c in range(part.arity)]
+    return [(depth + 1, index * part.arity + c) for c in range(part.arity)]
 
 
 def _ref_search(fn, eps, budget, lip=None):
     part, required = bisection_setup(fn)
     lip = check_run_args(eps, budget, lip, required)
     certified = eps is not None
-    rep0 = _ref_representative(part, ROOT)
+    rep0 = _ref_representative(part, _ROOT)
     v0 = float(fn(rep0))
     queries, values = [rep0], [v0]
     certs = [max(0.0, lip * part.diam_bound)]
@@ -289,8 +292,7 @@ def _ref_search(fn, eps, budget, lip=None):
         if depth >= part.max_depth:
             frozen_b = max(frozen_b, optimistic)
             continue
-        key = CellKey(depth, index)
-        kids = [k for k in _ref_children(part, key) if _ref_feasible(part, k)]
+        kids = [k for k in _ref_children(part, (depth, index)) if _ref_feasible(part, k)]
         if not kids:
             continue
         kid_reps = np.stack([_ref_representative(part, k) for k in kids])
@@ -302,7 +304,7 @@ def _ref_search(fn, eps, budget, lip=None):
             values.append(val)
             best_val = max(best_val, val)
             certs.append(max(0.0, max(optimistic, frozen_b) - best_val))
-            heapq.heappush(heap, (-(val + slack), kid.depth, kid.index))
+            heapq.heappush(heap, (-(val + slack), *kid))
             if len(values) == budget:
                 done = True
                 break
@@ -381,21 +383,20 @@ def test_search_matches_reference_with_a_custom_lip():
 
 
 def test_search_matches_reference_through_a_wrapping_subclass():
+    splits = []
+
     class Wrapping(BisectionPartition):
-        def representative(self, key):
-            return super().representative(key)
-
-        def children(self, key):
-            return super().children(key)
-
-        def feasible(self, key):
-            return super().feasible(key)
+        def split(self, depth, pos):
+            splits.append(depth)
+            return super().split(depth, pos)
 
     for label in ("multibump-d1", "cone-d2"):
         fn = lc.get_function(label)
         plain, _ = bisection_setup(fn)
         wrapped = Wrapping(box=plain.box, restrict_to=plain.restrict_to)
+        splits.clear()
         _assert_same_run(cdoo_run(fn, 0.01, 2000, partition=wrapped), _ref_search(fn, 0.01, 2000))
+        assert splits and splits[0] == 0
 
 
 def _index(pos, depth, dim):
@@ -437,18 +438,18 @@ def test_split_matches_the_keyed_methods(part):
         if ball is not None:
             # random cells of an 8-d box mostly miss its ball
             point = ball.uniform_sample(rng, 1)[0]
-            cells.append((depth, _ref_positions(part, part.locate(point, depth))))
+            frac = (point - part.box.lower) / part.box.edges
+            cells.append((depth, np.minimum((frac * 2**depth).astype(np.int64), 2**depth - 1)))
     for depth, pos in cells:
-        key = CellKey(depth, _index(pos, depth, part.dim))
+        key = (depth, _index(pos, depth, part.dim))
+        assert np.array_equal(_ref_positions(part, key), pos)
         codes, kid_pos, reps = part.split(depth, pos)
-        kids = part.children(key)
-        mask = [part.feasible(k) for k in kids]
-        assert mask == [_ref_feasible(part, k) for k in kids]
+        kids = _ref_children(part, key)
+        mask = [_ref_feasible(part, k) for k in kids]
         assert codes.tolist() == [c for c in range(part.arity) if mask[c]]
         for code, row_pos, rep in zip(codes.tolist(), kid_pos, reps):
             kid = kids[code]
-            assert kid.index == _index(row_pos, depth + 1, part.dim)
-            assert np.array_equal(rep, part.representative(kid))
+            assert kid[1] == _index(row_pos, depth + 1, part.dim)
             assert np.array_equal(rep, _ref_representative(part, kid))
     with pytest.raises(ValueError):
         part.split(part.max_depth, np.zeros(part.dim, dtype=np.int64))

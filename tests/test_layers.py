@@ -17,7 +17,6 @@ from lipcert import (
     SUP,
     default_gamma,
     estimate_sc,
-    estimate_snc,
     integral_estimate,
     layer_decomposition,
     report_to_json,
@@ -162,14 +161,6 @@ def test_montecarlo_integral_route():
         integral_estimate(no_max, 0.25, method="montecarlo")
 
 
-def test_estimate_snc_matches_report():
-    for label in ("tent-d1", "halftent-d1", "multibump-d1"):
-        fn = lc.get_function(label)
-        rep = estimate_sc(fn, 0.125)
-        assert estimate_snc(fn, 0.125) == rep.snc
-        assert rep.snc <= rep.sc
-
-
 def test_sandwich_check_rederivation_and_slack():
     rep = estimate_sc(lc.get_function("tent-d1"), 0.25)
     verdict = sandwich_check(rep)
@@ -292,4 +283,5 @@ def test_report_invariants_across_scales(level):
     assert len(rep.packing_counts) == rep.m_eps + 1
     assert rep.sc == sum(rep.packing_counts)
     assert rep.snc == rep.sc - rep.packing_counts[0]
+    assert rep.snc <= rep.sc and rep.verdicts["layers_within_total"]
     assert sandwich_check(rep).ok

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from lipcert import (
     EUCLIDEAN,
-    ROOT,
     Ball,
     BisectionPartition,
     Box,
-    CellKey,
     bisection_setup,
     verify_assumptions,
 )
@@ -39,29 +37,33 @@ def test_constants_anisotropic():
 
 
 def test_root_cell(unit2):
-    lower, upper = unit2.cell_bounds(ROOT)
-    assert np.array_equal(lower, np.zeros(2))
-    assert np.array_equal(upper, np.ones(2))
-    assert np.array_equal(unit2.representative(ROOT), np.array([0.5, 0.5]))
+    lower, upper, reps, feas = unit2._depth_summary(0)
+    assert np.array_equal(lower, np.zeros((1, 2)))
+    assert np.array_equal(upper, np.ones((1, 2)))
+    assert np.array_equal(reps, np.array([[0.5, 0.5]]))
+    assert feas.tolist() == [True]
 
 
 def test_children_are_dimension_major(unit2):
-    kids = unit2.children(ROOT)
-    assert kids == [CellKey(1, 0), CellKey(1, 1), CellKey(1, 2), CellKey(1, 3)]
+    codes, kid_pos, reps = unit2.split(0, np.zeros(2, dtype=np.int64))
+    assert codes.tolist() == [0, 1, 2, 3]
     # child code's most significant bit moves along dimension 0
-    reps = [unit2.representative(k) for k in kids]
-    assert np.array_equal(reps[0], np.array([0.25, 0.25]))
-    assert np.array_equal(reps[1], np.array([0.25, 0.75]))
-    assert np.array_equal(reps[2], np.array([0.75, 0.25]))
-    assert np.array_equal(reps[3], np.array([0.75, 0.75]))
+    assert kid_pos.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert np.array_equal(reps, [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
+    # the verifier's index order is the same child-code order
+    assert np.array_equal(unit2._depth_summary(1)[2], reps)
 
 
 def test_child_bounds_partition_the_parent(unit2):
-    parent_lower, parent_upper = unit2.cell_bounds(CellKey(1, 2))
-    kids = unit2.children(CellKey(1, 2))
+    # depth-1 cell 2 sits at position (1, 0); its children are the
+    # depth-2 cells 8..11
+    lower1, upper1, _, _ = unit2._depth_summary(1)
+    parent_lower, parent_upper = lower1[2], upper1[2]
+    codes, kid_pos, reps = unit2.split(1, np.array([1, 0]))
+    lower2, upper2, reps2, _ = unit2._depth_summary(2)
+    assert np.array_equal(reps, reps2[8:12])
     vol = 0.0
-    for kid in kids:
-        lo, hi = unit2.cell_bounds(kid)
+    for lo, hi in zip(lower2[8:12], upper2[8:12]):
         assert np.all(lo >= parent_lower - 1e-15)
         assert np.all(hi <= parent_upper + 1e-15)
         vol += float(np.prod(hi - lo))
@@ -69,43 +71,24 @@ def test_child_bounds_partition_the_parent(unit2):
 
 
 def test_representative_is_cell_center(unit2):
-    key = CellKey(3, 17)
-    lo, hi = unit2.cell_bounds(key)
-    assert np.array_equal(unit2.representative(key), (lo + hi) / 2.0)
-
-
-def test_locate_inverts_bounds(unit2):
-    for depth in (0, 1, 2, 4):
-        count = unit2.arity**depth
-        for index in {0, 1 % count, count - 1}:
-            key = CellKey(depth, index)
-            rep = unit2.representative(key)
-            assert unit2.locate(rep, depth) == key
-
-
-def test_locate_upper_boundary_lands_in_last_cell(unit2):
-    key = unit2.locate(np.array([1.0, 1.0]), 3)
-    assert key == CellKey(3, unit2.arity**3 - 1)
-
-
-def test_locate_rejects_outside_points(unit2):
-    with pytest.raises(ValueError):
-        unit2.locate(np.array([1.5, 0.5]), 2)
+    lower, upper, reps, _ = unit2._depth_summary(3)
+    assert np.array_equal(reps, (lower + upper) / 2.0)
 
 
 def test_index_bounds_checked(unit2):
     with pytest.raises(ValueError):
-        unit2.cell_bounds(CellKey(1, 4))
+        unit2.split(-1, np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
-        unit2.cell_bounds(CellKey(-1, 0))
+        unit2._depth_summary(-1)
 
 
 def test_depth_cap():
     part = BisectionPartition(Box(np.zeros(1), np.ones(1)))
     assert part.max_depth == 60
-    part.cell_bounds(CellKey(60, 0))
+    codes, _, _ = part.split(59, np.zeros(1, dtype=np.int64))
+    assert codes.tolist() == [0, 1]
     with pytest.raises(ValueError):
-        part.children(CellKey(60, 0))
+        part.split(60, np.zeros(1, dtype=np.int64))
     part3 = BisectionPartition(Box(np.zeros(3), np.ones(3)))
     assert part3.max_depth == 20
 
@@ -119,38 +102,53 @@ def test_depth_cap():
 def test_cells_nest_into_parents(d, depth, raw_index):
     part = BisectionPartition(Box(np.zeros(d), np.ones(d)))
     index = raw_index % part.arity**depth
-    key = CellKey(depth, index)
-    lo, hi = part.cell_bounds(key)
-    assert np.all(hi - lo == pytest.approx(0.5**depth))
-    if depth > 0:
-        parent = CellKey(depth - 1, index // part.arity)
-        plo, phi = part.cell_bounds(parent)
-        assert np.all(lo >= plo - 1e-15)
-        assert np.all(hi <= phi + 1e-15)
-        assert key in part.children(parent)
+    # walk down from the root along the index's child codes
+    pos = np.zeros(d, dtype=np.int64)
+    lo, hi = np.zeros(d), np.ones(d)
+    for level in range(depth):
+        code = index // part.arity ** (depth - 1 - level) % part.arity
+        codes, kid_pos, reps = part.split(level, pos)
+        assert codes.tolist() == list(range(part.arity))
+        pos = kid_pos[code]
+        klo, khi, krep, _ = part._cells(pos[None], level + 1)
+        assert np.all(khi - klo == pytest.approx(0.5 ** (level + 1)))
+        assert np.all(klo >= lo - 1e-15)
+        assert np.all(khi <= hi + 1e-15)
+        assert np.array_equal(krep[0], reps[code])
+        lo, hi = klo[0], khi[0]
+    if part.arity**depth <= 4096:
+        lower, upper, _, _ = part._depth_summary(depth)
+        assert np.array_equal(lower[index], lo)
+        assert np.array_equal(upper[index], hi)
 
 
-def test_ball_restriction_feasibility():
+@pytest.fixture
+def disc():
     ball = Ball(np.zeros(2), 1.0, EUCLIDEAN)
-    part = BisectionPartition(Box(np.full(2, -1.0), np.ones(2)), restrict_to=ball)
-    assert part.feasible(ROOT)
-    # depth-2 corner cell [-1,-0.5]^2 touches the ball only beyond its
-    # nearest corner, which lies outside: sqrt(0.5) > ... it is feasible
-    # since the corner (-0.5,-0.5) has norm sqrt(0.5) < 1
-    assert part.feasible(part.locate(np.array([-0.75, -0.75]), 2))
-    # depth-3 corner cell [-1,-0.75]^2 is fully outside the ball
-    corner = part.locate(np.array([-0.9, -0.9]), 3)
-    assert not part.feasible(corner)
+    return BisectionPartition(Box(np.full(2, -1.0), np.ones(2)), restrict_to=ball)
 
 
-def test_ball_restriction_moves_representative_inside():
-    ball = Ball(np.zeros(2), 1.0, EUCLIDEAN)
-    part = BisectionPartition(Box(np.full(2, -1.0), np.ones(2)), restrict_to=ball)
-    key = part.locate(np.array([0.8, 0.8]), 2)  # cell [0.5,1]^2, center outside
-    rep = part.representative(key)
-    assert ball.contains(rep)
-    lo, hi = part.cell_bounds(key)
-    assert np.all(rep >= lo) and np.all(rep <= hi)
+def test_ball_restriction_feasibility(disc):
+    assert disc._depth_summary(0)[3].tolist() == [True]
+    # depth-2 corner cell [-1,-0.5]^2 (index 0) is feasible, since its
+    # corner (-0.5,-0.5) has norm sqrt(0.5) < 1
+    assert disc._depth_summary(2)[3][0]
+    assert 0 in disc.split(1, np.zeros(2, dtype=np.int64))[0]
+    # depth-3 corner cell [-1,-0.75]^2 (index 0) is fully outside the ball
+    assert not disc._depth_summary(3)[3][0]
+    assert 0 not in disc.split(2, np.zeros(2, dtype=np.int64))[0]
+
+
+def test_ball_restriction_moves_representative_inside(disc):
+    # cell [0.5,1]^2 is child 3 of depth-1 cell (1, 1); its center is
+    # outside the ball
+    codes, kid_pos, reps = disc.split(1, np.array([1, 1]))
+    assert codes.tolist()[-1] == 3 and kid_pos[-1].tolist() == [3, 3]
+    rep = reps[-1]
+    assert not disc.restrict_to.contains(np.full(2, 0.75))
+    assert disc.restrict_to.contains(rep)
+    assert np.all(rep >= 0.5) and np.all(rep <= 1.0)
+    assert np.array_equal(rep, disc._depth_summary(2)[2][15])
 
 
 def test_ball_must_fit_in_box():
@@ -203,55 +201,62 @@ def test_verify_assumptions_detects_clipped_rep_collision():
     assert result.violation["measured"] < result.violation["required"]
 
 
-class ShrunkenRepPartition:
-    """Box bisection whose representatives collapse toward the center.
+class CollapsedReps(BisectionPartition):
+    """Representatives at depth >= 2 all sit at the box center, outside
+    most of their cells."""
 
-    Same cell interface as the real partition, but representatives at
-    depth >= 2 all sit at the domain center, violating separation.  Used
-    to exercise the generic (non-vectorized) verification path.
-    """
-
-    def __init__(self, inner: BisectionPartition):
-        self._inner = inner
-        self.diam_bound = inner.diam_bound
-        self.separation = inner.separation
-        self.shrink = inner.shrink
-        self.norm = inner.norm
-        self.dim = inner.dim
-        self.arity = inner.arity
-
-    def cell_bounds(self, key):
-        return self._inner.cell_bounds(key)
-
-    def children(self, key):
-        return self._inner.children(key)
-
-    def feasible(self, key):
-        return self._inner.feasible(key)
-
-    def representative(self, key):
-        if key.depth >= 2:
-            lo, hi = self._inner.cell_bounds(ROOT)
-            return (lo + hi) / 2.0
-        return self._inner.representative(key)
+    def _cells(self, pos, depth):
+        lower, upper, reps, feas = super()._cells(pos, depth)
+        if depth >= 2:
+            reps = np.broadcast_to((self.box.lower + self.box.upper) / 2.0, reps.shape)
+        return lower, upper, reps, feas
 
 
-def test_verify_assumptions_generic_path_flags_bad_reps():
-    broken = ShrunkenRepPartition(BisectionPartition(Box(np.zeros(1), np.ones(1))))
+class CornerReps(BisectionPartition):
+    """Representatives on the cells' lower corners: inside every cell,
+    but a cell and its first child share one."""
+
+    def _cells(self, pos, depth):
+        lower, upper, _, feas = super()._cells(pos, depth)
+        return lower, upper, lower, feas
+
+
+class PassThrough(BisectionPartition):
+    def _cells(self, pos, depth):
+        return super()._cells(pos, depth)
+
+
+def test_verify_assumptions_flags_reps_outside_their_cells():
+    broken = CollapsedReps(Box(np.zeros(1), np.ones(1)))
+    result = verify_assumptions(broken, max_depth=3)
+    assert result.violation == {"kind": "representative-outside-cell", "depth": 2, "cell": 0}
+
+
+def test_verify_assumptions_flags_shared_corner_reps():
+    broken = CornerReps(Box(np.zeros(2), np.ones(2)))
     result = verify_assumptions(broken, max_depth=3)
     assert not result.ok
-    kind = result.violation["kind"]
-    assert kind in ("separation", "representative-outside-cell")
+    assert result.violation["kind"] == "separation"
+    assert result.violation["cell_a"] == (0, 0)
+    assert result.violation["cell_b"] == (1, 0)
+    assert result.violation["measured"] == 0.0
 
 
-def test_verify_assumptions_generic_path_accepts_wrapped_good_partition():
-    class PassThrough(ShrunkenRepPartition):
-        def representative(self, key):
-            return self._inner.representative(key)
+def test_verify_assumptions_reads_a_subclass_geometry():
+    unit = Box(np.zeros(2), np.ones(2))
+    for box, ball in (
+        (unit, None),
+        (Box(np.array([-2.0, 1.0]), np.array([1.0, 2.0])), None),
+        (unit, Ball(np.full(2, 0.5), 0.5, EUCLIDEAN)),
+    ):
+        wrapped = verify_assumptions(PassThrough(box, ball), max_depth=4, seed=3)
+        assert wrapped == verify_assumptions(BisectionPartition(box, ball), max_depth=4, seed=3)
 
-    wrapped = PassThrough(BisectionPartition(Box(np.zeros(2), np.ones(2))))
-    result = verify_assumptions(wrapped, max_depth=3)
-    assert result.ok, result.violation
+
+def test_verify_assumptions_rejects_non_partitions(unit2):
+    for other in (object(), unit2.box, None):
+        with pytest.raises(ValueError, match="BisectionPartition"):
+            verify_assumptions(other, max_depth=2)
 
 
 def test_verify_assumptions_is_deterministic():

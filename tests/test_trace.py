@@ -86,6 +86,27 @@ def test_negative_certificates_rejected():
         make_trace([0.0, 1.0], certs=[1.0, -0.001])
 
 
+def test_nan_certificates_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        make_trace([0.0, 1.0], certs=[1.0, math.nan])
+    # +inf stays a valid, vacuous bound
+    assert make_trace([0.0, 1.0], certs=[math.inf, 0.5]).certificates[0] == math.inf
+    # a NaN read back from a file must not pass certificate_validity
+    doc = json.loads(trace_to_json(lc.cdoo_run(lc.get_function("tent-d1"), 0.25, 100)))
+    doc["records"][2]["xi"] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        trace_from_json(json.dumps(doc))
+
+
+def test_partly_missing_certificates_rejected():
+    doc = json.loads(trace_to_json(make_trace([0.0, 1.0, 0.5], certs=[2.0, 1.0, 0.5])))
+    del doc["records"][1]["xi"]
+    with pytest.raises(ValueError, match="every record or none"):
+        trace_from_json(json.dumps(doc))
+    doc["records"][0]["xi"] = doc["records"][2]["xi"] = None
+    assert trace_from_json(json.dumps(doc)).certificates is None
+
+
 def test_recommendations_consistent_accepts_running_argmax():
     tr = make_trace([0.0, 2.0, 1.0, 2.0])
     assert recommendations_consistent(tr)
