@@ -23,10 +23,11 @@ from ..core._buckets import Buckets, covering_side
 _EXACT_LIMIT = 24
 # Up to this many points, greedy packing measures every later point
 # directly instead of hashing them into buckets first.  On uniform random
-# sets in d = 1..3 with radii 0.05-0.5 the direct scan was faster at 256
-# points in every case and slower at 512 for the smallest radius
-# (d = 2: 2.3 against 2.6 ms at 256 points, 4.5 against 3.8 ms at 512).
-_SCAN_LIMIT = 256
+# sets in d = 1..3 with radii 0.05-0.5, sup and euclidean, the direct scan
+# was faster at 512 and 768 points in every case and about even at 1024
+# for the smallest radius (d = 2, euclidean, radius 0.05: 2.0 against
+# 2.4 ms at 512 points, 2.8 against 2.5 ms at 1024).
+_SCAN_LIMIT = 512
 
 
 def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:

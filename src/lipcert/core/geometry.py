@@ -58,6 +58,47 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
+# Up to this many coordinates numpy reduces a row in column order, which
+# ``_column_length`` reproduces; longer rows are summed pairwise.
+_COLUMN_DIMS = 7
+
+
+def _column_length(
+    kind: str,
+    cols: np.ndarray,
+    terms: Union[np.ndarray, None] = None,
+    out: Union[np.ndarray, None] = None,
+) -> np.ndarray:
+    """Norm of the vectors whose coordinate ``j`` is ``cols[j]``, for
+    ``cols`` of shape ``(d, ...)``, combining the coordinates in order
+    ``j = 0, 1, ...`` (see :meth:`Norm.length`).
+
+    ``terms``, shaped like ``cols`` (and possibly ``cols`` itself),
+    receives ``|x_j|`` or ``x_j * x_j``, and ``out``, shaped like
+    ``cols[0]``, the result; None allocates.  The result is ``out``
+    when ``d >= 2`` or the norm is euclidean.
+    """
+    if kind == "euclidean":
+        terms = np.multiply(cols, cols, out=terms)
+    else:
+        terms = np.absolute(cols, out=terms)
+    combine = np.maximum if kind == "sup" else np.add
+    acc = terms[0]
+    for j in range(1, len(terms)):
+        acc = combine(acc, terms[j], out=out)
+    return np.sqrt(acc, out=out) if kind == "euclidean" else acc
+
+
+def _all_columns(ok: np.ndarray) -> Union[np.bool_, np.ndarray]:
+    """``ok.all(axis=-1)`` as an ``&`` over the columns, which numpy
+    computes several times faster when the last axis is short."""
+    cols = ok.T
+    acc = cols[0]
+    for j in range(1, len(cols)):
+        acc = acc & cols[j]
+    return acc.T
+
+
 @dataclass(frozen=True)
 class Norm:
     """One of the three supported norms: ``sup``, ``euclidean``, ``l1``."""
@@ -68,15 +109,32 @@ class Norm:
         _check_kind(self.kind)
 
     def length(self, v: np.ndarray) -> Union[float, np.ndarray]:
-        """Norm of a vector ``(d,)`` or of each row of a batch ``(n, d)``."""
+        """Norm of a vector ``(d,)`` (a ``float``), of each row of a batch
+        ``(n, d)``, or along the last axis of any ``(..., d)`` array.
+
+        For ``1 <= d <= 7`` the coordinate columns are combined in order
+        ``j = 0, 1, ..., d - 1``: ``sup`` is a chain of ``np.maximum``
+        over ``|x_j|``, ``euclidean`` is ``x_0 * x_0``, then ``+= x_j *
+        x_j`` for each later column, then ``sqrt``, and ``l1`` adds the
+        ``|x_j|`` in order.  numpy reduces a row of fewer than 8 entries
+        in that same order, so the results are bitwise those of
+        ``.max(axis=-1)`` and ``.sum(axis=-1)``, without the cost numpy
+        pays to reduce a short axis.  From ``d = 8`` on those row
+        reductions are used as they are, because numpy sums longer rows
+        pairwise.
+        """
         v = np.asarray(v, dtype=float)
+        if 1 <= (v.shape[-1] if v.ndim else 0) <= _COLUMN_DIMS:
+            if v.ndim == 1:
+                return float(_column_length(self.kind, v[:, None])[0])
+            return _column_length(self.kind, v.T).T
         if self.kind == "sup":
             out = np.abs(v).max(axis=-1)
         elif self.kind == "euclidean":
             out = np.sqrt((v * v).sum(axis=-1))
         else:
             out = np.abs(v).sum(axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+        return float(out) if out.ndim == 0 else out
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> Union[float, np.ndarray]:
         return self.length(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
@@ -133,8 +191,10 @@ class Box:
     def contains(self, x: np.ndarray) -> Union[bool, np.ndarray]:
         """Closed membership test for a point ``(d,)`` or batch ``(n, d)``."""
         x = np.asarray(x, dtype=float)
-        ok = np.logical_and(x >= self.lower, x <= self.upper).all(axis=-1)
-        return bool(ok) if np.ndim(ok) == 0 else ok
+        if x.shape[-1:] != self.lower.shape:
+            raise ValueError(f"expected points of dimension {self.dim}, got shape {x.shape}")
+        ok = _all_columns((x >= self.lower) & (x <= self.upper))
+        return bool(ok) if x.ndim == 1 else ok
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the box, coordinate by coordinate.
@@ -174,8 +234,8 @@ class Ball:
 
     def contains(self, x: np.ndarray) -> Union[bool, np.ndarray]:
         """Closed membership test for a point ``(d,)`` or batch ``(n, d)``."""
-        ok = self.norm.length(np.asarray(x, dtype=float) - self.center) <= self.radius
-        return bool(ok) if np.ndim(ok) == 0 else ok
+        # a single point's length is a float, so its comparison a bool
+        return self.norm.length(np.asarray(x, dtype=float) - self.center) <= self.radius
 
     def enclosing_box(self) -> Box:
         """Smallest axis-aligned box containing the ball.

@@ -32,6 +32,7 @@ from ..core import (
     enclosing_box,
     midpoint_grid,
 )
+from ..core.geometry import _column_length
 
 
 class Envelope1D:
@@ -316,13 +317,14 @@ def ps_run_grid(
 
     The envelope is one array updated in place, with queried candidates
     set to ``-inf``, so a query costs one distance pass and one
-    ``argmax`` over the n candidates: O(n d) time and O(n d) scratch
-    memory.  The distances are reduced over coordinates stored
-    contiguously per axis, so numpy sums the d terms in order.  The sup
-    norm is exact in any order, and the euclidean and l1 norms match a
-    row-by-row reduction bitwise for ``d <= 7``; from ``d = 8`` on,
-    numpy sums a contiguous row pairwise and the two may differ in the
-    last bit.
+    ``argmax`` over the n candidates: O(n d) time.  The candidates are
+    stored once per run as one row per coordinate, and the O(n d)
+    scratch memory for differences, distances and cone values is
+    allocated once per run, not per query.  The distances combine the
+    d coordinate terms in order, as :meth:`Norm.length` does; they
+    match it bitwise for ``d <= 7``, while from ``d = 8`` on
+    ``Norm.length`` sums each row pairwise and the euclidean and l1
+    distances may differ from it in the last bit.
 
     Args:
       fn: objective in dimension at least two.
@@ -365,6 +367,11 @@ def ps_run_grid(
 
     # envelope on the candidates, -inf on those already queried
     env = np.full(len(cand), math.inf)
+    cols = np.ascontiguousarray(cand.T)
+    diff = np.empty_like(cols)
+    dist = np.empty(len(cand))
+    cone = np.empty(len(cand))
+    hit = np.empty(len(cand), dtype=bool)
     queries: list[np.ndarray] = []
     values: list[float] = []
     certs: list[float] = []
@@ -372,14 +379,14 @@ def ps_run_grid(
     slack = lip * candidates.cover_radius
     while True:
         fx = float(fn(x))
-        # differences stored as (d, n) in C order and passed as their
-        # (n, d) view, so the norm reduces across contiguous rows; no
-        # transposed copy of the candidates is kept
-        dist = norm.length(np.subtract(cand.T, x[:, None], order="C").T)
-        np.minimum(env, fx + lip * dist, out=env)
+        np.subtract(cols, x[:, None], out=diff)
+        _column_length(norm.kind, diff, diff, dist)
+        np.multiply(lip, dist, out=cone)
+        np.add(fx, cone, out=cone)
+        np.minimum(env, cone, out=env)
         # only rows at distance 0 can equal x, but a nonzero difference
         # can underflow to distance 0, so compare those rows
-        zero = np.flatnonzero(dist == 0)
+        zero = np.flatnonzero(np.equal(dist, 0.0, out=hit))
         env[zero[np.all(cand[zero] == x, axis=1)]] = -math.inf
         queries.append(x)
         values.append(fx)

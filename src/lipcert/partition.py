@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound, enclosing_box
 from .core._buckets import Buckets
+from .core.geometry import _all_columns
 
 
 # int64 cell indices and exact dyadic arithmetic both need d * depth to
@@ -292,9 +293,7 @@ def verify_assumptions(
                 cells_checked=cells_checked,
                 pairs_checked=pairs_checked,
             )
-        inside = np.logical_and(
-            reps >= lower - 1e-12, reps <= upper + 1e-12
-        ).all(axis=1)
+        inside = _all_columns((reps >= lower - 1e-12) & (reps <= upper + 1e-12))
         if not inside.all():
             bad = int(np.flatnonzero(~inside)[0])
             return AssumptionCheck(

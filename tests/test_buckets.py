@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import lipcert as lc
 from lipcert import EUCLIDEAN, L1, SUP, adversary, greedy_packing
 from lipcert import partition as partition_module
+from lipcert.complexity import packing
 from lipcert.core._buckets import Buckets, covering_side
 
 NORMS = (SUP, EUCLIDEAN, L1)
@@ -216,6 +217,17 @@ def test_greedy_matches_reference_on_dyadic_sets(case):
     pts, radius = case
     for norm in NORMS:
         assert _same(greedy_packing(pts, radius, norm), _ref_greedy(pts, radius, norm))
+
+
+@given(dyadic_sets())
+@settings(deadline=None, max_examples=40)
+def test_greedy_bucket_path_matches_reference_on_small_sets(case):
+    # with no scan limit, every set above 3**d points takes the bucket path
+    pts, radius = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_SCAN_LIMIT", 0)
+        for norm in NORMS:
+            assert _same(greedy_packing(pts, radius, norm), _ref_greedy(pts, radius, norm))
 
 
 @given(dyadic_sets(dims=(8,), max_points=300))

@@ -61,6 +61,103 @@ def test_norm_length_along_columns_is_bitwise_equal(norm, dim):
     assert np.array_equal(norm.length(np.ascontiguousarray(v.T).T), norm.length(v))
 
 
+def _row_reduction_length(kind, v):
+    """``Norm.length`` as it was written before the column kernel: one
+    numpy reduction over the last axis.  Kept here as the oracle."""
+    v = np.asarray(v, dtype=float)
+    if kind == "sup":
+        out = np.abs(v).max(axis=-1)
+    elif kind == "euclidean":
+        out = np.sqrt((v * v).sum(axis=-1))
+    else:
+        out = np.abs(v).sum(axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _same_bits(got, want):
+    """Equal bit patterns, NaN matching NaN of any payload."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    if got.shape != want.shape or not np.array_equal(np.isnan(got), np.isnan(want)):
+        return False
+    keep = ~np.isnan(want)
+    return np.array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+
+
+_SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0**-1060, 1e-160,
+     1e155, -1e160, 1e300, 1.0, -1.0, 2.0**-53, 1.0 + 2.0**-52, 3.0],
+)
+
+
+def _awkward_rows(dim, seed, rows=300):
+    """Rows mixing wide-range normals, repeated values and the specials:
+    signed zeros, infinities, NaN, subnormals, squares that underflow or
+    overflow, and sums that round differently in another order."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-12, 12, size=(rows, dim))
+    special = rng.random((rows, dim)) < 0.3
+    v[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+    v[: rows // 10] = v[: rows // 10, :1]  # rows of one repeated value
+    return v
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ("sup", "euclidean", "l1"))
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_norm_length_matches_row_reductions(kind, dim):
+    norm = Norm(kind)
+    v = _awkward_rows(dim, seed=dim)
+    assert np.isnan(v).any() and np.isinf(v).any()
+    layouts = {
+        "(n, d)": v,
+        "F-ordered view": np.asfortranarray(v),
+        "transposed copy's view": np.ascontiguousarray(v.T).T,
+        "strided rows": v[::3],
+        "(n, k, d)": v.reshape(60, 5, dim),
+        "(n, k, d) F-ordered": np.asfortranarray(v.reshape(60, 5, dim)),
+        "0 rows": v[:0],
+        "(0, k, d)": v[:0].reshape(0, 3, dim),
+    }
+    for name, batch in layouts.items():
+        got = norm.length(batch)
+        assert isinstance(got, np.ndarray), name
+        assert _same_bits(got, _row_reduction_length(kind, batch)), name
+    for row in v[::7]:
+        got = norm.length(row)
+        assert type(got) is float
+        assert _same_bits(got, _row_reduction_length(kind, row)), row
+    # a list of Python floats is converted like an array
+    assert _same_bits(norm.length(v[1].tolist()), _row_reduction_length(kind, v[1]))
+    # NaN propagates through every norm
+    assert math.isnan(norm.length(np.r_[np.full(dim - 1, np.inf), np.nan]))
+    assert math.isnan(norm.length(np.r_[np.nan, np.full(dim - 1, 1.0)]))
+
+
+def test_box_contains_matches_the_broadcast_test():
+    box = Box(np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 2.0 + 2.0**-40]))
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1.5, 3.0, size=(2000, 3))
+    # corners, faces and points a rounding step outside them
+    edge = np.array([box.lower, box.upper, np.nextafter(box.upper, 9), np.nextafter(box.lower, -9)])
+    pick = rng.integers(0, 4, size=(400, 3))
+    pts[:400] = edge[pick, np.arange(3)]
+    pts[400:410, 1] = np.nan
+    pts[410:420] = [0.5, -0.0, 2.0]
+    want = np.logical_and(pts >= box.lower, pts <= box.upper).all(axis=-1)
+    assert 0 < want.sum() < len(want)
+    assert np.array_equal(box.contains(pts), want)
+    assert np.array_equal(box.contains(np.asfortranarray(pts)), want)
+    assert np.array_equal(box.contains(pts.reshape(50, 40, 3)), want.reshape(50, 40))
+    assert box.contains(pts[:0]).shape == (0,)
+    for p, w in zip(pts[::50], want[::50]):
+        assert box.contains(p) is bool(w)
+    with pytest.raises(ValueError, match="dimension 3"):
+        box.contains(np.zeros(2))
+    with pytest.raises(ValueError, match="dimension 3"):
+        box.contains(np.zeros((4, 1)))
+
+
 @given(vectors())
 @settings(deadline=None)
 def test_norm_ordering(v):

@@ -279,11 +279,13 @@ def test_two_query_certification_on_cone():
     assert trace.certificates[1] == pytest.approx(fn.lip_bound * cand.cover_radius)
 
 
-def scan_grid_run(fn, eps, budget, candidates, x1=None):
+def scan_grid_run(fn, eps, budget, candidates, x1=None, length=None):
     """Reference candidate-set run: the envelope kept in full, queried
     candidates found by comparing every row, and a masked copy of the
-    envelope for each pick."""
+    envelope for each pick.  Distances come from ``length`` applied to
+    the ``(n, d)`` differences, ``fn.norm.length`` by default."""
     lip, norm, cand = fn.lip_bound, fn.norm, candidates.points
+    length = norm.length if length is None else length
     if x1 is None:
         x = fn.domain.lower + fn.domain.edges * 0.5
     else:
@@ -296,7 +298,7 @@ def scan_grid_run(fn, eps, budget, candidates, x1=None):
     while True:
         fx = float(fn(x))
         used |= np.all(cand == x, axis=1)
-        np.minimum(best_on_cand, fx + lip * norm.length(cand - x), out=best_on_cand)
+        np.minimum(best_on_cand, fx + lip * length(cand - x), out=best_on_cand)
         queries.append(x)
         values.append(fx)
         best_v = max(best_v, fx)
@@ -311,9 +313,9 @@ def scan_grid_run(fn, eps, budget, candidates, x1=None):
     return np.asarray(queries), np.asarray(values), np.asarray(certs)
 
 
-def assert_grid_run_matches_scan(fn, eps, budget, candidates, x1=None):
+def assert_grid_run_matches_scan(fn, eps, budget, candidates, x1=None, length=None):
     trace = ps_run_grid(fn, eps, budget, candidates=candidates, x1=x1)
-    queries, values, certs = scan_grid_run(fn, eps, budget, candidates, x1)
+    queries, values, certs = scan_grid_run(fn, eps, budget, candidates, x1, length)
     assert np.array_equal(trace.queries, queries)
     assert np.array_equal(trace.values, values)
     assert np.array_equal(trace.certificates, certs)
@@ -347,6 +349,32 @@ def test_grid_run_matches_full_scan(norm, dim):
     # a midpoint grid of a few hundred points
     grid = grid_candidates(fn.domain, 1.0 / round(400 ** (1.0 / dim)), norm)
     assert_grid_run_matches_scan(fn, 0.01, 300, grid)
+
+
+def column_order_length(kind):
+    """Row lengths with the coordinate terms combined left to right, one
+    column at a time; ``Norm.length`` sums rows of 8 or more pairwise."""
+
+    def length(v):
+        terms = v * v if kind == "euclidean" else np.abs(v)
+        acc = terms[:, 0]
+        for j in range(1, v.shape[1]):
+            acc = np.maximum(acc, terms[:, j]) if kind == "sup" else acc + terms[:, j]
+        return np.sqrt(acc) if kind == "euclidean" else acc
+
+    return length
+
+
+@pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1), ids=lambda n: n.kind)
+@pytest.mark.parametrize("dim", (8, 9))
+def test_grid_run_sums_long_rows_in_column_order(norm, dim):
+    fn = bumpy_box_function(norm, dim, seed=dim)
+    rng = np.random.default_rng(100 + dim)
+    # coordinates of mixed magnitude, so that the summation order shows
+    points = rng.uniform(size=(300, dim)) ** rng.integers(1, 40, size=dim)
+    cand = CandidateSet(points, cover_radius=0.05)
+    trace = assert_grid_run_matches_scan(fn, 0.01, 200, cand, length=column_order_length(norm.kind))
+    assert len(trace) == 200
 
 
 def test_grid_run_matches_full_scan_on_registry_sets():

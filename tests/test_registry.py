@@ -128,6 +128,92 @@ def test_evaluators_are_deterministic_batch_maps():
         assert np.array_equal(first, np.asarray(fn(pts)))
 
 
+# The three evaluators as they were written with broadcast temporaries and
+# short-axis reductions, kept as oracles for the column-wise forms.
+_BUMPS_1D = (
+    np.array([7.0 / 64.0, 0.5, 57.0 / 64.0]),
+    np.array([1.0 / 16.0, 1.0 / 32.0, 1.0 / 32.0]),
+    np.array([0.0, -1.0 / 128.0, -1.0 / 64.0]),
+)
+_BUMPS_2D = (
+    np.array([[5.0 / 16.0, 5.0 / 16.0], [0.75, 0.25], [0.25, 0.75]]),
+    np.array([3.0 / 16.0, 1.0 / 32.0, 1.0 / 32.0]),
+    np.array([0.0, -1.0 / 128.0, -1.0 / 64.0]),
+)
+
+
+def _broadcast_multibump_1d(x, L):
+    centers, widths, heights = _BUMPS_1D
+    dist = np.abs(x[:, 0][:, None] - centers)
+    plateaus = L * heights - (L / 2.0) * np.maximum(dist - widths, 0.0)
+    return plateaus.max(axis=1)
+
+
+def _broadcast_multibump_2d(x, L):
+    centers, widths, heights = _BUMPS_2D
+    dist = np.abs(x[:, None, :] - centers).max(axis=2)
+    plateaus = L * heights - (L / 2.0) * np.maximum(dist - widths, 0.0)
+    return plateaus.max(axis=1)
+
+
+def _broadcast_cone(x, L):
+    return L * np.sqrt((x * x).sum(axis=1))
+
+
+_ORACLES = {
+    "multibump-d1": _broadcast_multibump_1d,
+    "multibump-d2": _broadcast_multibump_2d,
+    "cone-d2": _broadcast_cone,
+}
+
+
+def _plateau_edges(label):
+    """Points on and one rounding step either side of every plateau edge
+    (the cone's: its centre, the unit circle and tiny radii)."""
+    if label == "cone-d2":
+        t = np.linspace(0.0, 2.0 * np.pi, 97)
+        r = np.array([0.0, 5e-324, 1e-170, 1e-9, 0.5, 1.0])
+        return np.concatenate(
+            [np.column_stack([np.cos(t), np.sin(t)]) * k for k in r]
+            + [np.array([[1.0, 0.0], [0.0, -1.0], [-0.0, 0.0], [0.6, 0.8]])]
+        )
+    centers, widths, _ = _BUMPS_1D if label == "multibump-d1" else _BUMPS_2D
+    dim = 1 if label == "multibump-d1" else 2
+    centers, widths = np.reshape(centers, (3, dim)), np.reshape(widths, (3, 1))
+    ends = np.concatenate([centers - widths, centers + widths])
+    ends = np.concatenate([ends, np.nextafter(ends, 2.0), np.nextafter(ends, -1.0)])
+    if dim == 1:
+        return np.clip(ends, 0.0, 1.0)
+    # every pairing of edge coordinates, so corners and sides are hit
+    xs = np.unique(np.clip(ends.ravel(), 0.0, 1.0))
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+@pytest.mark.parametrize("label", sorted(_ORACLES))
+@pytest.mark.parametrize("lip", (1.0, 3.0, 0.1))
+def test_evaluators_match_their_broadcast_forms(label, lip):
+    fn = get_function(label, lip=lip)
+    oracle = _ORACLES[label]
+    grid = lc.layer_decomposition(fn, lip * 2.0**-5).points
+    batches = {
+        "layer grid": grid,
+        "plateau edges": _plateau_edges(label),
+        "4 rows": np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, fn.dim)) ** 3,
+        "F-ordered": np.asfortranarray(grid[::5]),
+    }
+    for name, x in batches.items():
+        got = fn.evaluator(x)
+        want = oracle(x, lip)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+        assert np.array_equal(fn(x), want), name
+    for x in batches["plateau edges"][::3]:
+        got = fn(x)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == oracle(x[None, :], lip).view(np.uint64)[0]
+
+
 def test_evaluator_output_shape_checked():
     tent = get_function("tent-d1")
     column = lc.TestFunction(
