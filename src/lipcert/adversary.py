@@ -34,6 +34,11 @@ from .core import (
 from .core._buckets import Buckets, covering_side
 from .optimizers import ALGORITHMS, CERTIFIED
 
+# How far the audit's accuracy ladder descends below the target.
+_EXTRA_HALVINGS = 12
+# Largest candidate grid the audit scans per scale.
+_GRID_CAP = 400_000
+
 
 @dataclass(frozen=True)
 class BumpPerturbation:
@@ -76,12 +81,6 @@ class BumpPerturbation:
     def radius(self) -> float:
         """Distance at which the bump reaches zero."""
         return self.peak / self.slope
-
-    @property
-    def headroom_factor(self) -> float:
-        """Scale-free size of the bump's support: the radius equals this
-        factor times ``eps_tilde / (2 * lip_bound)``."""
-        return 16.0 * self.lip_bound / self.slope
 
     def __call__(self, x: np.ndarray) -> Union[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -142,7 +141,6 @@ def perturbed_pair(
         evaluator=plus,
         exact_lip=None,
         known_max=plus_max,
-        argmax_note="",
     )
     fn_minus = replace(
         fn,
@@ -150,7 +148,6 @@ def perturbed_pair(
         evaluator=minus,
         exact_lip=None,
         known_max=None,
-        argmax_note="",
     )
     return fn_plus, fn_minus
 
@@ -198,8 +195,6 @@ def audit_certified_run(
     algorithm: str = "cdoo",
     budget: int = 200_000,
     n_override: Optional[int] = None,
-    extra_halvings: int = 12,
-    grid_cap: int = 400_000,
 ) -> AuditReport:
     """Audit a certified run one query before it certified.
 
@@ -210,8 +205,9 @@ def audit_certified_run(
     the run is replayed on both signs to confirm bitwise coincidence,
     and the recommendation's proven regret on the adverse sign is
     reported.  The ladder starts at the certified accuracy, climbs the
-    halving schedule, then descends below the target, since a correct
-    certificate rules out witnesses at the target scale itself.
+    halving schedule, then descends ``_EXTRA_HALVINGS`` halvings below the
+    target, since a correct certificate rules out witnesses at the target
+    scale itself.
 
     The search is sound but not complete: a reported witness is a real
     lower bound, while ``inconclusive`` only means none was found on the
@@ -224,8 +220,6 @@ def audit_certified_run(
       budget: budget for the initial certified run.
       n_override: audit after this many queries instead of one before
         the certified stop.
-      extra_halvings: how far the ladder descends below the target.
-      grid_cap: cap on the candidate grid per scale.
     """
     if fn.known_max is None:
         raise ValueError("auditing needs exact maximum metadata")
@@ -260,7 +254,7 @@ def audit_certified_run(
         fn.lip_bound * diameter(fn.domain, norm), eps
     )
     ladder = list(reversed(scale.schedule))
-    ladder += [eps * 0.5**k for k in range(1, extra_halvings + 1)]
+    ladder += [eps * 0.5**k for k in range(1, _EXTRA_HALVINGS + 1)]
     box = enclosing_box(fn.domain)
     tried: list[float] = []
     for eps_tilde in ladder:
@@ -270,10 +264,10 @@ def audit_certified_run(
         step = ball_radius / 2.0
         while True:
             counts = np.maximum(1, np.ceil(box.edges / step))
-            if float(np.prod(counts)) <= grid_cap:
+            if float(np.prod(counts)) <= _GRID_CAP:
                 break
             step *= 1.5
-        grid, _ = midpoint_grid(box, step, max_points=grid_cap * 2)
+        grid, _ = midpoint_grid(box, step, max_points=_GRID_CAP * 2)
         inside = np.asarray(fn.domain.contains(grid))
         grid = grid[inside]
         if len(grid) == 0:

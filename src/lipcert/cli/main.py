@@ -166,7 +166,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         config = replace(config, jobs=args.jobs)
     if args.out is not None:
-        config = replace(config, out=args.out, plot_stem=config.plot_stem)
+        config = replace(config, out=args.out)
     out = _resolve_out(config.out)
     stem = config.plot_stem
     config = replace(config, out=out, plot_stem=_resolve_out(stem) if stem else None)

@@ -28,6 +28,7 @@ LABELS = (
 
 
 def _constant(lip: float, dim: int) -> TestFunction:
+    # Every point of the cube is a maximizer.
     return TestFunction(
         label=f"constant-d{dim}",
         domain=Box(np.zeros(dim), np.ones(dim)),
@@ -36,11 +37,11 @@ def _constant(lip: float, dim: int) -> TestFunction:
         evaluator=lambda x: np.zeros(len(x)),
         exact_lip=0.0,
         known_max=0.0,
-        argmax_note="every point of the cube",
     )
 
 
 def _tent(lip: float) -> TestFunction:
+    # The single maximizer is 1/2.
     return TestFunction(
         label="tent-d1",
         domain=Box(np.zeros(1), np.ones(1)),
@@ -49,14 +50,13 @@ def _tent(lip: float) -> TestFunction:
         evaluator=lambda x, L=lip: -L * np.abs(x[:, 0] - 0.5),
         exact_lip=lip,
         known_max=0.0,
-        argmax_note="the single point 1/2",
     )
 
 
 def _halftent(lip: float) -> TestFunction:
-    # Trapezoid at half the declared slope: flat top on [3/8, 5/8],
-    # shoulders falling at rate lip / 2.  The headroom between the true
-    # constant and the bound is what the adversarial audit exploits.
+    # Trapezoid at half the declared slope: flat top (the maximizers) on
+    # [3/8, 5/8], shoulders falling at rate lip / 2.  The headroom between
+    # the true constant and the bound is what the adversarial audit exploits.
     return TestFunction(
         label="halftent-d1",
         domain=Box(np.zeros(1), np.ones(1)),
@@ -66,13 +66,13 @@ def _halftent(lip: float) -> TestFunction:
         * np.maximum(np.abs(x[:, 0] - 0.5) - 0.125, 0.0),
         exact_lip=lip / 2.0,
         known_max=0.0,
-        argmax_note="the plateau [3/8, 5/8]",
     )
 
 
 def _slope(lip: float) -> TestFunction:
-    # Linear decrease at the full rate; its sandwich integral has the
-    # closed form log((eps0 + eps) / eps) / lip in one dimension.
+    # Linear decrease at the full rate from the maximizer 0; its sandwich
+    # integral has the closed form log((eps0 + eps) / eps) / lip in one
+    # dimension.
     return TestFunction(
         label="slope-d1",
         domain=Box(np.zeros(1), np.ones(1)),
@@ -81,7 +81,6 @@ def _slope(lip: float) -> TestFunction:
         evaluator=lambda x, L=lip: -L * x[:, 0],
         exact_lip=lip,
         known_max=0.0,
-        argmax_note="the left endpoint 0",
     )
 
 
@@ -110,6 +109,7 @@ def _bumps(
 
 
 def _multibump_1d(lip: float) -> TestFunction:
+    # The maximizers are the plateau [3/64, 11/64] of the tallest bump.
     return TestFunction(
         label="multibump-d1",
         domain=Box(np.zeros(1), np.ones(1)),
@@ -123,7 +123,6 @@ def _multibump_1d(lip: float) -> TestFunction:
         ),
         exact_lip=lip / 2.0,
         known_max=0.0,
-        argmax_note="the plateau [3/64, 11/64] of the tallest bump",
     )
 
 
@@ -132,6 +131,7 @@ def _cone_2d(lip: float) -> TestFunction:
         squares = x * x
         return lip * np.sqrt(squares[:, 0] + squares[:, 1])
 
+    # The maximizers are the whole boundary circle.
     return TestFunction(
         label="cone-d2",
         domain=Ball(np.zeros(2), 1.0, EUCLIDEAN),
@@ -140,11 +140,12 @@ def _cone_2d(lip: float) -> TestFunction:
         evaluator=evaluate,
         exact_lip=lip,
         known_max=lip,
-        argmax_note="the whole boundary circle",
     )
 
 
 def _multibump_2d(lip: float) -> TestFunction:
+    # The maximizers are the square plateau [1/8, 1/2]^2 of the tallest
+    # bump.
     return TestFunction(
         label="multibump-d2",
         domain=Box(np.zeros(2), np.ones(2)),
@@ -158,7 +159,6 @@ def _multibump_2d(lip: float) -> TestFunction:
         ),
         exact_lip=lip / 2.0,
         known_max=0.0,
-        argmax_note="the square plateau [1/8, 1/2]^2 of the tallest bump",
     )
 
 

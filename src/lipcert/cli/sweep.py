@@ -12,7 +12,7 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..complexity import estimate_sc
@@ -85,11 +85,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
     Blank lines and ``#`` comments are ignored.  Per-function overrides
     use dotted keys, for example ``budget.tent-d1 = 4000``.  Any key
-    outside the schema raises with the offending name.
+    outside the schema, or given twice, raises with the offending name
+    and line; a key left out keeps the :class:`SweepConfig` default.
     """
+    # key -> (line number, key, value); overrides by function name
     values: dict = {}
-    budgets: dict = {}
-    algorithms: dict = {}
+    overrides: dict = {prefix: {} for prefix in _PREFIX_KEYS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,54 +99,50 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        prefix = next((p for p in _PREFIX_KEYS if key.startswith(p)), None)
         if key in _SCALAR_KEYS:
-            if key in values:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            values[key] = value
-        elif key.startswith(_PREFIX_KEYS[0]):
-            budgets[key[len(_PREFIX_KEYS[0]) :]] = value
-        elif key.startswith(_PREFIX_KEYS[1]):
-            algorithms[key[len(_PREFIX_KEYS[1]) :]] = value
+            table, name = values, key
+        elif prefix is not None:
+            table, name = overrides[prefix], key[len(prefix) :]
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if name in table:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        table[name] = (lineno, key, value.strip())
 
-    def convert(key: str, caster, default):
-        if key not in values:
-            return default
+    def convert(entry: tuple, caster):
+        lineno, key, value = entry
         try:
-            return caster(values[key])
+            return caster(value)
         except ValueError as exc:
-            raise ValueError(f"key {key!r}: {exc}") from None
+            raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
 
-    functions = tuple(
-        name.strip() for name in values.get("functions", "").split(",") if name.strip()
-    ) or LABELS
-    for name in functions:
+    defaults = SweepConfig()
+    settings: dict = {}
+    for key, entry in values.items():
+        name = "lip" if key == "L" else key.replace("-", "_")
+        default = getattr(defaults, name)
+        if name == "functions":
+            names = (label.strip() for label in entry[2].split(","))
+            settings[name] = tuple(label for label in names if label) or default
+        else:
+            settings[name] = convert(entry, str if default is None else type(default))
+    budgets, algorithms = overrides.values()
+    config = replace(
+        defaults,
+        budgets={name: convert(entry, int) for name, entry in budgets.items()},
+        algorithms={name: entry[2] for name, entry in algorithms.items()},
+        **settings,
+    )
+    for name in config.functions:
         if name not in LABELS:
             raise ValueError(f"unknown function {name!r} in 'functions'")
-    for name in list(budgets) + list(algorithms):
+    for name in list(config.budgets) + list(config.algorithms):
         if name not in LABELS:
             raise ValueError(f"override for unknown function {name!r}")
-    for name, algo in algorithms.items():
+    for name, algo in config.algorithms.items():
         if algo not in CERTIFIED:
             raise ValueError(f"unknown algorithm {algo!r} for {name!r}")
-    config = SweepConfig(
-        functions=functions,
-        lip=convert("L", float, 1.0),
-        eps_count=convert("eps-count", int, 6),
-        eps_floor=convert("eps-floor", float, 1e-6),
-        budget=convert("budget", int, 120_000),
-        budgets={name: int(v) for name, v in budgets.items()},
-        algorithms=dict(algorithms),
-        grid_step_divisor=convert("grid-step-divisor", float, 8.0),
-        integral_method=values.get("integral-method", "grid"),
-        mc_samples=convert("mc-samples", int, 20_000),
-        seed=convert("seed", int, 0),
-        jobs=convert("jobs", int, 1),
-        out=values.get("out", "sweep.csv"),
-        plot_stem=values.get("plot-stem"),
-    )
     if config.lip <= 0:
         raise ValueError("L must be positive")
     if config.eps_count < 1:

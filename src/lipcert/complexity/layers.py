@@ -32,6 +32,12 @@ from ..core import (
 )
 from .packing import greedy_packing
 
+# Largest decomposition grid; past it the call fails instead of allocating.
+_MAX_GRID_POINTS = 2_000_000
+# Factor the lower sandwich side allows, because the greedy packing can
+# undercount the true packing number.
+_SANDWICH_SLACK = 2.0
+
 
 @dataclass(frozen=True)
 class LayerDecomposition:
@@ -66,10 +72,8 @@ class LayerDecomposition:
 def layer_decomposition(
     fn: TestFunction,
     eps: float,
-    lip: Optional[float] = None,
     norm: Optional[Norm] = None,
     grid_step: Optional[float] = None,
-    max_grid_points: int = 2_000_000,
 ) -> LayerDecomposition:
     """Evaluate the objective on a midpoint grid and bin by gap.
 
@@ -77,21 +81,19 @@ def layer_decomposition(
       fn: objective with a box or ball domain.
       eps: target accuracy; the schedule runs from the Lipschitz bound
         times the domain diameter down to it.
-      lip: Lipschitz bound in ``norm``; defaults to the declared bound
-        converted into ``norm``.
-      norm: measurement norm; defaults to the objective's own.
+      norm: measurement norm; defaults to the objective's own.  The
+        Lipschitz bound is the declared one converted into ``norm``.
       grid_step: grid resolution; must be at most an eighth of
         ``eps / lip`` so that discretisation is fine relative to the
-        smallest packing radius.  Defaults to exactly that.
-      max_grid_points: cap on grid size; beyond it the call fails with
-        advice instead of allocating.
+        smallest packing radius.  Defaults to exactly that.  A grid of
+        more than ``_MAX_GRID_POINTS`` points fails with advice instead
+        of allocating.
     """
     if not eps > 0:
         raise ValueError(f"accuracy target must be positive, got {eps}")
     if norm is None:
         norm = fn.norm
-    if lip is None:
-        lip = convert_lip_bound(fn.lip_bound, fn.norm.kind, norm.kind, fn.dim)
+    lip = convert_lip_bound(fn.lip_bound, fn.norm.kind, norm.kind, fn.dim)
     finest = (eps / lip) / 8.0
     if grid_step is None:
         grid_step = finest
@@ -101,7 +103,7 @@ def layer_decomposition(
             "packing counts would not be trustworthy"
         )
     box = enclosing_box(fn.domain)
-    points, steps = midpoint_grid(box, grid_step, max_points=max_grid_points)
+    points, steps = midpoint_grid(box, grid_step, max_points=_MAX_GRID_POINTS)
     if fn.domain is not box:
         inside = np.asarray(fn.domain.contains(points))
         points = points[inside]
@@ -192,12 +194,10 @@ class SandwichVerdict:
     sc: int
 
 
-def _sandwich(
-    sc: int, integral: float, c_lower: float, c_upper: float, slack: float
-) -> SandwichVerdict:
+def _sandwich(sc: int, integral: float, c_lower: float, c_upper: float) -> SandwichVerdict:
     lower_value = c_lower * integral
     upper_value = c_upper * integral
-    lower_ok = lower_value <= slack * sc + 1e-9
+    lower_ok = lower_value <= _SANDWICH_SLACK * sc + 1e-9
     upper_ok = sc <= upper_value * (1 + 1e-9)
     return SandwichVerdict(
         ok=lower_ok and upper_ok,
@@ -209,47 +209,47 @@ def _sandwich(
     )
 
 
-def sandwich_check(report: ComplexityReport, slack: float = 2.0) -> SandwichVerdict:
+def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
     """Re-derive the sandwich verdict from a report.
 
-    The lower side allows a factor ``slack`` because the greedy packing
-    can undercount the true packing number; the upper side is checked as
-    stated.  Reports built without a domain-regularity constant cannot
-    be checked and raise.
+    The lower side allows a factor ``_SANDWICH_SLACK`` (two) because the
+    greedy packing can undercount the true packing number; the upper side
+    is checked as stated.  Reports built without a domain-regularity
+    constant cannot be checked and raise.
     """
     if report.gamma is None:
         raise ValueError("report carries no domain-regularity constant")
-    return _sandwich(report.sc, report.integral, report.c_lower, report.c_upper, slack)
+    return _sandwich(report.sc, report.integral, report.c_lower, report.c_upper)
+
+
+def _grid_integral(decomposition: LayerDecomposition, eps: float) -> float:
+    """Midpoint quadrature of ``1 / (gap + eps)^d`` on the grid."""
+    integrand = 1.0 / (decomposition.gaps + eps) ** decomposition.points.shape[1]
+    return float(integrand.sum() * decomposition.cell_volume)
 
 
 def integral_estimate(
     fn: TestFunction,
     eps: float,
-    lip: Optional[float] = None,
     norm: Optional[Norm] = None,
     method: str = "grid",
-    grid_step: Optional[float] = None,
     mc_samples: int = 20000,
     seed: int = 0,
-    max_grid_points: int = 2_000_000,
 ) -> tuple[float, Optional[float]]:
     """Estimate the integral of ``1 / (gap + eps)^d`` over the domain.
 
     Args:
-      method: ``grid`` for midpoint quadrature on the decomposition grid,
-        ``montecarlo`` for seeded uniform sampling.
+      method: ``grid`` for midpoint quadrature on the default grid of
+        :func:`layer_decomposition`, ``montecarlo`` for seeded uniform
+        sampling.  For a finer grid, read ``integral`` from
+        :func:`estimate_sc` with its ``grid_step``.
 
     Returns:
       The estimate and, for Monte Carlo, its standard error (None for
       the grid method).
     """
     if method == "grid":
-        decomposition = layer_decomposition(
-            fn, eps, lip=lip, norm=norm, grid_step=grid_step,
-            max_grid_points=max_grid_points,
-        )
-        integrand = 1.0 / (decomposition.gaps + eps) ** fn.dim
-        return float(integrand.sum() * decomposition.cell_volume), None
+        return _grid_integral(layer_decomposition(fn, eps, norm=norm), eps), None
     if method == "montecarlo":
         if fn.known_max is None:
             raise ValueError("Monte Carlo integration needs exact maximum metadata")
@@ -276,14 +276,12 @@ def default_gamma(fn: TestFunction) -> float:
 def estimate_sc(
     fn: TestFunction,
     eps: float,
-    lip: Optional[float] = None,
     norm: Optional[Norm] = None,
     grid_step: Optional[float] = None,
     gamma: Optional[float] = None,
     integral_method: str = "grid",
     mc_samples: int = 20000,
     seed: int = 0,
-    max_grid_points: int = 2_000_000,
 ) -> ComplexityReport:
     """Full certified-complexity estimate with the integral bracket.
 
@@ -298,30 +296,24 @@ def estimate_sc(
       fn: objective with exact maximum metadata, or a grid-estimated
         maximum is used and flagged.
       eps: target accuracy.
-      lip, norm: as in :func:`layer_decomposition`.
-      grid_step: as in :func:`layer_decomposition`.
+      norm, grid_step: as in :func:`layer_decomposition`.
       gamma: domain regularity constant; defaults to the exact value for
         boxes and balls.
       integral_method: ``grid`` reuses the decomposition's evaluations;
         ``montecarlo`` draws seeded uniform samples.
       mc_samples, seed: Monte Carlo parameters.
     """
-    decomposition = layer_decomposition(
-        fn, eps, lip=lip, norm=norm, grid_step=grid_step,
-        max_grid_points=max_grid_points,
-    )
+    decomposition = layer_decomposition(fn, eps, norm=norm, grid_step=grid_step)
     counts = _packing_counts(decomposition)
     sc = int(sum(counts))
     snc = int(sum(counts[1:]))
     if integral_method == "grid":
-        integrand = 1.0 / (decomposition.gaps + decomposition.scale.eps) ** fn.dim
-        integral = float(integrand.sum() * decomposition.cell_volume)
+        integral = _grid_integral(decomposition, decomposition.scale.eps)
         stderr = None
         seed_used: Optional[int] = None
     else:
         integral, stderr = integral_estimate(
-            fn, eps, lip=lip, norm=norm, method=integral_method,
-            mc_samples=mc_samples, seed=seed, max_grid_points=max_grid_points,
+            fn, eps, norm=norm, method=integral_method, mc_samples=mc_samples, seed=seed
         )
         seed_used = seed
     if gamma is None:
@@ -332,7 +324,7 @@ def estimate_sc(
     used_norm = decomposition.norm
     c_lower = 1.0 / used_norm.ball_volume(1.0 / used_lip, fn.dim)
     c_upper = 1.0 / (gamma * used_norm.ball_volume(1.0 / (128.0 * used_lip), fn.dim))
-    verdict = _sandwich(sc, integral, c_lower, c_upper, slack=2.0)
+    verdict = _sandwich(sc, integral, c_lower, c_upper)
     return ComplexityReport(
         function=fn.label,
         eps0=decomposition.scale.eps0,

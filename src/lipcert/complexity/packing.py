@@ -28,6 +28,10 @@ _EXACT_LIMIT = 24
 # for the smallest radius (d = 2, euclidean, radius 0.05: 2.0 against
 # 2.4 ms at 512 points, 2.8 against 2.5 ms at 1024).
 _SCAN_LIMIT = 512
+# Largest point set and the dimensions lemma_consistency_trials draws;
+# the exact oracles stay fast at this size.
+_LEMMA_MAX_POINTS = 12
+_LEMMA_DIMS = (1, 2, 3)
 
 
 def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
@@ -202,12 +206,7 @@ class LemmaSuiteVerdict:
     counterexample: Optional[dict]
 
 
-def lemma_consistency_trials(
-    trials: int,
-    seed: int,
-    max_points: int = 12,
-    dims: tuple[int, ...] = (1, 2, 3),
-) -> LemmaSuiteVerdict:
+def lemma_consistency_trials(trials: int, seed: int) -> LemmaSuiteVerdict:
     """Random stress test of the packing/covering inequalities.
 
     Each trial draws a point set in the unit cube, a norm, and radii,
@@ -222,8 +221,6 @@ def lemma_consistency_trials(
     Args:
       trials: number of random instances.
       seed: RNG seed; verdicts are reproducible.
-      max_points: largest point-set size to draw.
-      dims: dimensions to draw from.
 
     Returns:
       A verdict with the first counterexample, if any, spelled out.
@@ -233,8 +230,8 @@ def lemma_consistency_trials(
     rng = np.random.default_rng(seed)
     norms = [Norm("sup"), Norm("euclidean"), Norm("l1")]
     for trial in range(trials):
-        d = int(rng.choice(dims))
-        n = int(rng.integers(2, max_points + 1))
+        d = int(rng.choice(_LEMMA_DIMS))
+        n = int(rng.integers(2, _LEMMA_MAX_POINTS + 1))
         pts = rng.random((n, d))
         norm = norms[int(rng.integers(3))]
         r = float(rng.uniform(0.05, 0.7))

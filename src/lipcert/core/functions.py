@@ -9,7 +9,7 @@ validity checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -32,7 +32,9 @@ class TestFunction:
       exact_lip: true Lipschitz constant when known, else None.  Audits
         require it to sit strictly below ``lip_bound``.
       known_max: exact maximum value when known, else None.
-      argmax_note: human-readable description of where the maximum sits.
+
+    Runs and estimates read ``lip_bound`` and take no bound of their own;
+    for a looser one, pass ``dataclasses.replace(fn, lip_bound=...)``.
     """
 
     label: str
@@ -42,7 +44,6 @@ class TestFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     exact_lip: Optional[float] = None
     known_max: Optional[float] = None
-    argmax_note: str = ""
 
     def __post_init__(self) -> None:
         if not isinstance(self.domain, (Box, Ball)):
@@ -98,14 +99,3 @@ class TestFunction:
             )
         i = int(np.flatnonzero(~np.isfinite(out))[0])
         return f"{self.label}: non-finite value {out[i]} at x = {points[i].tolist()}"
-
-    def shifted(self, offset: float) -> "TestFunction":
-        """Same function plus a constant; gaps and layer structure are
-        unchanged, which the estimators' invariance tests rely on."""
-        inner = self.evaluator
-        return replace(
-            self,
-            label=f"{self.label}+{offset:g}",
-            evaluator=lambda x, _inner=inner, _o=float(offset): _inner(x) + _o,
-            known_max=None if self.known_max is None else self.known_max + offset,
-        )

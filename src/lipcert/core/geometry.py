@@ -136,9 +136,6 @@ class Norm:
             out = np.abs(v).sum(axis=-1)
         return float(out) if out.ndim == 0 else out
 
-    def distance(self, x: np.ndarray, y: np.ndarray) -> Union[float, np.ndarray]:
-        return self.length(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-
     def unit_ball_volume(self, dim: int) -> float:
         """Exact volume of the unit ball of this norm in dimension ``dim``."""
         if dim < 1:
@@ -195,14 +192,6 @@ class Box:
             raise ValueError(f"expected points of dimension {self.dim}, got shape {x.shape}")
         ok = _all_columns((x >= self.lower) & (x <= self.upper))
         return bool(ok) if x.ndim == 1 else ok
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Nearest point of the box, coordinate by coordinate.
-
-        Coordinate clamping minimises every |x_j - y_j| simultaneously, so
-        the result is a nearest box point under all three supported norms.
-        """
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
     def volume(self) -> float:
         return float(np.prod(self.edges))

@@ -20,6 +20,8 @@ from typing import IO, Optional, Union
 import numpy as np
 
 NOT_REACHED = math.inf
+# Float slack a true gap may exceed its certificate by and still pass.
+_VALIDITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,28 +96,15 @@ class RunTrace:
         return self.queries.shape[1]
 
 
-def check_run_args(
-    eps: Optional[float], budget: int, lip: Optional[float], declared: float
-) -> float:
-    """Argument checks shared by the optimizers.
-
-    ``eps`` is None for runs that certify nothing.  Returns the Lipschitz
-    bound the run uses: ``declared`` when ``lip`` is None, else ``lip``,
-    which may not undercut ``declared`` because certificates built on a
-    smaller bound would be meaningless.
-    """
+def check_run_args(eps: Optional[float], budget: int) -> None:
+    """Argument checks shared by the optimizers: a positive integer
+    budget and, unless ``eps`` is None for a run that certifies nothing,
+    a positive accuracy target.  The Lipschitz bound is not an argument;
+    every run uses the objective's own ``lip_bound``."""
     if not isinstance(budget, (int, np.integer)) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     if eps is not None and not eps > 0:
         raise ValueError(f"accuracy target must be positive, got {eps}")
-    if lip is None:
-        return declared
-    if lip < declared * (1 - 1e-12):
-        raise ValueError(
-            f"Lipschitz bound {lip} is below the bound {declared} implied by "
-            "the objective's metadata; certificates would be meaningless"
-        )
-    return lip
 
 
 def _best_so_far(values: np.ndarray, running: np.ndarray) -> np.ndarray:
@@ -227,13 +216,11 @@ class CertificateCheck:
     max_excess: float
 
 
-def certificate_validity(
-    trace: RunTrace, known_max: float, tol: float = 1e-9
-) -> CertificateCheck:
+def certificate_validity(trace: RunTrace, known_max: float) -> CertificateCheck:
     """Check that every certificate really bounds the recommendation gap.
 
     A certificate at index n is valid when
-    ``known_max - rec_value_n <= certificate_n + tol``.
+    ``known_max - rec_value_n <= certificate_n + _VALIDITY_TOL``.
     """
     if trace.certificates is None:
         raise ValueError("trace carries no certificates")
@@ -241,7 +228,7 @@ def certificate_validity(
         raise ValueError("a finite known maximum is required")
     excess = (known_max - trace.rec_values) - trace.certificates
     worst = float(excess.max())
-    bad = np.flatnonzero(excess > tol)
+    bad = np.flatnonzero(excess > _VALIDITY_TOL)
     return CertificateCheck(
         ok=len(bad) == 0,
         first_violation=int(bad[0]) + 1 if len(bad) else None,

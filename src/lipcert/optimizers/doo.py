@@ -52,12 +52,11 @@ def _fits(partition: object, canonical: BisectionPartition) -> bool:
 def _tree_search(
     fn: TestFunction,
     partition: Optional[BisectionPartition],
-    lip: Optional[float],
     eps: Optional[float],
     budget: int,
     algorithm: str,
 ) -> RunTrace:
-    canonical, required = bisection_setup(fn)
+    canonical, lip = bisection_setup(fn)
     if partition is None:
         partition = canonical
     elif not _fits(partition, canonical):
@@ -67,7 +66,7 @@ def _tree_search(
             "partition must bisect the objective's enclosing box, restricted "
             "to the domain when it is a ball, as bisection_setup builds it"
         )
-    lip = check_run_args(eps, budget, lip, required)
+    check_run_args(eps, budget)
     certified = eps is not None
 
     diam = partition.diam_bound
@@ -136,9 +135,12 @@ def cdoo_run(
     eps: float,
     budget: int,
     partition: Optional[BisectionPartition] = None,
-    lip: Optional[float] = None,
 ) -> RunTrace:
     """Certified tree search.
+
+    The search uses the objective's ``lip_bound`` converted to the sup
+    norm, as :func:`bisection_setup` returns it; to run with a looser
+    bound, pass ``dataclasses.replace(fn, lip_bound=...)``.
 
     Args:
       fn: objective to maximise.
@@ -149,24 +151,20 @@ def cdoo_run(
         canonical partition of the objective's domain.  Any other must
         have the same geometry (a subclass may wrap
         :meth:`~BisectionPartition.split`), or ``ValueError`` is raised.
-      lip: sup-norm Lipschitz bound; defaults to the objective's declared
-        bound converted to the sup norm.  Passing a smaller value than
-        the conversion implies is rejected.
 
     Returns:
       A trace whose certificates, for any truly valid bound, dominate the
       recommendation's suboptimality at every step.
     """
-    return _tree_search(fn, partition, lip, eps, budget, "cdoo")
+    return _tree_search(fn, partition, eps, budget, "cdoo")
 
 
 def ncdoo_run(
     fn: TestFunction,
     budget: int,
     partition: Optional[BisectionPartition] = None,
-    lip: Optional[float] = None,
 ) -> RunTrace:
     """Non-certified tree search: same expansion rule and query order as
     :func:`cdoo_run`, but no certificates and no accuracy stop; the run
     uses the whole budget."""
-    return _tree_search(fn, partition, lip, None, budget, "ncdoo")
+    return _tree_search(fn, partition, None, budget, "ncdoo")

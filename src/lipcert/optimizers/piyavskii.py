@@ -34,6 +34,9 @@ from ..core import (
 )
 from ..core.geometry import _column_length
 
+# Largest candidate set candidates_for builds; past it the set coarsens.
+_MAX_CANDIDATES = 40000
+
 
 class Envelope1D:
     """Pointwise minimum of upward cones on an interval.
@@ -151,26 +154,26 @@ def ps_run_1d(
     eps: float,
     budget: int,
     x1: Optional[float] = None,
-    lip: Optional[float] = None,
 ) -> RunTrace:
     """Exact sawtooth certification on an interval.
 
     Each round queries, observes, recomputes the envelope maximum, emits
     the certificate (envelope maximum minus best observed value), and
     moves to the envelope's leftmost argmax.  Stops once the certificate
-    reaches ``eps`` or the budget runs out.
+    reaches ``eps`` or the budget runs out.  The envelope uses the
+    objective's ``lip_bound``; in one dimension all supported norms
+    coincide.
 
     Args:
       fn: one-dimensional objective on a box domain.
       eps: accuracy to certify.
       budget: maximum number of queries.
       x1: first query; defaults to the interval midpoint.
-      lip: Lipschitz bound; defaults to the objective's declared bound.
-        In one dimension all supported norms coincide.
     """
     if fn.dim != 1 or not isinstance(fn.domain, Box):
         raise ValueError("exact sawtooth certification needs a 1-D box domain")
-    lip = check_run_args(eps, budget, lip, fn.lip_bound)
+    check_run_args(eps, budget)
+    lip = fn.lip_bound
     a, b = float(fn.domain.lower[0]), float(fn.domain.upper[0])
     x = 0.5 * (a + b) if x1 is None else float(x1)
     if not a <= x <= b:
@@ -206,7 +209,6 @@ class CandidateSet:
 
     points: np.ndarray
     cover_radius: float
-    note: str = ""
 
     def __post_init__(self) -> None:
         points = np.atleast_2d(np.asarray(self.points, dtype=float)).copy()
@@ -229,11 +231,7 @@ def grid_candidates(box: Box, step: float, norm: Norm) -> CandidateSet:
     vector.
     """
     points, steps = midpoint_grid(box, step)
-    return CandidateSet(
-        points=points,
-        cover_radius=float(norm.length(steps * 0.5)),
-        note=f"midpoint grid, step {step:g}",
-    )
+    return CandidateSet(points=points, cover_radius=float(norm.length(steps * 0.5)))
 
 
 def ring_candidates(ball: Ball, n_rings: int, n_angles: int) -> CandidateSet:
@@ -257,21 +255,15 @@ def ring_candidates(ball: Ball, n_rings: int, n_angles: int) -> CandidateSet:
     for j in range(1, n_rings + 1):
         rings.append(ball.center + (j * rho / n_rings) * directions)
     cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles
-    return CandidateSet(
-        points=np.concatenate(rings),
-        cover_radius=cover,
-        note=f"{n_rings} rings x {n_angles} angles",
-    )
+    return CandidateSet(points=np.concatenate(rings), cover_radius=cover)
 
 
-def candidates_for(
-    domain: Domain, lip: float, eps: float, norm: Norm, max_points: int = 40000
-) -> CandidateSet:
+def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> CandidateSet:
     """Default candidate set aiming at a covering radius of
     ``eps / (2 * lip)``.
 
-    When the target would need more than ``max_points`` candidates the
-    set is coarsened to fit and the honest, larger covering radius is
+    When the target would need more than ``_MAX_CANDIDATES`` candidates
+    the set is coarsened to fit and the honest, larger covering radius is
     reported; certificates stay valid but may never reach ``eps``.
     """
     if not lip > 0 or not eps > 0:
@@ -284,8 +276,8 @@ def candidates_for(
         rho = domain.radius
         n_rings = max(1, math.ceil(2.0 * rho * lip / eps))
         n_angles = max(8, math.ceil(4.0 * math.pi * rho * lip / eps))
-        if n_rings * n_angles + 1 > max_points:
-            factor = math.sqrt(n_rings * n_angles / max_points)
+        if n_rings * n_angles + 1 > _MAX_CANDIDATES:
+            factor = math.sqrt(n_rings * n_angles / _MAX_CANDIDATES)
             n_rings = max(1, int(n_rings / factor))
             n_angles = max(8, int(n_angles / factor))
         return ring_candidates(domain, n_rings, n_angles)
@@ -294,8 +286,8 @@ def candidates_for(
     step = eps / (lip * unit)
     counts = np.maximum(1, np.ceil(box.edges / step))
     total = float(np.prod(counts))
-    if total > max_points:
-        step *= (total / max_points) ** (1.0 / box.dim)
+    if total > _MAX_CANDIDATES:
+        step *= (total / _MAX_CANDIDATES) ** (1.0 / box.dim)
     return grid_candidates(box, step, norm)
 
 
@@ -304,8 +296,6 @@ def ps_run_grid(
     eps: float,
     budget: int,
     candidates: Optional[CandidateSet] = None,
-    x1: Optional[np.ndarray] = None,
-    lip: Optional[float] = None,
 ) -> RunTrace:
     """Candidate-set sawtooth certification in dimension two or more.
 
@@ -313,7 +303,9 @@ def ps_run_grid(
     adds ``lip * cover_radius`` to bridge from the candidates to the
     whole domain, so it stays valid despite the discretisation.  Each
     round queries the not-yet-queried candidate with the largest
-    envelope value (first index on ties).
+    envelope value (first index on ties).  The first query is the
+    domain's center, and the envelope uses the objective's ``lip_bound``
+    in its own norm.
 
     The envelope is one array updated in place, with queried candidates
     set to ``-inf``, so a query costs one distance pass and one
@@ -333,13 +325,11 @@ def ps_run_grid(
       candidates: candidate set; defaults to :func:`candidates_for` on
         the objective's domain.  If its covering radius is too coarse to
         ever certify ``eps`` the trace carries a warning.
-      x1: first query; defaults to the domain's center.
-      lip: Lipschitz bound in the objective's norm; defaults to the
-        declared bound.
     """
     if fn.dim < 2:
         raise ValueError("use the exact 1-D sawtooth method in one dimension")
-    lip = check_run_args(eps, budget, lip, fn.lip_bound)
+    check_run_args(eps, budget)
+    lip = fn.lip_bound
     norm = fn.norm
     if candidates is None:
         candidates = candidates_for(fn.domain, lip, eps, norm)
@@ -355,15 +345,10 @@ def ps_run_grid(
             f"covering radius {candidates.cover_radius:g} exceeds eps/lip "
             f"{eps / lip:g}; the target accuracy cannot be certified",
         )
-    if x1 is None:
-        if isinstance(fn.domain, Ball):
-            x = np.array(fn.domain.center, dtype=float)
-        else:
-            x = fn.domain.lower + fn.domain.edges * 0.5
+    if isinstance(fn.domain, Ball):
+        x = np.array(fn.domain.center, dtype=float)
     else:
-        x = np.asarray(x1, dtype=float)
-        if not fn.domain.contains(x):
-            raise ValueError("first query lies outside the domain")
+        x = fn.domain.lower + fn.domain.edges * 0.5
 
     # envelope on the candidates, -inf on those already queried
     env = np.full(len(cand), math.inf)

@@ -22,7 +22,6 @@ from lipcert import (
     cdoo_run,
     certificate_validity,
     estimate_sc,
-    integral_estimate,
     lemma_consistency_trials,
     ncdoo_run,
     ps_run_1d,
@@ -140,7 +139,7 @@ def test_packing_sum_sits_inside_integral_bracket(acceptance, all_functions, nat
                     closed_form.append(f"{fn.label}/2^-{j}: flat integral off")
     slope = lc.get_function("slope-d1")
     for j, eps in eps_ladder(slope, REPORT_SCALES[1]):
-        est, _ = integral_estimate(slope, eps, method="grid", grid_step=1e-4)
+        est = lc.estimate_sc(slope, eps, grid_step=1e-4).integral
         exact = math.log((1.0 + eps) / eps)
         if abs(est - exact) > 0.005 * exact:
             closed_form.append(f"slope/2^-{j}: {est} vs {exact}")

@@ -20,6 +20,7 @@ from lipcert import (
     perturbed_pair,
     sigma_from_trace,
 )
+from lipcert import adversary
 from lipcert.core import write_json
 
 unit_interval = st.integers(min_value=0, max_value=1000).map(lambda k: k / 1000)
@@ -33,7 +34,6 @@ def test_bump_shape_frozen_values():
     assert bump.slope == 0.5
     assert bump.peak == 0.25
     assert bump.radius == 0.5
-    assert bump.headroom_factor == 32.0
     assert bump(np.array([0.5])) == 0.25
     assert bump(np.array([0.75])) == 0.125
     assert bump(np.array([1.0])) == 0.0
@@ -126,14 +126,15 @@ def test_audit_halftent_one_before_the_stop():
     assert rep.scales_tried[-1] == rep.eps_tilde
 
 
-def test_audit_at_the_stop_only_fires_below_target():
+def test_audit_at_the_stop_only_fires_below_target(monkeypatch):
     half = lc.get_function("halftent-d1")
     sigma = int(sigma_from_trace(cdoo_run(half, 1 / 16, 5000), 1 / 16))
     assert sigma == 24
     rep = audit_certified_run(half, 1 / 16, n_override=sigma)
     assert rep.case_fired != "inconclusive"
     assert rep.eps_tilde < 1 / 16
-    narrow = audit_certified_run(half, 1 / 16, n_override=sigma, extra_halvings=0)
+    monkeypatch.setattr(adversary, "_EXTRA_HALVINGS", 0)
+    narrow = audit_certified_run(half, 1 / 16, n_override=sigma)
     assert narrow.case_fired == "inconclusive"
     assert narrow.eps_tilde is None and narrow.center is None
     assert narrow.coincidence is None and narrow.regret_achieved is None

@@ -106,15 +106,10 @@ def test_uncertified_recommendation_is_immediate_on_constant():
     assert zeta_from_trace(trace, fn.known_max, 2.0**-6) == 1
 
 
-def test_lip_below_required_is_rejected():
-    fn = lc.get_function("tent-d1")
-    with pytest.raises(ValueError):
-        cdoo_run(fn, eps=0.25, budget=10, lip=0.5)
-
-
 def test_larger_lip_is_allowed_and_still_valid():
     fn = lc.get_function("tent-d1")
-    trace = cdoo_run(fn, eps=0.25, budget=200, lip=4.0)
+    trace = cdoo_run(replace(fn, lip_bound=4.0), eps=0.25, budget=200)
+    assert trace.lip_bound == 4.0
     assert certificate_validity(trace, fn.known_max).ok
 
 
@@ -274,9 +269,9 @@ def _ref_children(part, key):
     return [(depth + 1, index * part.arity + c) for c in range(part.arity)]
 
 
-def _ref_search(fn, eps, budget, lip=None):
-    part, required = bisection_setup(fn)
-    lip = check_run_args(eps, budget, lip, required)
+def _ref_search(fn, eps, budget):
+    part, lip = bisection_setup(fn)
+    check_run_args(eps, budget)
     certified = eps is not None
     rep0 = _ref_representative(part, _ROOT)
     v0 = float(fn(rep0))
@@ -378,8 +373,8 @@ def test_search_matches_reference_off_the_unit_box(domain):
 
 def test_search_matches_reference_with_a_custom_lip():
     fn = lc.get_function("multibump-d2")
-    lip = bisection_setup(fn)[1] * 2.7
-    _assert_same_run(cdoo_run(fn, 0.05, 3000, lip=lip), _ref_search(fn, 0.05, 3000, lip=lip))
+    fn = replace(fn, lip_bound=fn.lip_bound * 2.7)
+    _assert_same_run(cdoo_run(fn, 0.05, 3000), _ref_search(fn, 0.05, 3000))
 
 
 def test_search_matches_reference_through_a_wrapping_subclass():

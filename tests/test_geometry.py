@@ -223,8 +223,6 @@ def test_box_basics():
     assert box.contains(np.array([0.0, -1.0]))
     assert box.contains(np.array([2.0, 1.0]))
     assert not box.contains(np.array([2.0, 1.0 + 1e-9]))
-    clamped = box.clamp(np.array([5.0, 0.0]))
-    assert np.array_equal(clamped, np.array([2.0, 0.0]))
 
 
 def test_box_rejects_inverted_bounds():

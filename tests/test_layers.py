@@ -23,6 +23,7 @@ from lipcert import (
     sandwich_check,
 )
 from lipcert import TestFunction as LipschitzFunction
+from lipcert.complexity import layers
 from lipcert.core import write_json
 
 
@@ -69,7 +70,7 @@ def test_decomposition_ball_domain_filters_points():
     assert abs(area - math.pi) / math.pi < 0.05
 
 
-def test_decomposition_argument_guards():
+def test_decomposition_argument_guards(monkeypatch):
     tent = lc.get_function("tent-d1")
     with pytest.raises(ValueError):
         layer_decomposition(tent, 0.0)
@@ -80,8 +81,9 @@ def test_decomposition_argument_guards():
     # exactly the finest admissible step is fine
     dec = layer_decomposition(tent, 0.25, grid_step=0.25 / 8)
     assert len(dec.points) == 32
+    monkeypatch.setattr(layers, "_MAX_GRID_POINTS", 100)
     with pytest.raises(ValueError):
-        layer_decomposition(tent, 1e-4, max_grid_points=100)
+        layer_decomposition(tent, 1e-4)
 
 
 def test_estimated_max_is_flagged_and_safe():
@@ -127,11 +129,19 @@ def test_constant_reports_have_exact_integrals():
 
 
 def test_slope_integral_matches_log_closed_form():
-    est, stderr = integral_estimate(
-        lc.get_function("slope-d1"), 0.01, method="grid", grid_step=1e-4
-    )
+    rep = estimate_sc(lc.get_function("slope-d1"), 0.01, grid_step=1e-4)
+    assert rep.integral_stderr is None
+    assert rep.integral == pytest.approx(math.log(101.0), rel=5e-3)
+
+
+@pytest.mark.parametrize(
+    "label,eps", [("slope-d1", 0.01), ("cone-d2", 0.1), ("multibump-d2", 0.05)]
+)
+def test_grid_integral_is_the_estimates_integral(label, eps):
+    fn = lc.get_function(label)
+    est, stderr = integral_estimate(fn, eps, method="grid")
     assert stderr is None
-    assert est == pytest.approx(math.log(101.0), rel=5e-3)
+    assert est == estimate_sc(fn, eps).integral
 
 
 def test_montecarlo_integral_route():
@@ -161,7 +171,7 @@ def test_montecarlo_integral_route():
         integral_estimate(no_max, 0.25, method="montecarlo")
 
 
-def test_sandwich_check_rederivation_and_slack():
+def test_sandwich_check_rederivation_and_slack(monkeypatch):
     rep = estimate_sc(lc.get_function("tent-d1"), 0.25)
     verdict = sandwich_check(rep)
     assert verdict.ok and verdict.lower_ok and verdict.upper_ok
@@ -171,7 +181,8 @@ def test_sandwich_check_rederivation_and_slack():
     assert verdict.upper_value == rep.c_upper * rep.integral
     assert verdict.sc == rep.sc
     # zero slack forces the lower comparison against nothing at all
-    assert not sandwich_check(rep, slack=0.0).lower_ok
+    monkeypatch.setattr(layers, "_SANDWICH_SLACK", 0.0)
+    assert not sandwich_check(rep).lower_ok
 
 
 def test_sandwich_check_requires_gamma():
@@ -269,7 +280,7 @@ def test_grid_integral_against_trapezoid_oracle(peaks, drops):
         heights[0] = 0.0
     fn = make_cone_mix(peaks[:n], heights)
     eps = 0.25
-    est, _ = integral_estimate(fn, eps, method="grid", grid_step=eps / 64)
+    est = estimate_sc(fn, eps, grid_step=eps / 64).integral
     xs = np.linspace(0.0, 1.0, 20001)
     gaps = fn.known_max - np.asarray(fn(xs))
     oracle = np.trapezoid(1.0 / (gaps + eps), xs)

@@ -15,6 +15,7 @@ from lipcert import (
     greedy_packing,
     lemma_consistency_trials,
 )
+from lipcert.complexity import packing
 
 
 NORMS = (SUP, EUCLIDEAN, L1)
@@ -147,8 +148,9 @@ def test_lemma_trials_are_seed_deterministic():
     assert a.trials_run == b.trials_run
 
 
-def test_lemma_trials_validate_arguments():
+def test_lemma_trials_validate_arguments(monkeypatch):
     with pytest.raises(ValueError):
         lemma_consistency_trials(trials=0, seed=1)
+    monkeypatch.setattr(packing, "_LEMMA_MAX_POINTS", 40)
     with pytest.raises(ValueError):
-        lemma_consistency_trials(trials=10, seed=1, max_points=40)
+        lemma_consistency_trials(trials=10, seed=1)

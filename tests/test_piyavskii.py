@@ -25,6 +25,7 @@ from lipcert import (
     ring_candidates,
     sigma_from_trace,
 )
+from lipcert.optimizers import piyavskii
 
 
 def brute_envelope_max(a, b, lip, xs, fs, resolution=200_001):
@@ -260,9 +261,10 @@ def test_candidates_for_meets_accuracy_target():
     assert cand.cover_radius <= 0.1 + 1e-12
 
 
-def test_candidates_for_caps_honestly():
+def test_candidates_for_caps_honestly(monkeypatch):
+    monkeypatch.setattr(piyavskii, "_MAX_CANDIDATES", 500)
     ball = Ball(np.zeros(2), 1.0, EUCLIDEAN)
-    cand = candidates_for(ball, lip=1.0, eps=1e-4, norm=EUCLIDEAN, max_points=500)
+    cand = candidates_for(ball, lip=1.0, eps=1e-4, norm=EUCLIDEAN)
     assert len(cand.points) <= 500
     # cap forces a coarser net; the radius must say so
     assert cand.cover_radius > 1e-4
@@ -279,17 +281,14 @@ def test_two_query_certification_on_cone():
     assert trace.certificates[1] == pytest.approx(fn.lip_bound * cand.cover_radius)
 
 
-def scan_grid_run(fn, eps, budget, candidates, x1=None, length=None):
+def scan_grid_run(fn, eps, budget, candidates, length=None):
     """Reference candidate-set run: the envelope kept in full, queried
     candidates found by comparing every row, and a masked copy of the
     envelope for each pick.  Distances come from ``length`` applied to
     the ``(n, d)`` differences, ``fn.norm.length`` by default."""
     lip, norm, cand = fn.lip_bound, fn.norm, candidates.points
     length = norm.length if length is None else length
-    if x1 is None:
-        x = fn.domain.lower + fn.domain.edges * 0.5
-    else:
-        x = np.asarray(x1, dtype=float)
+    x = fn.domain.lower + fn.domain.edges * 0.5
     best_on_cand = np.full(len(cand), math.inf)
     used = np.zeros(len(cand), dtype=bool)
     queries, values, certs = [], [], []
@@ -313,9 +312,9 @@ def scan_grid_run(fn, eps, budget, candidates, x1=None, length=None):
     return np.asarray(queries), np.asarray(values), np.asarray(certs)
 
 
-def assert_grid_run_matches_scan(fn, eps, budget, candidates, x1=None, length=None):
-    trace = ps_run_grid(fn, eps, budget, candidates=candidates, x1=x1)
-    queries, values, certs = scan_grid_run(fn, eps, budget, candidates, x1, length)
+def assert_grid_run_matches_scan(fn, eps, budget, candidates, length=None):
+    trace = ps_run_grid(fn, eps, budget, candidates=candidates)
+    queries, values, certs = scan_grid_run(fn, eps, budget, candidates, length)
     assert np.array_equal(trace.queries, queries)
     assert np.array_equal(trace.values, values)
     assert np.array_equal(trace.certificates, certs)
@@ -344,8 +343,11 @@ def test_grid_run_matches_full_scan(norm, dim):
     cand = CandidateSet(points, cover_radius=0.05)
     trace = assert_grid_run_matches_scan(fn, 0.01, 400, cand)
     assert len(trace) > 100
-    # a first query that is a candidate, and one of the repeated rows
-    assert_grid_run_matches_scan(fn, 0.01, 400, cand, x1=points[3])
+    # the default first query, the centre, as a candidate given twice
+    centre = fn.domain.lower + fn.domain.edges * 0.5
+    twice = CandidateSet(np.concatenate([points, [centre, centre]]), cover_radius=0.05)
+    trace = assert_grid_run_matches_scan(fn, 0.01, 400, twice)
+    assert trace.queries[1].tolist() != centre.tolist()
     # a midpoint grid of a few hundred points
     grid = grid_candidates(fn.domain, 1.0 / round(400 ** (1.0 / dim)), norm)
     assert_grid_run_matches_scan(fn, 0.01, 300, grid)
@@ -385,7 +387,8 @@ def test_grid_run_matches_full_scan_on_registry_sets():
     fn = lc.get_function("multibump-d2")
     cand = candidates_for(fn.domain, fn.lip_bound, 0.05, fn.norm)
     assert_grid_run_matches_scan(fn, 0.05, 300, cand)
-    assert_grid_run_matches_scan(fn, 0.05, 300, cand, x1=cand.points[123])
+    twice = CandidateSet(np.concatenate([cand.points, [[0.5, 0.5]] * 2]), cand.cover_radius)
+    assert_grid_run_matches_scan(fn, 0.05, 300, twice)
 
 
 def test_grid_run_warns_on_coarse_candidates():
@@ -414,11 +417,7 @@ def test_grid_run_rejects_non_finite_values(poison, bad):
 
 def test_grid_run_rejects_outside_candidates():
     fn = lc.get_function("multibump-d2")
-    bad = CandidateSet(
-        points=np.array([[0.5, 0.5], [1.5, 0.5]]),
-        cover_radius=0.5,
-        note="broken",
-    )
+    bad = CandidateSet(points=np.array([[0.5, 0.5], [1.5, 0.5]]), cover_radius=0.5)
     with pytest.raises(ValueError):
         ps_run_grid(fn, eps=0.1, budget=10, candidates=bad)
 

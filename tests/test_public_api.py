@@ -1,8 +1,10 @@
-"""Every public name has a caller inside the package or in a demo."""
+"""Every public name has a caller inside the package or in a demo, and
+every defaulted parameter of a public function is set by some caller."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import lipcert
@@ -31,3 +33,62 @@ def test_every_public_name_is_reached():
     reached = set().union(*map(_references, files))
     unreached = sorted(set(lipcert.__all__) - reached - EXEMPT)
     assert unreached == [], f"public names with no caller: {unreached}"
+
+
+# Defaulted parameters set only where the callee cannot be named, each
+# with where that is.
+EXEMPT_PARAMETERS = {
+    ("ps_run_1d", "x1"): "`lipcert run --x1` binds it with partial() on the "
+    "runner it looked up in ALGORITHMS",
+}
+
+
+def _callee(node: ast.expr) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
+def _parameters_set(path: Path) -> set[tuple[str, object]]:
+    """``(function, keyword)`` for every keyword a call passes, and
+    ``(function, index)`` for every positional argument, ``index`` being
+    ``"*"`` for a starred one.  A ``partial`` of a named function counts
+    as a call with the arguments bound after it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        found.update((name, kw.arg) for kw in node.keywords if kw.arg)
+        found.update(
+            (name, "*" if isinstance(arg, ast.Starred) else index)
+            for index, arg in enumerate(args)
+        )
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    files = (
+        list((ROOT / "src" / "lipcert").rglob("*.py"))
+        + list((ROOT / "demos").glob("*.py"))
+        + list((ROOT / "perfbench").glob("*.py"))
+    )
+    found = set().union(*map(_parameters_set, files))
+    unset = []
+    for name in lipcert.__all__:
+        function = getattr(lipcert, name)
+        if not inspect.isfunction(function):
+            continue
+        for index, param in enumerate(inspect.signature(function).parameters.values()):
+            if param.default is param.empty or (name, param.name) in EXEMPT_PARAMETERS:
+                continue
+            ways = {(name, param.name)}
+            if param.kind is param.POSITIONAL_OR_KEYWORD:
+                ways |= {(name, index), (name, "*")}
+            if not ways & found:
+                unset.append(f"{name}.{param.name}")
+    assert unset == [], f"defaulted parameters no caller sets: {unset}"

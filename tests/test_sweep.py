@@ -88,6 +88,10 @@ def test_full_config_round_trip():
         ("integral-method = simpson", "integral-method"),
         ("jobs = 0", "at least 1"),
         ("budget = many", "budget"),
+        ("budget.tent-d1 = 1\nbudget.tent-d1 = 2", "line 2: duplicate key 'budget.tent-d1'"),
+        ("algorithm.cone-d2 = cdoo\n\nalgorithm.cone-d2 = psgrid", "line 3: .*'algorithm.cone-d2'"),
+        ("seed = 1\nbudget.tent-d1 = abc", "line 2: key 'budget.tent-d1': invalid"),
+        ("seed = x", "line 1: key 'seed'"),
     ],
 )
 def test_config_rejections(text, fragment):
