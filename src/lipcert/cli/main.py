@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -119,6 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=7)
     verify.add_argument("--max-depth", type=int, default=4)
     return parser
+
+
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built on the first call rather than at import; parsing does not
+    # change a parser, so every later call in the process reuses it.
+    return build_parser()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -291,8 +298,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,

@@ -240,51 +240,78 @@ def _float_or_none(x: Optional[float]) -> Optional[float]:
     return None if x is None else float(x)
 
 
+def _json_floats(column: np.ndarray) -> list[str]:
+    """JSON text of each entry of a float column, as ``json`` writes it:
+    the shortest repr for finite values and ``Infinity``, ``-Infinity``
+    or ``NaN`` otherwise."""
+    if np.isfinite(column).all():
+        return list(map(float.__repr__, column.tolist()))
+    return list(map(json.dumps, column.tolist()))
+
+
 def trace_to_json(trace: RunTrace) -> str:
     """Serialize a trace to the stable JSON layout.
 
     The layout is a header with the run parameters followed by one record
-    per query: index, query point, value, recommendation, its value, and
-    the certificate (null for non-certified runs).  Output bytes depend
-    only on the trace contents.
+    per query: index ``n``, query point ``x``, value ``fx``,
+    recommendation ``xstar``, its value ``fxstar`` and, for certified
+    runs only, the certificate ``xi``.  The text is exactly what
+    ``json.dumps(doc, indent=2)`` gives for that document: two-space
+    indentation with one list entry per line, keys in the order above,
+    floats in their shortest round-trip repr, ``Infinity`` for a ``+inf``
+    certificate, and non-ASCII label characters escaped.  Output bytes
+    depend only on the trace contents.
     """
-    records = []
-    for i in range(len(trace)):
-        record = {
-            "n": i + 1,
-            "x": [float(v) for v in trace.queries[i]],
-            "fx": float(trace.values[i]),
-            "xstar": [float(v) for v in trace.rec_points[i]],
-            "fxstar": float(trace.rec_values[i]),
-        }
-        if trace.certificates is not None:
-            record["xi"] = float(trace.certificates[i])
-        records.append(record)
-    doc = {
-        "header": {
-            "algorithm": trace.algorithm,
-            "function": trace.function,
-            "L": float(trace.lip_bound),
-            "eps": _float_or_none(trace.eps),
-            "budget": int(trace.budget),
-            "seed": trace.seed,
-        },
-        "records": records,
+    header = {
+        "algorithm": trace.algorithm,
+        "function": trace.function,
+        "L": float(trace.lip_bound),
+        "eps": _float_or_none(trace.eps),
+        "budget": int(trace.budget),
+        "seed": trace.seed,
     }
-    return json.dumps(doc, indent=2)
+    # One %-template per record, filled from columns turned into text once.
+    n, dim = len(trace), trace.dim
+    point = "[\n" + ",\n".join(["        %s"] * dim) + "\n      ]" if dim else "[]"
+    fields = ['"n": %d', f'"x": {point}', '"fx": %s', f'"xstar": {point}', '"fxstar": %s']
+    columns = [*trace.queries.T, trace.values, *trace.rec_points.T, trace.rec_values]
+    if trace.certificates is not None:
+        fields.append('"xi": %s')
+        columns.append(trace.certificates)
+    record = "    {\n" + ",\n".join("      " + f for f in fields) + "\n    }"
+    width = len(columns) + 1
+    cells: list = [None] * (n * width)
+    cells[0::width] = range(1, n + 1)
+    for j, column in enumerate(columns, start=1):
+        cells[j::width] = _json_floats(column)
+    records = ",\n".join([record] * n) % tuple(cells)
+    head = json.dumps(header, indent=2).replace("\n", "\n  ")
+    return '{\n  "header": ' + head + ',\n  "records": [\n' + records + "\n  ]\n}"
 
 
 def trace_from_json(text: str) -> RunTrace:
-    """Inverse of :func:`trace_to_json`; round-trips bitwise."""
+    """Inverse of :func:`trace_to_json`; round-trips bitwise.
+
+    Raises ValueError when a record's ``n`` is not its 1-based position
+    or a query, value or recommendation is not finite, since no
+    evaluation can have produced it.  A ``+inf`` certificate is valid.
+    """
     doc = json.loads(text)
     header = doc["header"]
     records = doc["records"]
     if not records:
         raise ValueError("trace document contains no records")
+    for i, record in enumerate(records, start=1):
+        if record.get("n") != i:
+            raise ValueError(f"record {i} has n = {record.get('n')!r}, not its position {i}")
     queries = np.array([r["x"] for r in records], dtype=float)
     values = np.array([r["fx"] for r in records], dtype=float)
     recs = np.array([r["xstar"] for r in records], dtype=float)
     rec_values = np.array([r["fxstar"] for r in records], dtype=float)
+    for name, column in (("x", queries), ("fx", values), ("xstar", recs), ("fxstar", rec_values)):
+        finite = np.isfinite(column.reshape(len(records), -1)).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"record {np.argmin(finite) + 1} has a non-finite {name}")
     has_xi = [r.get("xi") is not None for r in records]
     if not any(has_xi):
         certificates = None
@@ -311,9 +338,11 @@ def write_json(text: str, fp: Union[str, os.PathLike, IO[str]]) -> None:
     """Write a JSON document and a final newline to a path or open handle."""
     if isinstance(fp, (str, os.PathLike)):
         with open(os.fspath(fp), "w") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
+            handle.write("\n")
     else:
-        fp.write(text + "\n")
+        fp.write(text)
+        fp.write("\n")
 
 
 def write_trace(trace: RunTrace, fp: Union[str, os.PathLike, IO[str]]) -> None:

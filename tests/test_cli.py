@@ -133,6 +133,21 @@ def test_usage_errors_exit_one():
         assert excinfo.value.code == 1
 
 
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    seen = []
+    run = cli_module._cmd_run
+    monkeypatch.setattr(cli_module, "_cmd_run", lambda args: seen.append(args) or run(args))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--function", "tent-d1", "--bogus"])
+    assert excinfo.value.code == 1
+    base = ["run", "--function", "tent-d1", "--eps", "0.25", "--budget", "20"]
+    assert main(base + ["--algo", "ps1d", "--x1", "0.3"]) == 0
+    assert main(base) == 0
+    assert [(args.algo, args.x1) for args in seen] == [("ps1d", 0.3), ("cdoo", None)]
+    assert capsys.readouterr().out.startswith("algorithm=ps1d ")
+    assert build_parser() is not build_parser()
+
+
 def test_out_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LIPCERT_OUT_DIR", str(tmp_path))
     code = main([

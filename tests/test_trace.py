@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lipcert as lc
+from lipcert.cli import main
 from lipcert.core import build_trace
+from lipcert.optimizers import ALGORITHMS, CERTIFIED
 from lipcert import (
     NOT_REACHED,
     RunTrace,
@@ -279,3 +282,131 @@ def test_file_round_trip(tmp_path):
     back = read_trace(path)
     assert np.array_equal(back.queries, tr.queries)
     assert np.array_equal(back.certificates, tr.certificates)
+
+
+def _oracle_json(trace):
+    """The dict-and-``json.dumps`` writer that trace_to_json replaced,
+    kept as the reference for its bytes."""
+    records = []
+    for i in range(len(trace)):
+        record = {
+            "n": i + 1,
+            "x": [float(v) for v in trace.queries[i]],
+            "fx": float(trace.values[i]),
+            "xstar": [float(v) for v in trace.rec_points[i]],
+            "fxstar": float(trace.rec_values[i]),
+        }
+        if trace.certificates is not None:
+            record["xi"] = float(trace.certificates[i])
+        records.append(record)
+    doc = {
+        "header": {
+            "algorithm": trace.algorithm,
+            "function": trace.function,
+            "L": float(trace.lip_bound),
+            "eps": None if trace.eps is None else float(trace.eps),
+            "budget": int(trace.budget),
+            "seed": trace.seed,
+        },
+        "records": records,
+    }
+    return json.dumps(doc, indent=2)
+
+
+def _bowl_d3():
+    peak = np.array([0.37, 0.61, 0.2])
+    return lc.TestFunction(
+        label="bowl-d3",
+        domain=lc.Box(np.zeros(3), np.ones(3)),
+        norm=lc.SUP,
+        lip_bound=1.0,
+        evaluator=lambda x: -np.abs(x - peak).max(axis=1),
+    )
+
+
+def _algorithm_runs():
+    for fn in (*lc.registry(), _bowl_d3()):
+        for algo in ALGORITHMS:
+            if algo == "ps1d" and fn.dim != 1 or algo == "psgrid" and fn.dim == 1:
+                continue
+            yield pytest.param(fn, algo, id=f"{algo}-{fn.label}")
+
+
+@pytest.mark.parametrize("fn, algo", _algorithm_runs())
+def test_json_bytes_match_the_oracle(fn, algo):
+    trace = ALGORITHMS[algo](fn, fn.lip_bound * 2.0**-4, 1500)
+    assert (trace.certificates is not None) == (algo in CERTIFIED)
+    assert trace_to_json(trace) == _oracle_json(trace)
+
+
+def _edge_trace(queries, values, certificates, **header):
+    trace = build_trace("stub", "stub-fn", 1.0, 0.5, len(values), queries, values, certificates)
+    return replace(trace, **header)
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        _edge_trace([[0.5]], [0.25], [math.inf]),
+        _edge_trace([[-0.0, 5e-324], [1e308, -1e-310]], [-0.0, 1e308], [math.inf, 2.5e-320]),
+        _edge_trace([[1e-310, -0.0, 0.1]], [-1e308], None, seed=12345, eps=None),
+        _edge_trace([[0.0], [1.0]], [-math.inf, 1.0], [math.inf, 0.0]),
+        _edge_trace(np.zeros((2, 0)), [0.0, 1.0], None),
+        _edge_trace(
+            [[0.1], [0.2]], [1.0, 2.0], None,
+            algorithm='say "hi"\\', function="f\u00e9\u2603-\U0001f600\n", lip_bound=1e308,
+        ),
+    ],
+    ids=[
+        "one-record-inf-xi",
+        "zeros-subnormals-huge",
+        "seeded-plain-d3",
+        "neg-inf-value",
+        "no-coordinates",
+        "labels",
+    ],
+)
+def test_json_bytes_match_the_oracle_on_edge_values(trace):
+    assert trace_to_json(trace) == _oracle_json(trace)
+
+
+def test_run_out_writes_the_oracle_bytes(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert main(["run", "--function", "multibump-d2", "--eps", "0.1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace = lc.cdoo_run(lc.get_function("multibump-d2"), 0.1, 100_000)
+    assert out.read_bytes() == (_oracle_json(trace) + "\n").encode()
+
+
+@pytest.mark.parametrize("field", ["x", "fx", "xstar", "fxstar"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reader_rejects_non_finite_data(field, bad):
+    doc = json.loads(trace_to_json(lc.cdoo_run(lc.get_function("cone-d2"), 0.25, 10)))
+    if field in ("x", "xstar"):
+        doc["records"][3][field][1] = bad
+    else:
+        doc["records"][3][field] = bad
+    with pytest.raises(ValueError, match=f"record 4 has a non-finite {field}$"):
+        trace_from_json(json.dumps(doc))
+
+
+def test_reader_keeps_infinite_certificates():
+    trace = make_trace([0.0, 1.0], certs=[math.inf, 0.5], eps=0.5)
+    back = trace_from_json(trace_to_json(trace))
+    assert np.array_equal(back.certificates, trace.certificates)
+
+
+@pytest.mark.parametrize("edit", ["swap", "duplicate", "renumber", "missing"])
+def test_reader_rejects_records_out_of_position(edit):
+    doc = json.loads(trace_to_json(lc.cdoo_run(lc.get_function("tent-d1"), 0.25, 100)))
+    records = doc["records"]
+    if edit == "swap":
+        records[1], records[2] = records[2], records[1]
+    elif edit == "duplicate":
+        records.insert(2, dict(records[1]))
+    elif edit == "renumber":
+        records[2]["n"] = 2
+    else:
+        del records[2]["n"]
+    with pytest.raises(ValueError, match="record (2|3) has n = "):
+        trace_from_json(json.dumps(doc))
