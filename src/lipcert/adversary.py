@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -40,116 +40,18 @@ _EXTRA_HALVINGS = 12
 _GRID_CAP = 400_000
 
 
-@dataclass(frozen=True)
-class BumpPerturbation:
-    """Cone bump that is large at its center and zero at given distance.
+def _bump(
+    center: np.ndarray, peak: float, radius: float, slope: float, norm: Norm
+) -> Callable[[np.ndarray], Union[float, np.ndarray]]:
+    """Cone of height ``peak`` at ``center`` falling at rate ``slope``,
+    and identically zero, bitwise, beyond ``radius = peak / slope``."""
 
-    The bump takes value ``8 * eps_tilde`` at the center and decreases
-    linearly with slope ``lip_bound - exact_lip`` until it hits zero at
-    ``radius``; outside it is identically zero, bitwise.  Adding or
-    subtracting it from a function with Lipschitz constant ``exact_lip``
-    keeps the result within the bound ``lip_bound``.
-    """
-
-    center: np.ndarray
-    eps_tilde: float
-    lip_bound: float
-    exact_lip: float
-    norm: Norm
-
-    def __post_init__(self) -> None:
-        center = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
-        center.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        if not self.eps_tilde > 0:
-            raise ValueError(f"bump accuracy must be positive, got {self.eps_tilde}")
-        if not 0 <= self.exact_lip < self.lip_bound:
-            raise ValueError(
-                "the exact Lipschitz constant must sit strictly below the bound "
-                "to leave headroom for the perturbation"
-            )
-
-    @property
-    def slope(self) -> float:
-        return self.lip_bound - self.exact_lip
-
-    @property
-    def peak(self) -> float:
-        return 8.0 * self.eps_tilde
-
-    @property
-    def radius(self) -> float:
-        """Distance at which the bump reaches zero."""
-        return self.peak / self.slope
-
-    def __call__(self, x: np.ndarray) -> Union[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        dist = self.norm.length(x - self.center)
-        out = np.where(
-            np.asarray(dist) <= self.radius,
-            np.maximum(0.0, self.peak - self.slope * np.asarray(dist)),
-            0.0,
-        )
+    def bump(x: np.ndarray) -> Union[float, np.ndarray]:
+        dist = np.asarray(norm.length(np.asarray(x, dtype=float) - center))
+        out = np.where(dist <= radius, np.maximum(0.0, peak - slope * dist), 0.0)
         return float(out) if np.ndim(out) == 0 else out
 
-
-def build_bump(fn: TestFunction, center: np.ndarray, eps_tilde: float) -> BumpPerturbation:
-    """Bump sized to the objective's Lipschitz headroom.
-
-    Requires the exact Lipschitz constant to be known and strictly below
-    the declared bound; the bump's slope uses up exactly the difference.
-    """
-    if fn.exact_lip is None:
-        raise ValueError("building a bump needs exact Lipschitz metadata")
-    return BumpPerturbation(
-        center=np.asarray(center, dtype=float),
-        eps_tilde=eps_tilde,
-        lip_bound=fn.lip_bound,
-        exact_lip=fn.exact_lip,
-        norm=fn.norm,
-    )
-
-
-def perturbed_pair(
-    fn: TestFunction, bump: BumpPerturbation
-) -> tuple[TestFunction, TestFunction]:
-    """The objective with the bump added and subtracted.
-
-    Both variants keep the original declared bound, which is valid by
-    the headroom construction.  The added variant's maximum is the
-    larger of the original maximum and the bump's peak value at its
-    center; that is exact whenever the original constant is at most half
-    the bound, and is recorded only in that case.  The subtracted
-    variant's maximum is not tracked.
-    """
-    inner = fn.evaluator
-
-    def plus(x: np.ndarray, _f=inner, _g=bump) -> np.ndarray:
-        return _f(x) + _g(x)
-
-    def minus(x: np.ndarray, _f=inner, _g=bump) -> np.ndarray:
-        return _f(x) - _g(x)
-
-    plus_max = None
-    if fn.known_max is not None and fn.exact_lip is not None:
-        if fn.exact_lip <= fn.lip_bound / 2.0:
-            center_val = float(fn(bump.center))
-            plus_max = max(fn.known_max, center_val + bump.peak)
-    fn_plus = replace(
-        fn,
-        label=fn.label + "+bump",
-        evaluator=plus,
-        exact_lip=None,
-        known_max=plus_max,
-    )
-    fn_minus = replace(
-        fn,
-        label=fn.label + "-bump",
-        evaluator=minus,
-        exact_lip=None,
-        known_max=None,
-    )
-    return fn_plus, fn_minus
+    return bump
 
 
 @dataclass(frozen=True)
@@ -259,7 +161,8 @@ def audit_certified_run(
     tried: list[float] = []
     for eps_tilde in ladder:
         tried.append(eps_tilde)
-        ball_radius = 8.0 * eps_tilde / slope
+        peak = 8.0 * eps_tilde
+        ball_radius = peak / slope
         separation = headroom * eps_tilde / fn.lip_bound
         step = ball_radius / 2.0
         while True:
@@ -283,10 +186,27 @@ def audit_certified_run(
         if len(packed) < 2:
             continue
         center, witness = packed[0], packed[1]
-        bump = build_bump(fn, center, eps_tilde)
-        fn_plus, fn_minus = perturbed_pair(fn, bump)
+        # The bump's slope uses up exactly the headroom, so both variants
+        # keep the declared bound, and it vanishes beyond ball_radius,
+        # where every query lies, so the replays must coincide.
+        bump = _bump(center, peak, ball_radius, slope, norm)
+        inner = fn.evaluator
+        fn_plus = replace(
+            fn,
+            label=fn.label + "+bump",
+            evaluator=lambda x: inner(x) + bump(x),
+            exact_lip=None,
+            known_max=None,
+        )
+        fn_minus = replace(
+            fn,
+            label=fn.label + "-bump",
+            evaluator=lambda x: inner(x) - bump(x),
+            exact_lip=None,
+            known_max=None,
+        )
         rec_dist = float(norm.length(rec_point - center))
-        if rec_dist <= bump.radius / 2.0:
+        if rec_dist <= ball_radius / 2.0:
             case = "inside-ball"
             # Subtracting the bump pulls the recommendation down while
             # the witness site, outside the bump's support, stays put.
@@ -295,9 +215,7 @@ def audit_certified_run(
             case = "outside-ball"
             # Adding the bump lifts its center to near-certain optimality
             # while the recommendation gains at most half the peak.
-            regret = (
-                float(fn(center)) + bump.peak - (rec_value + float(bump(rec_point)))
-            )
+            regret = float(fn(center)) + peak - (rec_value + float(bump(rec_point)))
         replay_plus = run(fn_plus, n)
         replay_minus = run(fn_minus, n)
         coincidence = all(

@@ -6,9 +6,10 @@ the integral bracket), ``audit`` (adversarial lower-bound search), and
 ``verify`` (self-checks of the package's own guarantees).
 
 Exit codes: 0 success (including unreached accuracy targets and
-inconclusive audits), 1 usage or configuration error, 2 a verified
-invariant actually failed.  A relative ``--out`` path is resolved under
-``LIPCERT_OUT_DIR`` when that variable is set.
+inconclusive audits), 1 usage or configuration error or a file that
+cannot be read or written, 2 a verified invariant actually failed.  A
+relative ``--out`` path is resolved under ``LIPCERT_OUT_DIR`` when that
+variable is set.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"lipcert {args.command}: {exc}", file=sys.stderr)
         return 1
 

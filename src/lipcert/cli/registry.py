@@ -9,28 +9,18 @@ parameter: values, exact constants, and maxima are proportional to it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ..core import EUCLIDEAN, SUP, Ball, Box, TestFunction
 
-LABELS = (
-    "constant-d1",
-    "tent-d1",
-    "halftent-d1",
-    "slope-d1",
-    "multibump-d1",
-    "constant-d2",
-    "cone-d2",
-    "multibump-d2",
-)
 
-
-def _constant(lip: float, dim: int) -> TestFunction:
+def _constant(label: str, lip: float, dim: int) -> TestFunction:
     # Every point of the cube is a maximizer.
     return TestFunction(
-        label=f"constant-d{dim}",
+        label=label,
         domain=Box(np.zeros(dim), np.ones(dim)),
         norm=SUP,
         lip_bound=lip,
@@ -40,10 +30,10 @@ def _constant(lip: float, dim: int) -> TestFunction:
     )
 
 
-def _tent(lip: float) -> TestFunction:
+def _tent(label: str, lip: float) -> TestFunction:
     # The single maximizer is 1/2.
     return TestFunction(
-        label="tent-d1",
+        label=label,
         domain=Box(np.zeros(1), np.ones(1)),
         norm=SUP,
         lip_bound=lip,
@@ -53,12 +43,12 @@ def _tent(lip: float) -> TestFunction:
     )
 
 
-def _halftent(lip: float) -> TestFunction:
+def _halftent(label: str, lip: float) -> TestFunction:
     # Trapezoid at half the declared slope: flat top (the maximizers) on
     # [3/8, 5/8], shoulders falling at rate lip / 2.  The headroom between
     # the true constant and the bound is what the adversarial audit exploits.
     return TestFunction(
-        label="halftent-d1",
+        label=label,
         domain=Box(np.zeros(1), np.ones(1)),
         norm=SUP,
         lip_bound=lip,
@@ -69,12 +59,12 @@ def _halftent(lip: float) -> TestFunction:
     )
 
 
-def _slope(lip: float) -> TestFunction:
+def _slope(label: str, lip: float) -> TestFunction:
     # Linear decrease at the full rate from the maximizer 0; its sandwich
     # integral has the closed form log((eps0 + eps) / eps) / lip in one
     # dimension.
     return TestFunction(
-        label="slope-d1",
+        label=label,
         domain=Box(np.zeros(1), np.ones(1)),
         norm=SUP,
         lip_bound=lip,
@@ -108,10 +98,10 @@ def _bumps(
     return evaluate
 
 
-def _multibump_1d(lip: float) -> TestFunction:
+def _multibump_1d(label: str, lip: float) -> TestFunction:
     # The maximizers are the plateau [3/64, 11/64] of the tallest bump.
     return TestFunction(
-        label="multibump-d1",
+        label=label,
         domain=Box(np.zeros(1), np.ones(1)),
         norm=SUP,
         lip_bound=lip,
@@ -126,14 +116,14 @@ def _multibump_1d(lip: float) -> TestFunction:
     )
 
 
-def _cone_2d(lip: float) -> TestFunction:
+def _cone_2d(label: str, lip: float) -> TestFunction:
     def evaluate(x: np.ndarray) -> np.ndarray:
         squares = x * x
         return lip * np.sqrt(squares[:, 0] + squares[:, 1])
 
     # The maximizers are the whole boundary circle.
     return TestFunction(
-        label="cone-d2",
+        label=label,
         domain=Ball(np.zeros(2), 1.0, EUCLIDEAN),
         norm=EUCLIDEAN,
         lip_bound=lip,
@@ -143,11 +133,11 @@ def _cone_2d(lip: float) -> TestFunction:
     )
 
 
-def _multibump_2d(lip: float) -> TestFunction:
+def _multibump_2d(label: str, lip: float) -> TestFunction:
     # The maximizers are the square plateau [1/8, 1/2]^2 of the tallest
     # bump.
     return TestFunction(
-        label="multibump-d2",
+        label=label,
         domain=Box(np.zeros(2), np.ones(2)),
         norm=SUP,
         lip_bound=lip,
@@ -162,28 +152,31 @@ def _multibump_2d(lip: float) -> TestFunction:
     )
 
 
+# Every benchmark by label, in registry order; a builder takes the label
+# and the bound.
+_BUILDERS: dict[str, Callable[[str, float], TestFunction]] = {
+    "constant-d1": partial(_constant, dim=1),
+    "tent-d1": _tent,
+    "halftent-d1": _halftent,
+    "slope-d1": _slope,
+    "multibump-d1": _multibump_1d,
+    "constant-d2": partial(_constant, dim=2),
+    "cone-d2": _cone_2d,
+    "multibump-d2": _multibump_2d,
+}
+LABELS = tuple(_BUILDERS)
+
+
 def registry(lip: float = 1.0) -> tuple[TestFunction, ...]:
     """All benchmark objectives at a common Lipschitz bound."""
-    if not lip > 0:
-        raise ValueError(f"Lipschitz bound must be positive, got {lip}")
-    return (
-        _constant(lip, 1),
-        _tent(lip),
-        _halftent(lip),
-        _slope(lip),
-        _multibump_1d(lip),
-        _constant(lip, 2),
-        _cone_2d(lip),
-        _multibump_2d(lip),
-    )
+    return tuple(build(label, lip) for label, build in _BUILDERS.items())
 
 
 def get_function(label: str, lip: float = 1.0) -> TestFunction:
     """Look one benchmark up by label."""
-    for fn in registry(lip):
-        if fn.label == label:
-            return fn
-    raise ValueError(f"unknown function {label!r}; known labels: {', '.join(LABELS)}")
+    if label not in _BUILDERS:
+        raise ValueError(f"unknown function {label!r}; known labels: {', '.join(LABELS)}")
+    return _BUILDERS[label](label, lip)
 
 
 def default_algorithm(fn: TestFunction) -> str:

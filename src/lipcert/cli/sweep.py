@@ -17,6 +17,7 @@ from typing import Optional
 
 from ..complexity import estimate_sc
 from ..core import (
+    TestFunction,
     certificate_validity,
     diameter,
     sigma_from_trace,
@@ -168,8 +169,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _compute_row(config: SweepConfig, label: str, eps: float) -> dict:
-    fn = get_function(label, lip=config.lip)
+def _compute_row(config: SweepConfig, fn: TestFunction, eps: float) -> dict:
+    label = fn.label
     algorithm = config.algorithms.get(label) or default_algorithm(fn)
     budget = config.budgets.get(label, config.budget)
     certified = ALGORITHMS[algorithm](fn, eps, budget)
@@ -226,13 +227,14 @@ def _compute_row(config: SweepConfig, label: str, eps: float) -> dict:
     }
 
 
-def _error_row(config: SweepConfig, label: str, eps: float, exc: Exception) -> dict:
-    fn_dim = {"d1": 1, "d2": 2}.get(label.rsplit("-", 1)[-1], "")
+def _error_row(
+    config: SweepConfig, fn: TestFunction, eps: float, exc: Exception
+) -> dict:
     row = {column: "ERROR" for column in CSV_COLUMNS}
     row.update(
         {
-            "function": label,
-            "d": fn_dim,
+            "function": fn.label,
+            "d": fn.dim,
             "L": config.lip,
             "eps": eps,
             "verdicts": f"error:{type(exc).__name__}",
@@ -257,7 +259,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     whose computation raises is emitted with ERROR cells and the
     exception type in the verdicts column; the sweep itself continues.
     """
-    tasks: list[tuple[str, float]] = []
+    tasks: list[tuple[TestFunction, float]] = []
     for label in config.functions:
         fn = get_function(label, lip=config.lip)
         eps0 = fn.lip_bound * diameter(fn.domain, fn.norm)
@@ -265,14 +267,14 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             eps = eps0 * 0.5**j
             if eps < config.eps_floor:
                 break
-            tasks.append((label, eps))
+            tasks.append((fn, eps))
 
-    def compute(task: tuple[str, float]) -> dict:
-        label, eps = task
+    def compute(task: tuple[TestFunction, float]) -> dict:
+        fn, eps = task
         try:
-            return _compute_row(config, label, eps)
+            return _compute_row(config, fn, eps)
         except Exception as exc:
-            return _error_row(config, label, eps, exc)
+            return _error_row(config, fn, eps, exc)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:

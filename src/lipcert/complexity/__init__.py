@@ -4,7 +4,6 @@ from .layers import (
     ComplexityReport,
     LayerDecomposition,
     SandwichVerdict,
-    default_gamma,
     estimate_sc,
     integral_estimate,
     layer_decomposition,
@@ -24,7 +23,6 @@ __all__ = [
     "LayerDecomposition",
     "LemmaSuiteVerdict",
     "SandwichVerdict",
-    "default_gamma",
     "estimate_sc",
     "exact_covering_bruteforce",
     "exact_packing_bruteforce",

@@ -266,13 +266,6 @@ def integral_estimate(
     raise ValueError(f"unknown integral method {method!r}")
 
 
-def default_gamma(fn: TestFunction) -> float:
-    """Domain regularity constant ``2 ** -dim``, exact for boxes and
-    balls: around any domain point, at least the orthant of a ball
-    pointing back into the domain stays inside it."""
-    return 2.0 ** (-fn.dim)
-
-
 def estimate_sc(
     fn: TestFunction,
     eps: float,
@@ -317,7 +310,9 @@ def estimate_sc(
         )
         seed_used = seed
     if gamma is None:
-        gamma = default_gamma(fn)
+        # Exact for boxes and balls: around any domain point, at least
+        # the orthant of a ball pointing back into the domain stays in it.
+        gamma = 2.0 ** (-fn.dim)
     if not 0 < gamma <= 1:
         raise ValueError(f"domain regularity constant must lie in (0, 1], got {gamma}")
     used_lip = decomposition.lip

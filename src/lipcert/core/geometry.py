@@ -158,6 +158,14 @@ EUCLIDEAN = Norm("euclidean")
 L1 = Norm("l1")
 
 
+def _points(x: np.ndarray, dim: int) -> np.ndarray:
+    """``x`` as floats, if it is a point ``(dim,)`` or a batch ``(..., dim)``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise ValueError(f"expected points of dimension {dim}, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class Box:
     """Closed axis-aligned hyperrectangle with per-dimension bounds."""
@@ -187,9 +195,7 @@ class Box:
 
     def contains(self, x: np.ndarray) -> Union[bool, np.ndarray]:
         """Closed membership test for a point ``(d,)`` or batch ``(n, d)``."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != self.lower.shape:
-            raise ValueError(f"expected points of dimension {self.dim}, got shape {x.shape}")
+        x = _points(x, self.dim)
         ok = _all_columns((x >= self.lower) & (x <= self.upper))
         return bool(ok) if x.ndim == 1 else ok
 
@@ -224,7 +230,7 @@ class Ball:
     def contains(self, x: np.ndarray) -> Union[bool, np.ndarray]:
         """Closed membership test for a point ``(d,)`` or batch ``(n, d)``."""
         # a single point's length is a float, so its comparison a bool
-        return self.norm.length(np.asarray(x, dtype=float) - self.center) <= self.radius
+        return self.norm.length(_points(x, self.dim) - self.center) <= self.radius
 
     def enclosing_box(self) -> Box:
         """Smallest axis-aligned box containing the ball.

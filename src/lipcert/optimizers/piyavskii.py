@@ -16,7 +16,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -107,16 +107,6 @@ class Envelope1D:
         if xl < peak_x < xr:
             peak_v = 0.5 * (fl + fr) + 0.5 * lip * (xr - xl)
             heapq.heappush(self._peaks, (-peak_v, peak_x, xl, xr))
-
-    def value(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Envelope value from all cones, for a scalar or an array."""
-        if not self._xs:
-            raise ValueError("envelope has no observations")
-        x = np.asarray(x, dtype=float)
-        xs = np.asarray(self._xs)
-        fs = np.asarray(self._fs)
-        out = (fs + self.lip * np.abs(x[..., None] - xs)).min(axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
 
     def max_and_argmax(self) -> tuple[float, float]:
         """Exact envelope maximum and its leftmost argmax.

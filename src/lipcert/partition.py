@@ -257,23 +257,23 @@ def verify_assumptions(
     pairs_checked = 0
     seen_pts: list[np.ndarray] = []
     seen_keys: list[np.ndarray] = []
+
+    def failure(kind: str, **details) -> AssumptionCheck:
+        # the counts so far, and the violation's fields in the order given
+        return AssumptionCheck(
+            ok=False,
+            violation={"kind": kind, **details},
+            cells_checked=cells_checked,
+            pairs_checked=pairs_checked,
+        )
+
     for depth in range(max_depth + 1):
         lower, upper, reps, feas = partition._depth_summary(depth)
         cells_checked += len(reps)
         bound = partition.diam_bound * partition.shrink**depth
         diam = float(norm.length(upper[0] - lower[0]))
         if diam > bound * (1 + 1e-12):
-            return AssumptionCheck(
-                ok=False,
-                violation={
-                    "kind": "diameter",
-                    "depth": depth,
-                    "measured": diam,
-                    "required": bound,
-                },
-                cells_checked=cells_checked,
-                pairs_checked=pairs_checked,
-            )
+            return failure("diameter", depth=depth, measured=diam, required=bound)
         pick = rng.integers(0, len(reps), size=min(len(reps), 512))
         u = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
         v = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
@@ -281,47 +281,24 @@ def verify_assumptions(
         pairs_checked += len(pick)
         if dists.max(initial=0.0) > bound * (1 + 1e-12):
             bad = int(np.argmax(dists))
-            return AssumptionCheck(
-                ok=False,
-                violation={
-                    "kind": "diameter",
-                    "depth": depth,
-                    "cell": int(pick[bad]),
-                    "measured": float(dists[bad]),
-                    "required": bound,
-                },
-                cells_checked=cells_checked,
-                pairs_checked=pairs_checked,
+            return failure(
+                "diameter",
+                depth=depth,
+                cell=int(pick[bad]),
+                measured=float(dists[bad]),
+                required=bound,
             )
         inside = _all_columns((reps >= lower - 1e-12) & (reps <= upper + 1e-12))
         if not inside.all():
             bad = int(np.flatnonzero(~inside)[0])
-            return AssumptionCheck(
-                ok=False,
-                violation={
-                    "kind": "representative-outside-cell",
-                    "depth": depth,
-                    "cell": bad,
-                },
-                cells_checked=cells_checked,
-                pairs_checked=pairs_checked,
-            )
+            return failure("representative-outside-cell", depth=depth, cell=bad)
         ball = partition.restrict_to
         if ball is not None and feas.any():
             r_feas = reps[feas]
             dist = np.atleast_1d(ball.norm.length(r_feas - ball.center))
             if dist.max(initial=0.0) > ball.radius * (1 + 1e-12):
                 bad = int(np.flatnonzero(feas)[int(np.argmax(dist))])
-                return AssumptionCheck(
-                    ok=False,
-                    violation={
-                        "kind": "representative-outside-domain",
-                        "depth": depth,
-                        "cell": bad,
-                    },
-                    cells_checked=cells_checked,
-                    pairs_checked=pairs_checked,
-                )
+                return failure("representative-outside-domain", depth=depth, cell=bad)
         # Separation against every shallower-or-equal depth, at the bound
         # of the deeper one.  Equality is allowed; only strictly closer
         # pairs violate.
@@ -351,17 +328,12 @@ def verify_assumptions(
                 bad_mask = np.logical_and(~same, dists < bound_sep * (1 - 1e-12))
                 if bad_mask.any():
                     bad = int(np.flatnonzero(bad_mask)[0])
-                    return AssumptionCheck(
-                        ok=False,
-                        violation={
-                            "kind": "separation",
-                            "cell_a": (int(all_keys[ai[bad], 0]), int(all_keys[ai[bad], 1])),
-                            "cell_b": (depth, int(cur_keys[bi[bad], 1])),
-                            "measured": float(dists[bad]),
-                            "required": bound_sep,
-                        },
-                        cells_checked=cells_checked,
-                        pairs_checked=pairs_checked,
+                    return failure(
+                        "separation",
+                        cell_a=(int(all_keys[ai[bad], 0]), int(all_keys[ai[bad], 1])),
+                        cell_b=(depth, int(cur_keys[bi[bad], 1])),
+                        measured=float(dists[bad]),
+                        required=bound_sep,
                     )
         seen_pts.append(cur_pts)
         seen_keys.append(cur_keys)

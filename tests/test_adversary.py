@@ -10,16 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lipcert as lc
-from lipcert import (
-    BumpPerturbation,
-    SUP,
-    audit_certified_run,
-    audit_to_json,
-    build_bump,
-    cdoo_run,
-    perturbed_pair,
-    sigma_from_trace,
-)
+from lipcert import SUP, audit_certified_run, audit_to_json, cdoo_run, sigma_from_trace
 from lipcert import adversary
 from lipcert.core import write_json
 
@@ -27,88 +18,32 @@ unit_interval = st.integers(min_value=0, max_value=1000).map(lambda k: k / 1000)
 
 
 def test_bump_shape_frozen_values():
-    bump = BumpPerturbation(
-        center=np.array([0.5]), eps_tilde=1 / 32, lip_bound=1.0, exact_lip=0.5,
-        norm=SUP,
+    bump = adversary._bump(
+        center=np.array([0.5]), peak=0.25, radius=0.5, slope=0.5, norm=SUP
     )
-    assert bump.slope == 0.5
-    assert bump.peak == 0.25
-    assert bump.radius == 0.5
     assert bump(np.array([0.5])) == 0.25
     assert bump(np.array([0.75])) == 0.125
     assert bump(np.array([1.0])) == 0.0
     # identically zero outside the support, not merely small
     far = bump(np.array([[0.999], [0.0], [1.0]]))
     assert np.array_equal(far[1:], np.zeros(2))
-    assert not bump.center.flags.writeable
-
-
-def test_bump_validation():
-    with pytest.raises(ValueError):
-        BumpPerturbation(np.array([0.5]), 0.0, 1.0, 0.5, SUP)
-    with pytest.raises(ValueError):
-        BumpPerturbation(np.array([0.5]), 0.1, 1.0, 1.0, SUP)
-    with pytest.raises(ValueError):
-        BumpPerturbation(np.array([0.5]), 0.1, 1.0, 1.5, SUP)
-    with pytest.raises(ValueError):
-        BumpPerturbation(np.array([0.5]), 0.1, 1.0, -0.1, SUP)
-
-
-def test_build_bump_needs_headroom():
-    half = lc.get_function("halftent-d1")
-    bump = build_bump(half, np.array([0.25]), 1 / 64)
-    assert bump.slope == 0.5 and bump.norm is half.norm
-    # the tent's exact constant equals its bound, leaving no headroom
-    with pytest.raises(ValueError):
-        build_bump(lc.get_function("tent-d1"), np.array([0.5]), 1 / 64)
-    anonymous = lc.TestFunction(
-        label="x", domain=half.domain, norm=SUP, lip_bound=1.0,
-        evaluator=half.evaluator,
-    )
-    with pytest.raises(ValueError):
-        build_bump(anonymous, np.array([0.25]), 1 / 64)
 
 
 @given(x=unit_interval, y=unit_interval)
 @settings(deadline=None)
 def test_bump_respects_its_slope_and_the_combined_bound(x, y):
+    # sized as the audit sizes it at eps_tilde = 1/128: the slope is the
+    # headroom between the declared bound and the exact constant
     half = lc.get_function("halftent-d1")
-    bump = build_bump(half, np.array([0.375]), 1 / 128)
+    slope = half.lip_bound - half.exact_lip
+    peak = 8.0 / 128
+    bump = adversary._bump(np.array([0.375]), peak, peak / slope, slope, half.norm)
     gx, gy = bump(np.array([x])), bump(np.array([y]))
-    assert abs(gx - gy) <= bump.slope * abs(x - y) + 1e-12
+    assert abs(gx - gy) <= slope * abs(x - y) + 1e-12
     for sign in (+1.0, -1.0):
         fx = float(half(np.array([x]))) + sign * gx
         fy = float(half(np.array([y]))) + sign * gy
         assert abs(fx - fy) <= half.lip_bound * abs(x - y) + 1e-12
-
-
-def test_perturbed_pair_metadata_and_values():
-    half = lc.get_function("halftent-d1")
-    bump = build_bump(half, np.array([0.9]), 1 / 64)
-    plus, minus = perturbed_pair(half, bump)
-    assert plus.label == "halftent-d1+bump"
-    assert minus.label == "halftent-d1-bump"
-    assert plus.exact_lip is None and minus.exact_lip is None
-    assert plus.lip_bound == half.lip_bound
-    # exact constant is half the bound, so the lifted maximum is exact
-    expected = max(half.known_max, float(half(bump.center)) + bump.peak)
-    assert plus.known_max == expected
-    assert minus.known_max is None
-    xs = np.linspace(0.0, 1.0, 101)[:, None]
-    lift = np.array([bump(p) for p in xs])
-    assert np.allclose(np.asarray(plus(xs)), np.asarray(half(xs)) + lift)
-    assert np.allclose(np.asarray(minus(xs)), np.asarray(half(xs)) - lift)
-
-
-def test_perturbed_pair_drops_max_without_enough_headroom():
-    half = lc.get_function("halftent-d1")
-    tight = lc.TestFunction(
-        label="tight", domain=half.domain, norm=SUP, lip_bound=1.0,
-        evaluator=half.evaluator, exact_lip=0.8, known_max=0.0,
-    )
-    bump = build_bump(tight, np.array([0.9]), 1 / 64)
-    plus, _ = perturbed_pair(tight, bump)
-    assert plus.known_max is None
 
 
 def test_audit_halftent_one_before_the_stop():

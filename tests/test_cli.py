@@ -70,6 +70,19 @@ def test_run_domain_error_exits_one(capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.json"
+    for argv in (
+        ["run", "--function", "tent-d1", "--eps", "0.25"],
+        ["complexity", "--function", "tent-d1", "--eps", "0.25"],
+        ["audit", "--function", "halftent-d1", "--eps", "0.0625"],
+    ):
+        assert main(argv + ["--out", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"lipcert {argv[0]}: ") and str(missing) in err
+    assert not missing.parent.exists()
+
+
 def test_run_non_finite_evaluation_exits_one(capsys, monkeypatch, poison):
     tent = cli_module.get_function("tent-d1")
     monkeypatch.setattr(

@@ -245,6 +245,17 @@ def test_ball_contains_and_enclosing_box():
     assert np.array_equal(outer.upper, np.array([1.5, 1.5]))
 
 
+def test_ball_contains_rejects_wrongly_shaped_points():
+    # a (1, 1) batch or a bare scalar would broadcast against the
+    # two-dimensional center and read as inside
+    ball = Ball(np.zeros(2), 1.0, EUCLIDEAN)
+    for bad in ([[0.5]], 0.5, np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="dimension 2"):
+            ball.contains(bad)
+    assert ball.contains([0.5, 0.5]) is True
+    assert np.array_equal(ball.contains([[0.5, 0.5], [1.0, 0.5]]), [True, False])
+
+
 def test_diameter_closed_forms():
     box = Box(np.zeros(2), np.array([3.0, 4.0]))
     assert diameter(box, SUP) == 4.0

@@ -15,7 +15,6 @@ from lipcert import (
     Box,
     ComplexityReport,
     SUP,
-    default_gamma,
     estimate_sc,
     integral_estimate,
     layer_decomposition,
@@ -200,8 +199,8 @@ def test_sandwich_check_requires_gamma():
 
 def test_gamma_validation_and_default():
     tent = lc.get_function("tent-d1")
-    assert default_gamma(tent) == 0.5
-    assert default_gamma(lc.get_function("cone-d2")) == 0.25
+    assert estimate_sc(tent, 0.25).gamma == 0.5
+    assert estimate_sc(lc.get_function("cone-d2"), 0.5).gamma == 0.25
     with pytest.raises(ValueError):
         estimate_sc(tent, 0.25, gamma=0.0)
     with pytest.raises(ValueError):

@@ -221,6 +221,25 @@ class CornerReps(BisectionPartition):
         return lower, upper, lower, feas
 
 
+class WideCells(BisectionPartition):
+    """Cells at depth >= 2 twice as wide as they are."""
+
+    spare_first = False
+
+    def _cells(self, pos, depth):
+        lower, upper, reps, feas = super()._cells(pos, depth)
+        grow = np.full(len(pos), depth >= 2)
+        if self.spare_first:
+            grow &= pos.any(axis=1)
+        return lower, upper + (upper - lower) * grow[:, None], reps, feas
+
+
+class WideButFirst(WideCells):
+    """As WideCells, except the first cell of each depth."""
+
+    spare_first = True
+
+
 class PassThrough(BisectionPartition):
     def _cells(self, pos, depth):
         return super()._cells(pos, depth)
@@ -230,6 +249,23 @@ def test_verify_assumptions_flags_reps_outside_their_cells():
     broken = CollapsedReps(Box(np.zeros(1), np.ones(1)))
     result = verify_assumptions(broken, max_depth=3)
     assert result.violation == {"kind": "representative-outside-cell", "depth": 2, "cell": 0}
+
+
+def test_verify_assumptions_flags_oversized_cells():
+    # the first cell's corners are measured exactly; the other cells only
+    # through sampled interior pairs, which name the cell they came from
+    unit = Box(np.zeros(2), np.ones(2))
+    corners = verify_assumptions(WideCells(unit), max_depth=3)
+    assert repr(corners) == (
+        "AssumptionCheck(ok=False, violation={'kind': 'diameter', 'depth': 2, "
+        "'measured': 0.5, 'required': 0.25}, cells_checked=21, pairs_checked=9)"
+    )
+    sampled = verify_assumptions(WideButFirst(unit), max_depth=3)
+    assert not sampled.ok
+    assert list(sampled.violation) == ["kind", "depth", "cell", "measured", "required"]
+    assert sampled.violation["cell"] != 0
+    assert sampled.violation["measured"] > sampled.violation["required"] == 0.25
+    assert (sampled.cells_checked, sampled.pairs_checked) == (21, 25)
 
 
 def test_verify_assumptions_flags_shared_corner_reps():
