@@ -58,14 +58,13 @@ def _bump(
 class AuditReport:
     """Outcome of an adversarial audit at one stopped run.
 
-    ``case_fired`` tells which perturbation sign produced the witness:
-    ``inside-ball`` when the recommendation sat close to the bump center
-    (so subtracting the bump hurts it), ``outside-ball`` when it sat far
-    (so adding the bump elsewhere hurts it), or ``inconclusive`` when no
-    scale admitted two query-free bump sites.  ``coincidence`` records
-    whether the perturbed reruns matched the original queries bitwise;
-    ``regret_achieved`` is the proven suboptimality of the original
-    recommendation on the perturbed objective.
+    ``case_fired`` is ``outside-ball`` when a bump added at a query-free
+    site, away from the recommendation, produced the witness, or
+    ``inconclusive`` when no scale admitted two query-free bump sites.
+    ``coincidence`` records whether the perturbed rerun matched the
+    original queries bitwise; ``regret_achieved`` is the proven
+    suboptimality of the original recommendation on the perturbed
+    objective.
     """
 
     algorithm: str
@@ -103,13 +102,15 @@ def audit_certified_run(
     Runs the algorithm to its certified stop, rewinds to ``n`` queries
     (one less than the stopping count unless overridden), and searches a
     ladder of accuracies for two bump sites that are near-optimal yet
-    query-free.  If found, the corresponding perturbation is applied,
-    the run is replayed on both signs to confirm bitwise coincidence,
-    and the recommendation's proven regret on the adverse sign is
-    reported.  The ladder starts at the certified accuracy, climbs the
-    halving schedule, then descends ``_EXTRA_HALVINGS`` halvings below the
+    query-free.  If found, a bump is added at the first site, the run
+    is replayed on it to confirm bitwise coincidence, and the
+    recommendation's proven regret on the bumped objective is reported.
+    The ladder starts at the certified accuracy, climbs the halving
+    schedule, then descends ``_EXTRA_HALVINGS`` halvings below the
     target, since a correct certificate rules out witnesses at the target
-    scale itself.
+    scale itself.  The recommendation must be one of the rewound
+    queries, as it is for every certified algorithm, or ``ValueError``
+    is raised.
 
     The search is sound but not complete: a reported witness is a real
     lower bound, while ``inconclusive`` only means none was found on the
@@ -148,6 +149,14 @@ def audit_certified_run(
     queries = base.queries[:n]
     rec_point = base.rec_points[n - 1]
     rec_value = float(base.rec_values[n - 1])
+    if not np.all(queries == rec_point, axis=1).any():
+        # The regret below needs the recommendation outside every bump
+        # site's support, which only the sites' distance to the queries
+        # guarantees.
+        raise ValueError(
+            f"{algorithm} recommended {rec_point.tolist()} after {n} queries, "
+            "which is not one of them; the audit needs a queried recommendation"
+        )
 
     norm = fn.norm
     slope = fn.lip_bound - fn.exact_lip
@@ -185,10 +194,12 @@ def audit_certified_run(
         packed = greedy_packing(free, separation, norm)
         if len(packed) < 2:
             continue
-        center, witness = packed[0], packed[1]
-        # The bump's slope uses up exactly the headroom, so both variants
-        # keep the declared bound, and it vanishes beyond ball_radius,
-        # where every query lies, so the replays must coincide.
+        center = packed[0]
+        # The bump's slope uses up exactly the headroom, so the perturbed
+        # objective keeps the declared bound, and it vanishes beyond
+        # ball_radius, where every query lies, so the replay must
+        # coincide.  Adding the bump lifts its center to near-certain
+        # optimality while the recommendation, a query, keeps its value.
         bump = _bump(center, peak, ball_radius, slope, norm)
         inner = fn.evaluator
         fn_plus = replace(
@@ -198,31 +209,12 @@ def audit_certified_run(
             exact_lip=None,
             known_max=None,
         )
-        fn_minus = replace(
-            fn,
-            label=fn.label + "-bump",
-            evaluator=lambda x: inner(x) - bump(x),
-            exact_lip=None,
-            known_max=None,
-        )
-        rec_dist = float(norm.length(rec_point - center))
-        if rec_dist <= ball_radius / 2.0:
-            case = "inside-ball"
-            # Subtracting the bump pulls the recommendation down while
-            # the witness site, outside the bump's support, stays put.
-            regret = float(fn(witness)) - (rec_value - float(bump(rec_point)))
-        else:
-            case = "outside-ball"
-            # Adding the bump lifts its center to near-certain optimality
-            # while the recommendation gains at most half the peak.
-            regret = float(fn(center)) + peak - (rec_value + float(bump(rec_point)))
-        replay_plus = run(fn_plus, n)
-        replay_minus = run(fn_minus, n)
-        coincidence = all(
+        regret = float(fn(center)) + peak - rec_value
+        replay = run(fn_plus, n)
+        coincidence = (
             np.array_equal(replay.queries, queries)
             and np.array_equal(replay.values, base.values[:n])
             and np.array_equal(replay.rec_points, base.rec_points[:n])
-            for replay in (replay_plus, replay_minus)
         )
         return AuditReport(
             algorithm=algorithm,
@@ -232,7 +224,7 @@ def audit_certified_run(
             headroom_factor=headroom,
             center=center,
             n=n,
-            case_fired=case,
+            case_fired="outside-ball",
             coincidence=coincidence,
             regret_achieved=regret,
             scales_tried=tuple(tried),

@@ -13,10 +13,20 @@ one :meth:`BisectionPartition.split` (a fixed number of numpy passes
 over its ``2**d`` children), one batched evaluation, and one heap push
 per child.  Nothing is decoded from flat cell indices.
 
-Cells keep splitting down to ``max_depth``, past the depth where float64
-still tells neighbouring representatives apart, so a long run can query
-the same point again.  That is kept on purpose for now: a float-resolution
-depth cap would end such runs early and change their query sequences.
+No point is queried twice, by two rules.  A cell that float64 cannot
+split, because some child's center would not lie strictly inside that
+child's bounds, is frozen exactly like a cell at ``max_depth``: the
+split that makes it flags it, it never becomes a leaf, and its
+optimistic value stays in the certificate's envelope.  The test is
+local, so a run keeps splitting wherever float64 still resolves its
+cells, such as near zero.  And once a child can land on a point queried
+before, the run keeps the value of every point it queries: on a ball
+from the first split, since clamped representatives meet, and on a box
+from the first split at :attr:`BisectionPartition._exact_depth`.  A
+child whose point is already kept takes the stored value and goes on the
+heap like any other, but it is not a query: the trace does not record it
+and it spends no budget.  Both variants apply both rules, so they still
+share their sequence.
 """
 
 from __future__ import annotations
@@ -72,7 +82,6 @@ def _tree_search(
     diam = partition.diam_bound
     arity = partition.arity
     shrink = partition.shrink
-    max_depth = partition.max_depth
     root = np.zeros((1, partition.dim), np.int64)
     _, _, root_reps, _ = partition._cells(root, 0)
     rep0 = root_reps[0]
@@ -81,43 +90,77 @@ def _tree_search(
     values = [v0]
     certs = [max(0.0, lip * diam)]
     best_val = v0
+    # Value of every queried point, keyed by its coordinates (a tuple
+    # compare reads -0.0 as 0.0), from the first split whose children
+    # can land on a point queried before: at once on a ball, whose
+    # clamped representatives meet, and on a box from
+    # BisectionPartition._exact_depth on, down to which no two cells
+    # share a center.  Box runs that stay above it key nothing.
+    memo = None
+    memo_depth = 0 if partition.restrict_to is not None else partition._exact_depth
 
     # Active leaves as (-optimistic, depth, index, positions, row): ties
     # go to smaller depth, then smaller index, and (depth, index) is
     # unique, so the compare never reaches the position block the leaf's
-    # split returned.
+    # split returned.  Only cells that can be split become leaves; the
+    # optimistic values of the others, frozen by the depth cap or by
+    # float64, form an envelope that stays in the certificate.
     leaves = [(-(v0 + lip * diam), 0, 0, root, 0)]
     frozen_b = -np.inf
+    if partition._frozen(0, root) is not None:
+        frozen_b = -leaves.pop()[0]
     done = certified and certs[0] <= eps
     while leaves and len(values) < budget and not done:
         neg_b, depth, index, block, row = heapq.heappop(leaves)
         optimistic = -neg_b
-        if depth >= max_depth:
-            # Cell indices (and dyadic geometry) cannot resolve another
-            # split.  The cell stays in the certificate envelope but is
-            # never refined; the run ends early if only such cells remain.
-            frozen_b = max(frozen_b, optimistic)
-            continue
-        codes, kid_pos, kid_reps = partition.split(depth, block[row])
+        codes, kid_pos, kid_reps, frozen = partition.split(depth, block[row])
         if not len(codes):
             continue
-        # Only the children the budget lets the trace record are evaluated.
-        taken = min(len(codes), budget - len(values))
-        kid_reps = kid_reps[:taken]
-        kid_vals = fn(kid_reps).tolist()
-        blocks.append(kid_reps)
+        room = budget - len(values)
+        if memo is None and depth >= memo_depth:
+            memo = dict(zip(map(tuple, np.concatenate(blocks).tolist()), values))
+        if memo is None:
+            # Only the children the budget lets the trace record are
+            # evaluated.
+            fresh = kid_reps if len(kid_reps) <= room else kid_reps[:room]
+            kid_vals = fresh_vals = fn(fresh).tolist()
+        else:
+            # A child whose point was queried before, by an earlier split
+            # or a sibling, takes the stored value and spends no budget.
+            keys = list(map(tuple, kid_reps.tolist()))
+            new = [key for key in dict.fromkeys(keys) if key not in memo]
+            if len(new) > room:
+                # the budget runs out at this child; later ones are dropped
+                del keys[keys.index(new[room]) :]
+                del new[room:]
+            if len(new) == len(keys):
+                fresh = kid_reps[: len(new)]
+            else:
+                fresh = kid_reps[[keys.index(key) for key in new]]
+            fresh_vals = fn(fresh).tolist() if new else []
+            memo.update(zip(new, fresh_vals))
+            kid_vals = [memo[key] for key in keys]
+        if fresh_vals:
+            blocks.append(fresh)
+            # The popped leaf had the largest optimistic value among the
+            # still-splittable cells; together with the frozen cells'
+            # envelope this bounds the maximum over the domain.
+            top = max(optimistic, frozen_b)
+            for val in fresh_vals:
+                values.append(val)
+                best_val = max(best_val, val)
+                certs.append(max(0.0, top - best_val))
         slack = lip * diam * shrink ** (depth + 1)
-        # The popped leaf had the largest optimistic value among the
-        # still-splittable cells; together with the frozen cells'
-        # envelope this bounds the maximum over the domain.
-        top = max(optimistic, frozen_b)
         base = index * arity
-        for kid, code in enumerate(codes[:taken].tolist()):
-            val = kid_vals[kid]
-            values.append(val)
-            best_val = max(best_val, val)
-            certs.append(max(0.0, top - best_val))
-            heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid_pos, kid))
+        flags = [False] * len(codes) if frozen is None else frozen.tolist()
+        for kid, (code, val, flag) in enumerate(zip(codes.tolist(), kid_vals, flags)):
+            # A frozen child joins the envelope now, not when it would
+            # have been popped; until then every popped leaf's optimistic
+            # value is at least its own, so no certificate changes.
+            if flag:
+                frozen_b = max(frozen_b, val + slack)
+            else:
+                heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid_pos, kid))
         done = len(values) == budget
         # The accuracy check sits at round granularity: a round whose
         # certificate passes the target is still recorded in full.

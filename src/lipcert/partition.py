@@ -20,6 +20,7 @@ cells that miss the ball; such cells are infeasible and never queried.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -34,6 +35,8 @@ from .core.geometry import _all_columns
 # int64 cell indices and exact dyadic arithmetic both need d * depth to
 # stay well below 63 bits.
 _MAX_BITS = 60
+# Offsets from a cell's position to its lower and upper corners.
+_CORNERS = np.array([0, 1], dtype=np.int64).reshape(2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -99,26 +102,31 @@ class BisectionPartition:
         """
         return float(self.box.edges.min()) / 2.0
 
-    @property
+    @cached_property
     def max_depth(self) -> int:
         """Deepest addressable level; cells there cannot be split again."""
         return _MAX_BITS // self.dim
 
     def split(
         self, depth: int, pos: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Feasible children of the depth-``depth`` cell at integer
         position ``pos`` (int64, shape ``(d,)``), in child-code order.
 
-        Returns ``(codes, positions, representatives)``: child ``c`` has
-        index ``parent_index * arity + c`` at depth ``depth + 1``, integer
-        position ``2 * pos + bits[c]`` and the representative
+        Returns ``(codes, positions, representatives, frozen)``: child
+        ``c`` has index ``parent_index * arity + c`` at depth ``depth + 1``,
+        integer position ``2 * pos + bits[c]`` and the representative
         :meth:`_cells` gives for that position.  ``bits[c, j]`` is bit
         ``d - 1 - j`` of ``c``, so the code's most significant bit selects
-        the upper half along dimension 0.  One call costs a fixed number
-        of numpy passes over the ``(arity, d)`` child arrays, with no
-        per-child Python work and no index decoding.  Raises
-        ``ValueError`` for a negative depth or one at :attr:`max_depth`.
+        the upper half along dimension 0.  Empty arrays mean that no
+        child meets the ball restriction, so the cell holds no domain
+        point left to search and can be dropped.  ``frozen`` marks the
+        children that cannot be split again, as :meth:`_frozen` decides,
+        and is None when every child can; a frozen child still belongs
+        to the domain.  One call costs a fixed number of numpy passes
+        over the ``(arity, d)`` child arrays, with no per-child Python
+        work and no index decoding.  Raises ``ValueError`` for a negative
+        depth or one at :attr:`max_depth`.
         """
         if not 0 <= depth < self.max_depth:
             raise ValueError(
@@ -126,9 +134,65 @@ class BisectionPartition:
             )
         kid_pos = 2 * pos + self._bits
         _, _, reps, feas = self._cells(kid_pos, depth + 1)
-        if feas is None:
-            return self._codes, kid_pos, reps
-        return np.flatnonzero(feas), kid_pos[feas], reps[feas]
+        frozen = self._frozen(depth + 1, kid_pos)
+        if feas is None or feas.all():
+            return self._codes, kid_pos, reps, frozen
+        return (
+            np.flatnonzero(feas), kid_pos[feas], reps[feas],
+            None if frozen is None else frozen[feas],
+        )
+
+    def _frozen(self, depth: int, pos: np.ndarray) -> Optional[np.ndarray]:
+        """Which depth-``depth`` cells at integer positions ``pos`` (shape
+        ``(n, d)``) cannot be split, or None when every one can.
+
+        A cell at :attr:`max_depth` cannot, and neither can a cell one of
+        whose children's centers does not lie strictly inside that
+        child's bounds in float64: those children would repeat points
+        already seen.  Along each coordinate the children's bounds are
+        the cell's lower bound, its midpoint and its upper bound,
+        computed from integer positions as :meth:`_cells` computes them,
+        so each coordinate value is tested once, in Python floats, which
+        round as numpy does.  Cells shallower than :attr:`_exact_depth`
+        always pass, so they skip the test.
+        """
+        if depth >= self.max_depth:
+            return np.ones(len(pos), dtype=bool)
+        if depth < self._exact_depth:
+            return None
+        frozen = None
+        steps = self._step(depth + 1).tolist()
+        for col, step, low in zip(pos.T.tolist(), steps, self.box.lower.tolist()):
+            for p in set(col):
+                q = 2 * p
+                a, m, b = q * step + low, (q + 1) * step + low, (q + 2) * step + low
+                if not a < a + (m - a) * 0.5 < m < m + (b - m) * 0.5 < b:
+                    hit = np.array(col) == p
+                    frozen = hit if frozen is None else frozen | hit
+        return frozen
+
+    @cached_property
+    def _exact_depth(self) -> int:
+        """Shallowest depth at which :meth:`_frozen` must compare centers.
+
+        A depth-k cell has edges ``s_j = edge_j / 2**k``, and its bounds
+        ``lower + q * s`` each carry a rounding error below ``5 u M``,
+        where ``u = 2**-53`` and M bounds the box's coordinate
+        magnitudes; its computed center lies within ``7 u M`` of the true
+        one.  While ``s_j >= 2**-47 M``, the center is therefore more than
+        ``20 u M`` inside both bounds, while every shallower center lies
+        within ``7 u M`` of a depth-k bound: centers are strictly inside
+        their cells and no two cells share one.  With ``min_edge >=
+        2**(e1 - 1)`` and ``M < 2**e2`` (``math.frexp`` exponents), that
+        holds for every child depth ``k <= e1 - e2 + 46``, so shallower
+        cells skip the comparison, and the tree search keeps no memo of
+        box points above it.  M is floored at ``2**-960`` so that every
+        step stays a normal float.
+        """
+        magnitude = float(np.abs([self.box.lower, self.box.upper]).max())
+        e1 = math.frexp(float(self.box.edges.min()))[1]
+        e2 = math.frexp(max(magnitude, 2.0**-960))[1]
+        return e1 - e2 + 46
 
     @cached_property
     def _bits(self) -> np.ndarray:
@@ -142,6 +206,18 @@ class BisectionPartition:
         codes = np.arange(self.arity, dtype=np.int64)
         codes.flags.writeable = False
         return codes
+
+    @cached_property
+    def _steps(self) -> dict[int, np.ndarray]:
+        """Cell edges per depth, filled by :meth:`_step` on first use."""
+        return {}
+
+    def _step(self, depth: int) -> np.ndarray:
+        """Edges of a depth-``depth`` cell, ``edges * 0.5**depth``."""
+        step = self._steps.get(depth)
+        if step is None:
+            step = self._steps[depth] = self.box.edges * 0.5**depth
+        return step
 
     def _cells(
         self, pos: np.ndarray, depth: int
@@ -159,19 +235,23 @@ class BisectionPartition:
         cell-to-center distance, so it lies in the ball exactly when the
         cell meets it, and ``feasible`` marks those cells.  ``feasible``
         is None when there is no ball restriction, since then every cell
-        is.
+        is.  Both bounds come from one pass over the stacked corner
+        positions ``(pos, pos + 1)``, and both ball tests from one
+        :meth:`Norm.length` call.
         """
-        step = self.box.edges * 0.5**depth
-        lower = self.box.lower + pos * step
-        upper = self.box.lower + (pos + 1) * step
-        center = lower + (upper - lower) * 0.5
+        lower, upper = (pos + _CORNERS) * self._step(depth) + self.box.lower
+        half = (upper - lower) * 0.5
         ball = self.restrict_to
         if ball is None:
-            return lower, upper, center, None
-        clamped = np.clip(ball.center, lower, upper)
-        feas = ball.contains(clamped)
-        reps = np.where(ball.contains(center)[:, None], center, clamped)
-        return lower, upper, reps, feas
+            return lower, upper, lower + half, None
+        # row 0: the centers, row 1: the points nearest the ball's center
+        points = np.empty((2,) + lower.shape)
+        center = np.add(lower, half, out=points[0])
+        # np.clip's value, without its Python-level argument handling
+        np.minimum(np.maximum(ball.center, lower, out=points[1]), upper, out=points[1])
+        inside = ball.norm.length(points - ball.center) <= ball.radius
+        reps = np.where(inside[0][:, None], center, points[1])
+        return lower, upper, reps, inside[1]
 
     def _depth_summary(
         self, depth: int

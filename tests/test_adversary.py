@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ def test_audit_argument_guards():
         audit_certified_run(half, 1 / 16, n_override=0)
     with pytest.raises(ValueError):
         audit_certified_run(half, 1 / 16, budget=3)
+
+
+def test_audit_rejects_an_unqueried_recommendation(monkeypatch):
+    # the regret is proven for a recommendation outside the bump's
+    # support, which the sites' distance to the queries guarantees only
+    # when the recommendation is a query
+    half = lc.get_function("halftent-d1")
+    honest = adversary.ALGORITHMS["cdoo"]
+
+    def off_the_queries(fn, eps, budget):
+        trace = honest(fn, eps, budget)
+        return replace(trace, rec_points=trace.rec_points + 1e-7)
+
+    monkeypatch.setitem(adversary.ALGORITHMS, "cdoo", off_the_queries)
+    with pytest.raises(ValueError, match="not one of them"):
+        audit_certified_run(half, 1 / 16)
 
 
 def test_audit_json_layout(tmp_path):

@@ -13,6 +13,7 @@ import importlib
 from lipcert import LemmaSuiteVerdict
 from lipcert.cli.main import build_parser, main
 from lipcert.cli.sweep import parse_sweep_config
+from lipcert.core import build_trace
 from lipcert.optimizers import ALGORITHMS, CERTIFIED
 
 # the package re-exports the entry function under the same name, so the
@@ -229,7 +230,11 @@ def test_verify_suites_pass(capsys):
 
     assert main(["verify", "--suite", "traces"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 and all(l.startswith("PASS traces") for l in lines)
+    # the registry's default algorithms, then cdoo on the cone and ncdoo
+    # on the tent, each with every point queried once
+    assert len(lines) == 10 and all(l.startswith("PASS traces") for l in lines)
+    assert lines[-2].startswith("PASS traces (cone-d2, cdoo): ")
+    assert lines[-1] == "PASS traces (tent-d1, ncdoo): consistent=True distinct=4000/4000"
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
@@ -237,6 +242,18 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "lemma_consistency_trials", lambda t, s: broken)
     assert main(["verify", "--suite", "lemmas"]) == 2
     assert "FAIL lemmas" in capsys.readouterr().out
+
+
+def test_verify_traces_fails_on_a_repeated_point(capsys, monkeypatch):
+    def repeating(fn, eps, budget):
+        queries, values = [[0.5], [0.25], [0.5]], [0.0, -0.25, 0.0]
+        return build_trace("ncdoo", fn.label, fn.lip_bound, None, budget, queries, values)
+
+    monkeypatch.setitem(ALGORITHMS, "ncdoo", repeating)
+    assert main(["verify", "--suite", "traces"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL traces (tent-d1, ncdoo): consistent=True distinct=2/3"
+    assert all(l.startswith("PASS traces") for l in lines[:-1])
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lipcert as lc
 from lipcert import (
@@ -166,6 +167,17 @@ def test_depth_cap_freezes_instead_of_crashing():
     assert certificate_validity(certified, fn.known_max).ok
 
 
+def test_a_root_float64_cannot_split_ends_the_run():
+    # floats are 2 apart near 1e16, so the root's children [1e16, 1e16 + 2]
+    # and [1e16 + 2, 1e16 + 4] would have centers on their bounds: the
+    # root is frozen and the run stops after its one query
+    fn = _tent_at(Box([1e16], [1e16 + 4]), lc.SUP, np.array([1e16 + 2]))
+    assert len(ncdoo_run(fn, 10)) == 1
+    certified = cdoo_run(fn, 1e-3, 10)
+    assert len(certified) == 1 and certified.certificates.tolist() == [4.0]
+    assert certificate_validity(certified, fn.known_max).ok
+
+
 def test_queries_stay_in_domain():
     for label in ("multibump-d2", "cone-d2"):
         fn = lc.get_function(label)
@@ -269,13 +281,31 @@ def _ref_children(part, key):
     return [(depth + 1, index * part.arity + c) for c in range(part.arity)]
 
 
+def _ref_frozen(part, key):
+    # float64 cannot split the cell when some child's center, computed
+    # from the child's own bounds, is not strictly inside them
+    for kid in _ref_children(part, key):
+        lower, upper = _ref_bounds(part, kid)
+        center = lower + (upper - lower) * 0.5
+        if not (np.all(lower < center) and np.all(center < upper)):
+            return True
+    return False
+
+
 def _ref_search(fn, eps, budget):
+    # Queries each new point once, evaluated on its own.  It keys every
+    # point, on boxes too, so a box run that skipped its memo and
+    # repeated a point would differ from it.  Frozen cells wait on the
+    # heap and join the envelope when popped, where the search never
+    # pushes them; the certificates agree either way.
     part, lip = bisection_setup(fn)
     check_run_args(eps, budget)
     certified = eps is not None
     rep0 = _ref_representative(part, _ROOT)
     v0 = float(fn(rep0))
     queries, values = [rep0], [v0]
+    # keyed by coordinate tuples, under which -0.0 equals 0.0
+    seen = {tuple(rep0.tolist()): v0}
     certs = [max(0.0, lip * part.diam_bound)]
     best_val = v0
     heap = [(-(v0 + lip * part.diam_bound), 0, 0)]
@@ -284,22 +314,21 @@ def _ref_search(fn, eps, budget):
     while heap and len(values) < budget and not done:
         neg_b, depth, index = heapq.heappop(heap)
         optimistic = -neg_b
-        if depth >= part.max_depth:
+        if depth >= part.max_depth or _ref_frozen(part, (depth, index)):
             frozen_b = max(frozen_b, optimistic)
             continue
         kids = [k for k in _ref_children(part, (depth, index)) if _ref_feasible(part, k)]
-        if not kids:
-            continue
-        kid_reps = np.stack([_ref_representative(part, k) for k in kids])
-        kid_vals = fn(kid_reps)
         slack = lip * part.diam_bound * part.shrink ** (depth + 1)
-        for kid, rep, val in zip(kids, kid_reps, kid_vals):
-            val = float(val)
-            queries.append(rep)
-            values.append(val)
-            best_val = max(best_val, val)
-            certs.append(max(0.0, max(optimistic, frozen_b) - best_val))
-            heapq.heappush(heap, (-(val + slack), *kid))
+        for kid in kids:
+            rep = _ref_representative(part, kid)
+            key = tuple(rep.tolist())
+            if key not in seen:
+                val = seen[key] = float(fn(rep[None])[0])
+                queries.append(rep)
+                values.append(val)
+                best_val = max(best_val, val)
+                certs.append(max(0.0, max(optimistic, frozen_b) - best_val))
+            heapq.heappush(heap, (-(seen[key] + slack), *kid))
             if len(values) == budget:
                 done = True
                 break
@@ -340,12 +369,27 @@ def test_search_matches_reference_on_registry(fn):
 
 
 def test_search_matches_reference_at_depth_sixty():
-    # pos * step rounds past depth 53, so the run repeats representatives
-    # there, and the reference repeats them the same way
+    # The index cap allows depth 60, but near the peak at 0.5 float64
+    # runs out of resolution first: children of a depth-52 cell in
+    # [0.5, 1), or of a depth-53 cell in [0.25, 0.5), where floats are
+    # twice as dense, would have centers on their own bounds.  Those
+    # cells freeze instead of splitting, in the run and in the reference
+    # alike, and no point is queried twice.
+    frozen = []
+
+    class Recording(BisectionPartition):
+        def split(self, depth, pos):
+            kids = super().split(depth, pos)
+            if kids[3] is not None:
+                frozen.extend([depth + 1] * int(kids[3].sum()))
+            return kids
+
     fn = lc.get_function("tent-d1")
-    trace = ncdoo_run(fn, 4000)
+    plain, _ = bisection_setup(fn)
+    trace = ncdoo_run(fn, 4000, partition=Recording(plain.box))
     _assert_same_run(trace, _ref_search(fn, None, 4000))
-    assert len(np.unique(trace.queries)) < len(trace)
+    assert len(np.unique(trace.queries)) == len(trace) == 4000
+    assert set(frozen) == {52, 53}
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5])
@@ -438,7 +482,13 @@ def test_split_matches_the_keyed_methods(part):
     for depth, pos in cells:
         key = (depth, _index(pos, depth, part.dim))
         assert np.array_equal(_ref_positions(part, key), pos)
-        codes, kid_pos, reps = part.split(depth, pos)
+        cell_frozen = part._frozen(depth, pos[None])
+        assert (cell_frozen is not None and cell_frozen[0]) == _ref_frozen(part, key)
+        codes, kid_pos, reps, frozen = part.split(depth, pos)
+        # the children's flags are what the cell test gives for them
+        want = part._frozen(depth + 1, kid_pos)
+        assert (frozen is None) == (want is None)
+        assert frozen is None or np.array_equal(frozen, want)
         kids = _ref_children(part, key)
         mask = [_ref_feasible(part, k) for k in kids]
         assert codes.tolist() == [c for c in range(part.arity) if mask[c]]
@@ -448,3 +498,92 @@ def test_split_matches_the_keyed_methods(part):
             assert np.array_equal(rep, _ref_representative(part, kid))
     with pytest.raises(ValueError):
         part.split(part.max_depth, np.zeros(part.dim, dtype=np.int64))
+
+
+# --- no point is queried twice -------------------------------------------
+
+
+def _tent_at(domain, norm, peak):
+    return lc.TestFunction(
+        label="tent-at",
+        domain=domain,
+        norm=norm,
+        lip_bound=1.0,
+        evaluator=lambda x: -norm.length(x - peak),
+        exact_lip=1.0,
+        known_max=0.0,
+    )
+
+
+def _assert_certified_once(fn, eps, budget):
+    certified = cdoo_run(fn, eps, budget)
+    assert certificate_validity(certified, fn.known_max).ok
+    assert len(np.unique(certified.queries, axis=0)) == len(certified)
+
+
+def _assert_plain_once(fn, budget):
+    plain = ncdoo_run(fn, budget)
+    assert len(plain) == budget
+    assert len(np.unique(plain.queries, axis=0)) == budget
+
+
+def _assert_each_point_once(fn, eps, budget):
+    _assert_certified_once(fn, eps, budget)
+    _assert_plain_once(fn, budget)
+
+
+@pytest.mark.parametrize("fn", lc.registry(), ids=lambda fn: fn.label)
+def test_no_point_is_queried_twice_on_the_registry(fn):
+    # tent-d1's runs reach cells that float64 cannot split, and cone-d2's
+    # clamped representatives land on points queried before
+    eps0 = fn.lip_bound * lc.diameter(fn.domain, fn.norm)
+    for j in (1, 4, 8):
+        _assert_certified_once(fn, eps0 * 0.5**j, 4000)
+    _assert_plain_once(fn, 4000)
+
+
+def test_cone_sigma_counts_distinct_points():
+    fn = lc.get_function("cone-d2")
+    sigmas = [sigma_from_trace(cdoo_run(fn, fn.lip_bound * 2.0**-k, 30_000)) for k in (3, 5, 7)]
+    assert sigmas == [258, 1226, 4850]
+
+
+@pytest.mark.parametrize(
+    "domain, norm",
+    [
+        # coordinates a million times the edge: float64 resolves cells
+        # only down to about depth 33
+        (Box([1e6], [1e6 + 1]), lc.SUP),
+        # every depth-1 cell's center lies outside the ball, and all 32
+        # clamp onto the root's center
+        (Ball(np.zeros(5), 1.0, EUCLIDEAN), EUCLIDEAN),
+    ],
+    ids=["far-box", "euclidean-ball-d5"],
+)
+def test_no_point_is_queried_twice_off_the_registry(domain, norm):
+    peak = domain.lower + 0.37 * domain.edges if isinstance(domain, Box) else domain.center + 0.1
+    _assert_each_point_once(_tent_at(domain, norm, peak), 1e-12, 3000)
+
+
+_NORMS = {"sup": lc.SUP, "euclidean": EUCLIDEAN, "l1": Norm("l1")}
+
+
+@given(
+    d=st.integers(1, 5),
+    ball=st.booleans(),
+    kind=st.sampled_from(sorted(_NORMS)),
+    offset=st.floats(-1e9, 1e9) | st.just(0.0),
+    scale=st.floats(1e-3, 1e3),
+    unit=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+)
+@settings(max_examples=25, deadline=None)
+def test_no_point_is_queried_twice_on_drawn_domains(d, ball, kind, offset, scale, unit):
+    norm = _NORMS[kind]
+    center = np.full(d, offset)
+    # a peak at most 0.3 * scale from the center in every norm
+    peak = center + 0.3 * scale * np.asarray(unit[:d]) / d
+    if ball:
+        domain = Ball(center, scale, norm)
+    else:
+        domain = Box(center - scale * np.linspace(1.0, 2.0, d), center + scale)
+    _assert_each_point_once(_tent_at(domain, norm, peak), 1e-12 * scale, 600)

@@ -45,8 +45,8 @@ def test_root_cell(unit2):
 
 
 def test_children_are_dimension_major(unit2):
-    codes, kid_pos, reps = unit2.split(0, np.zeros(2, dtype=np.int64))
-    assert codes.tolist() == [0, 1, 2, 3]
+    codes, kid_pos, reps, frozen = unit2.split(0, np.zeros(2, dtype=np.int64))
+    assert codes.tolist() == [0, 1, 2, 3] and frozen is None
     # child code's most significant bit moves along dimension 0
     assert kid_pos.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert np.array_equal(reps, [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
@@ -59,7 +59,7 @@ def test_child_bounds_partition_the_parent(unit2):
     # depth-2 cells 8..11
     lower1, upper1, _, _ = unit2._depth_summary(1)
     parent_lower, parent_upper = lower1[2], upper1[2]
-    codes, kid_pos, reps = unit2.split(1, np.array([1, 0]))
+    codes, kid_pos, reps, _ = unit2.split(1, np.array([1, 0]))
     lower2, upper2, reps2, _ = unit2._depth_summary(2)
     assert np.array_equal(reps, reps2[8:12])
     vol = 0.0
@@ -85,12 +85,71 @@ def test_index_bounds_checked(unit2):
 def test_depth_cap():
     part = BisectionPartition(Box(np.zeros(1), np.ones(1)))
     assert part.max_depth == 60
-    codes, _, _ = part.split(59, np.zeros(1, dtype=np.int64))
-    assert codes.tolist() == [0, 1]
+    codes, _, _, frozen = part.split(59, np.zeros(1, dtype=np.int64))
+    # children at the cap are frozen whatever their geometry
+    assert codes.tolist() == [0, 1] and frozen.tolist() == [True, True]
     with pytest.raises(ValueError):
         part.split(60, np.zeros(1, dtype=np.int64))
     part3 = BisectionPartition(Box(np.zeros(3), np.ones(3)))
     assert part3.max_depth == 20
+
+
+def test_split_flags_children_float64_cannot_split():
+    part = BisectionPartition(Box(np.zeros(1), np.ones(1)))
+    # [1 - 2**-52, 1) holds one float between its bounds; its children's
+    # centers would sit on their bounds
+    assert part._frozen(52, np.array([[2**52 - 1]])).tolist() == [True]
+    # so does its sibling, [1 - 2**-51, 1 - 2**-52)
+    codes, _, _, frozen = part.split(51, np.array([2**51 - 1]))
+    assert codes.tolist() == [0, 1] and frozen.tolist() == [True, True]
+    # near zero float64 still resolves depth-59 cells: no child is frozen
+    codes, _, reps, frozen = part.split(58, np.zeros(1, dtype=np.int64))
+    assert reps.ravel().tolist() == [2.0**-60, 3 * 2.0**-60] and frozen is None
+    # floats are twice as far apart just above 0.5 as just below it, so
+    # of these two siblings on [0.1, 1.73] only the one below 0.5 splits
+    codes, _, reps, frozen = BisectionPartition(Box([0.1], [1.73])).split(
+        51, np.array([552588911333803])
+    )
+    assert reps.ravel().tolist() == [0.5, 0.5000000000000004]
+    assert frozen.tolist() == [False, True]
+
+
+def test_exact_depth_of_common_boxes():
+    assert BisectionPartition(Box(np.zeros(1), np.ones(1)))._exact_depth == 46
+    assert BisectionPartition(Box(np.full(2, -1.0), np.ones(2)))._exact_depth == 47
+    assert BisectionPartition(Box([1e6], [1e6 + 1]))._exact_depth == 27
+
+
+@given(
+    d=st.integers(1, 3),
+    offset=st.floats(-1e12, 1e12) | st.just(0.0),
+    scale=st.floats(1e-3, 1e6),
+    frac=st.floats(0.0, 1.0),
+)
+@settings(deadline=None)
+def test_splits_above_the_exact_depth_need_no_center_check(d, offset, scale, frac):
+    part = BisectionPartition(
+        Box(np.full(d, offset - scale), offset + scale * np.linspace(1.0, 3.0, d))
+    )
+    depth = part._exact_depth
+    # the deepest split that skips the check makes children at this depth
+    if depth < 1:
+        return
+    last = 2**depth - 1
+    pos = np.array(
+        [[0] * d, [last] * d, [min(int(frac * 2.0**depth), last)] * d], dtype=np.int64
+    )
+    lower, upper, reps, _ = part._cells(pos, depth)
+    assert np.all(lower < reps) and np.all(reps < upper)
+    # no two cells down to this depth share a center: neither these
+    # cells and their ancestors, where rounding could land a deep center
+    # on a shallow one, nor their neighbours at this depth
+    cells = set()
+    for row in pos:
+        cells.update((k, tuple(row >> (depth - k))) for k in range(depth + 1))
+        cells.update((depth, tuple(np.clip(row + step, 0, last))) for step in (-1, 1))
+    centers = np.concatenate([part._cells(np.array([q]), k)[2] for k, q in cells])
+    assert len(np.unique(centers, axis=0)) == len(cells)
 
 
 @given(
@@ -107,7 +166,7 @@ def test_cells_nest_into_parents(d, depth, raw_index):
     lo, hi = np.zeros(d), np.ones(d)
     for level in range(depth):
         code = index // part.arity ** (depth - 1 - level) % part.arity
-        codes, kid_pos, reps = part.split(level, pos)
+        codes, kid_pos, reps, _ = part.split(level, pos)
         assert codes.tolist() == list(range(part.arity))
         pos = kid_pos[code]
         klo, khi, krep, _ = part._cells(pos[None], level + 1)
@@ -137,12 +196,16 @@ def test_ball_restriction_feasibility(disc):
     # depth-3 corner cell [-1,-0.75]^2 (index 0) is fully outside the ball
     assert not disc._depth_summary(3)[3][0]
     assert 0 not in disc.split(2, np.zeros(2, dtype=np.int64))[0]
+    # so none of its children is feasible: empty arrays
+    codes, kid_pos, reps, frozen = disc.split(3, np.zeros(2, dtype=np.int64))
+    assert codes.shape == (0,) and kid_pos.shape == reps.shape == (0, 2)
+    assert frozen is None
 
 
 def test_ball_restriction_moves_representative_inside(disc):
     # cell [0.5,1]^2 is child 3 of depth-1 cell (1, 1); its center is
     # outside the ball
-    codes, kid_pos, reps = disc.split(1, np.array([1, 1]))
+    codes, kid_pos, reps, _ = disc.split(1, np.array([1, 1]))
     assert codes.tolist()[-1] == 3 and kid_pos[-1].tolist() == [3, 3]
     rep = reps[-1]
     assert not disc.restrict_to.contains(np.full(2, 0.75))
