@@ -40,11 +40,8 @@ from .core import (
     certificate_validity,
     convert_lip_bound,
     diameter,
-    domain_volume,
-    enclosing_box,
     midpoint_grid,
     norm_ratio,
-    uniform_sample,
     read_trace,
     recommendations_consistent,
     sigma_from_trace,
@@ -58,11 +55,9 @@ from .optimizers import (
     Envelope1D,
     candidates_for,
     cdoo_run,
-    grid_candidates,
     ncdoo_run,
     ps_run_1d,
     ps_run_grid,
-    ring_candidates,
 )
 from .partition import (
     AssumptionCheck,
@@ -105,28 +100,23 @@ __all__ = [
     "convert_lip_bound",
     "default_algorithm",
     "diameter",
-    "domain_volume",
-    "enclosing_box",
     "estimate_sc",
     "exact_covering_bruteforce",
     "exact_packing_bruteforce",
     "get_function",
     "greedy_packing",
-    "grid_candidates",
     "integral_estimate",
     "layer_decomposition",
     "lemma_consistency_trials",
     "midpoint_grid",
     "ncdoo_run",
     "norm_ratio",
-    "uniform_sample",
     "ps_run_1d",
     "ps_run_grid",
     "read_trace",
     "recommendations_consistent",
     "registry",
     "report_to_json",
-    "ring_candidates",
     "sandwich_check",
     "sigma_from_trace",
     "trace_from_json",

@@ -27,7 +27,6 @@ from .core import (
     RunTrace,
     TestFunction,
     diameter,
-    enclosing_box,
     midpoint_grid,
     sigma_from_trace,
 )
@@ -166,7 +165,7 @@ def audit_certified_run(
     )
     ladder = list(reversed(scale.schedule))
     ladder += [eps * 0.5**k for k in range(1, _EXTRA_HALVINGS + 1)]
-    box = enclosing_box(fn.domain)
+    box = fn.domain.enclosing_box()
     tried: list[float] = []
     for eps_tilde in ladder:
         tried.append(eps_tilde)

@@ -12,10 +12,10 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from ..complexity import estimate_sc
+from ..complexity import estimate_sc, sandwich_check
 from ..core import (
     TestFunction,
     certificate_validity,
@@ -44,23 +44,6 @@ CSV_COLUMNS = (
     "verdicts",
 )
 
-_SCALAR_KEYS = {
-    "functions",
-    "L",
-    "eps-count",
-    "eps-floor",
-    "budget",
-    "grid-step-divisor",
-    "integral-method",
-    "mc-samples",
-    "seed",
-    "jobs",
-    "out",
-    "plot-stem",
-}
-_PREFIX_KEYS = ("budget.", "algorithm.")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Parsed sweep parameters; every field has a workable default."""
@@ -79,6 +62,16 @@ class SweepConfig:
     jobs: int = 1
     out: str = "sweep.csv"
     plot_stem: Optional[str] = None
+
+
+# Config key of each scalar setting: its field name with dashes, and L
+# for the bound.  The two dicts are filled from the prefixed keys.
+_SCALAR_KEYS = {
+    "L" if f.name == "lip" else f.name.replace("_", "-"): f.name
+    for f in fields(SweepConfig)
+    if f.name not in ("budgets", "algorithms")
+}
+_PREFIX_KEYS = ("budget.", "algorithm.")
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -121,7 +114,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     defaults = SweepConfig()
     settings: dict = {}
     for key, entry in values.items():
-        name = "lip" if key == "L" else key.replace("-", "_")
+        name = _SCALAR_KEYS[key]
         default = getattr(defaults, name)
         if name == "functions":
             names = (label.strip() for label in entry[2].split(","))
@@ -199,9 +192,7 @@ def _compute_row(config: SweepConfig, fn: TestFunction, eps: float) -> dict:
         prop1 = "na"
     else:
         prop1 = "pass" if sigma <= 2.0 * a_bound else "fail"
-    sandwich_ok = (
-        report.verdicts["sandwich_lower"] and report.verdicts["sandwich_upper"]
-    )
+    sandwich_ok = sandwich_check(report).ok
     verdicts = ";".join(
         (
             f"cert={'pass' if cert_ok else 'fail'}",

@@ -25,10 +25,7 @@ from ..core import (
     TestFunction,
     convert_lip_bound,
     diameter,
-    domain_volume,
-    enclosing_box,
     midpoint_grid,
-    uniform_sample,
 )
 from .packing import greedy_packing
 
@@ -102,7 +99,7 @@ def layer_decomposition(
             f"grid step {grid_step} is coarser than (eps / lip) / 8 = {finest}; "
             "packing counts would not be trustworthy"
         )
-    box = enclosing_box(fn.domain)
+    box = fn.domain.enclosing_box()
     points, steps = midpoint_grid(box, grid_step, max_points=_MAX_GRID_POINTS)
     if fn.domain is not box:
         inside = np.asarray(fn.domain.contains(points))
@@ -158,8 +155,8 @@ class ComplexityReport:
     first.  ``sc`` sums every class; ``snc`` leaves the near-optimal set
     out.  ``c_lower`` and ``c_upper`` are the closed-form constants for
     which ``c_lower * integral <= sc <= c_upper * integral`` is expected;
-    ``verdicts`` records whether the data actually satisfies both sides
-    (the lower side with the estimator's slack factor of two).
+    :func:`sandwich_check` says whether the data actually satisfies both
+    sides.
     """
 
     function: str
@@ -176,7 +173,6 @@ class ComplexityReport:
     gamma: Optional[float]
     c_lower: float
     c_upper: float
-    verdicts: dict
     lip: float
     norm_kind: str
     integral_stderr: Optional[float] = None
@@ -194,9 +190,19 @@ class SandwichVerdict:
     sc: int
 
 
-def _sandwich(sc: int, integral: float, c_lower: float, c_upper: float) -> SandwichVerdict:
-    lower_value = c_lower * integral
-    upper_value = c_upper * integral
+def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
+    """The sandwich verdict of a report.
+
+    The lower side allows a factor ``_SANDWICH_SLACK`` (two) because the
+    greedy packing can undercount the true packing number; the upper side
+    is checked as stated.  Reports built without a domain-regularity
+    constant cannot be checked and raise.
+    """
+    if report.gamma is None:
+        raise ValueError("report carries no domain-regularity constant")
+    sc = report.sc
+    lower_value = report.c_lower * report.integral
+    upper_value = report.c_upper * report.integral
     lower_ok = lower_value <= _SANDWICH_SLACK * sc + 1e-9
     upper_ok = sc <= upper_value * (1 + 1e-9)
     return SandwichVerdict(
@@ -207,19 +213,6 @@ def _sandwich(sc: int, integral: float, c_lower: float, c_upper: float) -> Sandw
         upper_value=upper_value,
         sc=sc,
     )
-
-
-def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
-    """Re-derive the sandwich verdict from a report.
-
-    The lower side allows a factor ``_SANDWICH_SLACK`` (two) because the
-    greedy packing can undercount the true packing number; the upper side
-    is checked as stated.  Reports built without a domain-regularity
-    constant cannot be checked and raise.
-    """
-    if report.gamma is None:
-        raise ValueError("report carries no domain-regularity constant")
-    return _sandwich(report.sc, report.integral, report.c_lower, report.c_upper)
 
 
 def _grid_integral(decomposition: LayerDecomposition, eps: float) -> float:
@@ -256,10 +249,10 @@ def integral_estimate(
         if mc_samples < 2:
             raise ValueError(f"need at least two samples, got {mc_samples}")
         rng = np.random.default_rng(seed)
-        samples = uniform_sample(fn.domain, rng, mc_samples)
+        samples = fn.domain.uniform_sample(rng, mc_samples)
         gaps = np.maximum(fn.known_max - np.asarray(fn(samples), dtype=float), 0.0)
         integrand = 1.0 / (gaps + eps) ** fn.dim
-        volume = domain_volume(fn.domain)
+        volume = fn.domain.volume()
         estimate = float(integrand.mean() * volume)
         stderr = float(integrand.std(ddof=1) / math.sqrt(mc_samples) * volume)
         return estimate, stderr
@@ -319,7 +312,6 @@ def estimate_sc(
     used_norm = decomposition.norm
     c_lower = 1.0 / used_norm.ball_volume(1.0 / used_lip, fn.dim)
     c_upper = 1.0 / (gamma * used_norm.ball_volume(1.0 / (128.0 * used_lip), fn.dim))
-    verdict = _sandwich(sc, integral, c_lower, c_upper)
     return ComplexityReport(
         function=fn.label,
         eps0=decomposition.scale.eps0,
@@ -335,11 +327,6 @@ def estimate_sc(
         gamma=gamma,
         c_lower=c_lower,
         c_upper=c_upper,
-        verdicts={
-            "sandwich_lower": verdict.lower_ok,
-            "sandwich_upper": verdict.upper_ok,
-            "layers_within_total": snc <= sc,
-        },
         lip=used_lip,
         norm_kind=used_norm.kind,
         integral_stderr=stderr,
@@ -348,6 +335,7 @@ def estimate_sc(
 
 def report_to_json(report: ComplexityReport) -> str:
     """Serialize a report to the stable JSON layout."""
+    verdict = sandwich_check(report)
     doc = {
         "eps0": report.eps0,
         "eps": report.eps,
@@ -362,6 +350,10 @@ def report_to_json(report: ComplexityReport) -> str:
         "gamma": report.gamma,
         "c": report.c_lower,
         "C": report.c_upper,
-        "verdicts": report.verdicts,
+        "verdicts": {
+            "sandwich_lower": verdict.lower_ok,
+            "sandwich_upper": verdict.upper_ok,
+            "layers_within_total": report.snc <= report.sc,
+        },
     }
     return json.dumps(doc, indent=2)

@@ -193,11 +193,19 @@ class Box:
     def edges(self) -> np.ndarray:
         return self.upper - self.lower
 
+    @property
+    def center(self) -> np.ndarray:
+        return self.lower + self.edges * 0.5
+
     def contains(self, x: np.ndarray) -> Union[bool, np.ndarray]:
         """Closed membership test for a point ``(d,)`` or batch ``(n, d)``."""
         x = _points(x, self.dim)
         ok = _all_columns((x >= self.lower) & (x <= self.upper))
         return bool(ok) if x.ndim == 1 else ok
+
+    def enclosing_box(self) -> Box:
+        """The box itself, as :meth:`Ball.enclosing_box` is for a ball."""
+        return self
 
     def volume(self) -> float:
         return float(np.prod(self.edges))
@@ -275,24 +283,10 @@ def diameter(domain: Domain, norm: Norm) -> float:
     raise TypeError(f"unsupported domain type {type(domain).__name__}")
 
 
-def enclosing_box(domain: Domain) -> Box:
-    if isinstance(domain, Box):
-        return domain
-    if isinstance(domain, Ball):
-        return domain.enclosing_box()
-    raise TypeError(f"unsupported domain type {type(domain).__name__}")
-
-
-def domain_volume(domain: Domain) -> float:
-    if isinstance(domain, (Box, Ball)):
-        return domain.volume()
-    raise TypeError(f"unsupported domain type {type(domain).__name__}")
-
-
-def uniform_sample(domain: Domain, rng: np.random.Generator, count: int) -> np.ndarray:
-    if isinstance(domain, (Box, Ball)):
-        return domain.uniform_sample(rng, count)
-    raise TypeError(f"unsupported domain type {type(domain).__name__}")
+def _grid_counts(box: Box, step: float) -> np.ndarray:
+    """Intervals per dimension of :func:`midpoint_grid`'s grid, as floats
+    so that a product of huge counts cannot overflow."""
+    return np.maximum(1.0, np.ceil(box.edges / step - 1e-12))
 
 
 def midpoint_grid(
@@ -318,13 +312,14 @@ def midpoint_grid(
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    counts = np.maximum(1, np.ceil(box.edges / step - 1e-12).astype(int))
-    total = int(np.prod(counts.astype(float)))
+    counts = _grid_counts(box, step)
+    total = int(np.prod(counts))
     if max_points is not None and total > max_points:
         raise ValueError(
             f"grid of {total} points exceeds the cap of {max_points}; "
             "use a coarser step or a larger accuracy target"
         )
+    counts = counts.astype(int)
     steps = box.edges / counts
     axes = [
         box.lower[j] + (np.arange(counts[j]) + 0.5) * steps[j]

@@ -35,7 +35,6 @@ class RunTrace:
       eps: accuracy target the run was asked to certify, or None for
         algorithms that do not certify.
       budget: query budget the run was given.
-      seed: RNG seed if the algorithm used randomness, else None.
       queries: query points, shape ``(n, d)``.
       values: observed values, shape ``(n,)``.
       rec_points: recommendation after each query, shape ``(n, d)``.
@@ -52,7 +51,6 @@ class RunTrace:
     lip_bound: float
     eps: Optional[float]
     budget: int
-    seed: Optional[int]
     queries: np.ndarray
     values: np.ndarray
     rec_points: np.ndarray
@@ -141,7 +139,6 @@ def build_trace(
         lip_bound=lip_bound,
         eps=eps,
         budget=budget,
-        seed=None,
         queries=queries,
         values=values,
         rec_points=queries[best],
@@ -268,7 +265,8 @@ def trace_to_json(trace: RunTrace) -> str:
         "L": float(trace.lip_bound),
         "eps": _float_or_none(trace.eps),
         "budget": int(trace.budget),
-        "seed": trace.seed,
+        # no algorithm draws random numbers, so no run has a seed
+        "seed": None,
     }
     # One %-template per record, filled from columns turned into text once.
     n, dim = len(trace), trace.dim
@@ -325,7 +323,6 @@ def trace_from_json(text: str) -> RunTrace:
         lip_bound=float(header["L"]),
         eps=_float_or_none(header["eps"]),
         budget=int(header["budget"]),
-        seed=header["seed"],
         queries=queries,
         values=values,
         rec_points=recs,

@@ -5,10 +5,8 @@ from .piyavskii import (
     CandidateSet,
     Envelope1D,
     candidates_for,
-    grid_candidates,
     ps_run_1d,
     ps_run_grid,
-    ring_candidates,
 )
 
 
@@ -34,9 +32,7 @@ __all__ = [
     "Envelope1D",
     "candidates_for",
     "cdoo_run",
-    "grid_candidates",
     "ncdoo_run",
     "ps_run_1d",
     "ps_run_grid",
-    "ring_candidates",
 ]

@@ -7,7 +7,9 @@ Lipschitz constant.  The gap between the envelope's maximum and the best
 observed value is therefore a certificate.  In one dimension the
 envelope's maximum is computed exactly from the cone intersections; in
 higher dimension it is upper-bounded over a finite candidate set whose
-covering radius is accounted for in the certificate.
+covering radius is accounted for in the certificate.  A set too coarse
+for the certificate ever to reach the target stops the run after its
+first query.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from ..core import (
     TestFunction,
     build_trace,
     check_run_args,
-    enclosing_box,
     midpoint_grid,
 )
-from ..core.geometry import _column_length
+from ..core.geometry import _column_length, _grid_counts
 
 # Largest candidate set candidates_for builds; past it the set coarsens.
 _MAX_CANDIDATES = 40000
@@ -213,44 +214,10 @@ class CandidateSet:
         return len(self.points)
 
 
-def grid_candidates(box: Box, step: float, norm: Norm) -> CandidateSet:
-    """Midpoint-grid candidates for a box.
-
-    Every box point is within half a grid step per coordinate of some
-    candidate, so the covering radius is the norm of the half-step
-    vector.
-    """
-    points, steps = midpoint_grid(box, step)
-    return CandidateSet(points=points, cover_radius=float(norm.length(steps * 0.5)))
-
-
-def ring_candidates(ball: Ball, n_rings: int, n_angles: int) -> CandidateSet:
-    """Concentric-ring candidates for a planar euclidean ball.
-
-    The set is the center plus ``n_rings`` rings of ``n_angles`` equally
-    spaced points; the outermost ring lies exactly on the boundary, and
-    angle zero puts ``center + (radius, 0)`` in the set bitwise.  Any
-    ball point is within half a ring spacing of some ring radially and
-    within an arc of ``pi * radius / n_angles`` along it, so the sum of
-    the two is a valid covering radius.
-    """
-    if ball.norm.kind != "euclidean" or ball.dim != 2:
-        raise ValueError("ring candidates are defined for planar euclidean balls")
-    if n_rings < 1 or n_angles < 3:
-        raise ValueError("need at least one ring and three angles")
-    rho = ball.radius
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rings = [ball.center[None, :]]
-    for j in range(1, n_rings + 1):
-        rings.append(ball.center + (j * rho / n_rings) * directions)
-    cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles
-    return CandidateSet(points=np.concatenate(rings), cover_radius=cover)
-
-
 def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> CandidateSet:
     """Default candidate set aiming at a covering radius of
-    ``eps / (2 * lip)``.
+    ``eps / (2 * lip)``: concentric rings on a planar euclidean ball, a
+    midpoint grid on a box.
 
     When the target would need more than ``_MAX_CANDIDATES`` candidates
     the set is coarsened to fit and the honest, larger covering radius is
@@ -269,16 +236,28 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
         if n_rings * n_angles + 1 > _MAX_CANDIDATES:
             factor = math.sqrt(n_rings * n_angles / _MAX_CANDIDATES)
             n_rings = max(1, int(n_rings / factor))
-            n_angles = max(8, int(n_angles / factor))
-        return ring_candidates(domain, n_rings, n_angles)
-    box = enclosing_box(domain)
-    unit = float(norm.length(np.ones(box.dim)))
-    step = eps / (lip * unit)
-    counts = np.maximum(1, np.ceil(box.edges / step))
-    total = float(np.prod(counts))
-    if total > _MAX_CANDIDATES:
-        step *= (total / _MAX_CANDIDATES) ** (1.0 / box.dim)
-    return grid_candidates(box, step, norm)
+            # the center takes one place of the cap
+            n_angles = max(8, min(int(n_angles / factor), (_MAX_CANDIDATES - 1) // n_rings))
+        # The center plus n_rings rings of n_angles equally spaced points;
+        # the outermost ring lies on the boundary, and angle zero puts
+        # center + (radius, 0) in the set bitwise.  Any ball point is
+        # within half a ring spacing of some ring radially and within an
+        # arc of pi * radius / n_angles along it, so the sum of the two is
+        # a valid covering radius.
+        angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        rings = [domain.center[None, :]]
+        for j in range(1, n_rings + 1):
+            rings.append(domain.center + (j * rho / n_rings) * directions)
+        cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles
+        return CandidateSet(points=np.concatenate(rings), cover_radius=cover)
+    step = eps / (lip * float(norm.length(np.ones(domain.dim))))
+    while (total := float(np.prod(_grid_counts(domain, step)))) > _MAX_CANDIDATES:
+        step *= (total / _MAX_CANDIDATES) ** (1.0 / domain.dim)
+    # Every box point is within half a grid step per coordinate of some
+    # candidate, so the covering radius is the norm of the half-step vector.
+    points, steps = midpoint_grid(domain, step)
+    return CandidateSet(points=points, cover_radius=float(norm.length(steps * 0.5)))
 
 
 def ps_run_grid(
@@ -295,7 +274,11 @@ def ps_run_grid(
     round queries the not-yet-queried candidate with the largest
     envelope value (first index on ties).  The first query is the
     domain's center, and the envelope uses the objective's ``lip_bound``
-    in its own norm.
+    in its own norm.  The run stops once the certificate reaches
+    ``eps``, the budget is spent or every candidate is queried.  Every
+    certificate is at least ``lip * cover_radius``, so a set whose
+    covering radius exceeds ``eps / lip`` stops the run after its first
+    query, with a warning in the trace.
 
     The envelope is one array updated in place, with queried candidates
     set to ``-inf``, so a query costs one distance pass and one
@@ -313,8 +296,7 @@ def ps_run_grid(
       eps: accuracy to certify.
       budget: maximum number of queries.
       candidates: candidate set; defaults to :func:`candidates_for` on
-        the objective's domain.  If its covering radius is too coarse to
-        ever certify ``eps`` the trace carries a warning.
+        the objective's domain.
     """
     if fn.dim < 2:
         raise ValueError("use the exact 1-D sawtooth method in one dimension")
@@ -329,16 +311,14 @@ def ps_run_grid(
     inside = np.asarray(fn.domain.contains(cand))
     if not inside.all():
         raise ValueError("candidate set contains points outside the domain")
+    hopeless = candidates.cover_radius > eps / lip
     warnings: tuple[str, ...] = ()
-    if candidates.cover_radius > eps / lip:
+    if hopeless:
         warnings = (
             f"covering radius {candidates.cover_radius:g} exceeds eps/lip "
             f"{eps / lip:g}; the target accuracy cannot be certified",
         )
-    if isinstance(fn.domain, Ball):
-        x = np.array(fn.domain.center, dtype=float)
-    else:
-        x = fn.domain.lower + fn.domain.edges * 0.5
+    x = np.array(fn.domain.center)
 
     # envelope on the candidates, -inf on those already queried
     env = np.full(len(cand), math.inf)
@@ -373,7 +353,7 @@ def ps_run_grid(
         # max(top, best_v).  The covering correction bridges from the
         # candidates to the whole domain.
         certs.append(max(0.0, max(top, best_v) + slack - best_v))
-        if certs[-1] <= eps or len(queries) == budget or top == -math.inf:
+        if hopeless or certs[-1] <= eps or len(queries) == budget or top == -math.inf:
             break
         x = cand[pick]
 

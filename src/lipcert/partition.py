@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound, enclosing_box
+from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound
 from .core._buckets import Buckets
 from .core.geometry import _all_columns
 
@@ -283,7 +283,7 @@ def bisection_setup(fn: TestFunction) -> tuple[BisectionPartition, float]:
     returned bound converts the function's declared bound into the sup
     norm, which is the norm the partition's guarantees are stated in.
     """
-    box = enclosing_box(fn.domain)
+    box = fn.domain.enclosing_box()
     restrict = fn.domain if isinstance(fn.domain, Ball) else None
     lip = convert_lip_bound(fn.lip_bound, fn.norm.kind, "sup", fn.dim)
     return BisectionPartition(box=box, restrict_to=restrict), lip

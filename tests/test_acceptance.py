@@ -129,7 +129,7 @@ def test_certified_stop_within_packing_bound(acceptance, all_functions, trace_ca
 def test_packing_sum_sits_inside_integral_bracket(acceptance, all_functions, native_reports):
     failures = []
     for (label, j), report in native_reports.items():
-        if not (report.verdicts["sandwich_lower"] and report.verdicts["sandwich_upper"]):
+        if not lc.sandwich_check(report).ok:
             failures.append(f"{label}/2^-{j}")
     closed_form = []
     for fn in all_functions:

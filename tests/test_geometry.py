@@ -17,10 +17,8 @@ from lipcert import (
     Norm,
     convert_lip_bound,
     diameter,
-    domain_volume,
     midpoint_grid,
     norm_ratio,
-    uniform_sample,
 )
 
 
@@ -245,6 +243,13 @@ def test_ball_contains_and_enclosing_box():
     assert np.array_equal(outer.upper, np.array([1.5, 1.5]))
 
 
+def test_box_is_its_own_enclosing_box_and_has_a_center():
+    box = Box(np.array([-1.0, 0.3]), np.array([2.0, 0.4]))
+    assert box.enclosing_box() is box
+    assert np.array_equal(box.center, box.lower + box.edges * 0.5)
+    assert box.contains(box.center)
+
+
 def test_ball_contains_rejects_wrongly_shaped_points():
     # a (1, 1) batch or a bare scalar would broadcast against the
     # two-dimensional center and read as inside
@@ -269,8 +274,8 @@ def test_diameter_closed_forms():
 
 
 def test_domain_volume():
-    assert domain_volume(Box(np.zeros(3), np.full(3, 2.0))) == 8.0
-    assert domain_volume(Ball(np.zeros(2), 2.0, EUCLIDEAN)) == pytest.approx(
+    assert Box(np.zeros(3), np.full(3, 2.0)).volume() == 8.0
+    assert Ball(np.zeros(2), 2.0, EUCLIDEAN).volume() == pytest.approx(
         4.0 * math.pi
     )
 
@@ -278,11 +283,11 @@ def test_domain_volume():
 def test_uniform_sample_stays_inside():
     rng = np.random.default_rng(0)
     ball = Ball(np.array([0.5, 0.5]), 0.25, EUCLIDEAN)
-    pts = uniform_sample(ball, rng, 200)
+    pts = ball.uniform_sample(rng, 200)
     assert pts.shape == (200, 2)
     assert all(ball.contains(p) for p in pts)
     box = Box(np.zeros(2), np.ones(2))
-    pts = uniform_sample(box, rng, 50)
+    pts = box.uniform_sample(rng, 50)
     assert np.all((pts >= 0.0) & (pts <= 1.0))
 
 

@@ -108,7 +108,7 @@ def test_tent_report_frozen_values():
     assert rep.gamma == 0.5
     assert rep.method == "grid" and rep.seed is None and rep.integral_stderr is None
     assert rep.lip == 1.0 and rep.norm_kind == "sup"
-    assert all(rep.verdicts.values())
+    assert sandwich_check(rep).ok
     # midpoint quadrature against the closed-form integral of
     # 1 / (|x - 1/2| + 1/4) over [0, 1]
     assert rep.integral == pytest.approx(2 * math.log(3), rel=2e-3)
@@ -174,14 +174,16 @@ def test_sandwich_check_rederivation_and_slack(monkeypatch):
     rep = estimate_sc(lc.get_function("tent-d1"), 0.25)
     verdict = sandwich_check(rep)
     assert verdict.ok and verdict.lower_ok and verdict.upper_ok
-    assert verdict.lower_ok == rep.verdicts["sandwich_lower"]
-    assert verdict.upper_ok == rep.verdicts["sandwich_upper"]
+    assert json.loads(report_to_json(rep))["verdicts"] == {
+        "sandwich_lower": True, "sandwich_upper": True, "layers_within_total": True,
+    }
     assert verdict.lower_value == rep.c_lower * rep.integral
     assert verdict.upper_value == rep.c_upper * rep.integral
     assert verdict.sc == rep.sc
     # zero slack forces the lower comparison against nothing at all
     monkeypatch.setattr(layers, "_SANDWICH_SLACK", 0.0)
     assert not sandwich_check(rep).lower_ok
+    assert json.loads(report_to_json(rep))["verdicts"]["sandwich_lower"] is False
 
 
 def test_sandwich_check_requires_gamma():
@@ -191,7 +193,7 @@ def test_sandwich_check_requires_gamma():
         schedule=rep.schedule, packing_counts=rep.packing_counts, sc=rep.sc,
         snc=rep.snc, integral=rep.integral, method=rep.method, seed=rep.seed,
         gamma=None, c_lower=rep.c_lower, c_upper=rep.c_upper,
-        verdicts=rep.verdicts, lip=rep.lip, norm_kind=rep.norm_kind,
+        lip=rep.lip, norm_kind=rep.norm_kind,
     )
     with pytest.raises(ValueError):
         sandwich_check(bare)
@@ -236,7 +238,7 @@ def test_cone_report_bracket_constants():
     rep = estimate_sc(lc.get_function("cone-d2"), 0.5)
     assert rep.c_lower == pytest.approx(1.0 / math.pi, rel=1e-12)
     assert rep.c_upper == pytest.approx(65536.0 / math.pi, rel=1e-12)
-    assert all(rep.verdicts.values())
+    assert sandwich_check(rep).ok
 
 
 def test_report_json_layout(tmp_path):
@@ -293,5 +295,6 @@ def test_report_invariants_across_scales(level):
     assert len(rep.packing_counts) == rep.m_eps + 1
     assert rep.sc == sum(rep.packing_counts)
     assert rep.snc == rep.sc - rep.packing_counts[0]
-    assert rep.snc <= rep.sc and rep.verdicts["layers_within_total"]
+    assert rep.snc <= rep.sc
+    assert json.loads(report_to_json(rep))["verdicts"]["layers_within_total"] is True
     assert sandwich_check(rep).ok

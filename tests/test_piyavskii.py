@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,9 @@ from lipcert import (
     Envelope1D,
     candidates_for,
     certificate_validity,
-    grid_candidates,
+    midpoint_grid,
     ps_run_1d,
     ps_run_grid,
-    ring_candidates,
     sigma_from_trace,
 )
 from lipcert.optimizers import piyavskii
@@ -234,7 +234,7 @@ def test_1d_only():
 
 def test_grid_candidates_cover_the_box():
     box = Box(np.zeros(2), np.ones(2))
-    cand = grid_candidates(box, 0.25, SUP)
+    cand = candidates_for(box, lip=1.0, eps=0.25, norm=SUP)
     assert len(cand.points) == 16
     # every box point is within cover_radius of some candidate
     assert cand.cover_radius == pytest.approx(0.125)
@@ -246,10 +246,12 @@ def test_grid_candidates_cover_the_box():
 
 def test_ring_candidates_cover_the_disk():
     ball = Ball(np.zeros(2), 1.0, EUCLIDEAN)
-    cand = ring_candidates(ball, n_rings=6, n_angles=40)
+    cand = candidates_for(ball, lip=1.0, eps=1.0 / 3.0, norm=EUCLIDEAN)
+    # the center plus 6 rings of 38 angles
+    assert len(cand.points) == 1 + 6 * 38
     assert any(np.array_equal(p, np.array([1.0, 0.0])) for p in cand.points)
     rng = np.random.default_rng(2)
-    pts = lc.uniform_sample(ball, rng, 300)
+    pts = ball.uniform_sample(rng, 300)
     for p in pts:
         dists = np.linalg.norm(cand.points - p, axis=1)
         assert dists.min() <= cand.cover_radius + 1e-9
@@ -271,6 +273,32 @@ def test_candidates_for_caps_honestly(monkeypatch):
     assert len(cand.points) <= 500
     # cap forces a coarser net; the radius must say so
     assert cand.cover_radius > 1e-4
+
+
+@pytest.mark.parametrize(
+    "domain, norm, lip, eps",
+    [
+        # 1-D boxes
+        (Box([0.0], [1.0]), SUP, 1.0, 1e-7),
+        (Box([-0.3], [2.2]), SUP, 3.3, 2.0**-20),
+        # one rescale by the nominal count left these over the cap:
+        # 35 and 15 points per axis in d = 3 and 4
+        (Box(np.zeros(3), np.ones(3)), SUP, 1.0, 2.0**-6),
+        (Box(np.zeros(3), np.ones(3)), EUCLIDEAN, 1.0, 2.0**-9),
+        (Box([0.0, 0.0, 0.0], [1.0, 0.5, 2.0]), EUCLIDEAN, 0.3, 2.0**-10),
+        (Box(np.zeros(4), np.ones(4)), SUP, 1.0, 2.0**-6),
+        (Box(np.zeros(4), np.ones(4)), L1, 3.3, 2.0**-12),
+        # the per-axis ceiling of a flat box
+        (Box([-1.0, 0.3], [2.0, 0.4]), SUP, 0.3, 2.0**-12),
+        (Box([-1.0, 0.3], [2.0, 0.4]), EUCLIDEAN, 1.0, 2.0**-14),
+        # 80 rings of 500 angles fill the cap before the center
+        (Ball(np.zeros(2), 1.0, EUCLIDEAN), EUCLIDEAN, 1.0, 1.0 / 39.75),
+        (Ball(np.zeros(2), 1.0, EUCLIDEAN), EUCLIDEAN, 1.0, 1e-6),
+    ],
+)
+def test_candidates_for_stays_within_the_cap(domain, norm, lip, eps):
+    cand = candidates_for(domain, lip, eps, norm)
+    assert len(cand) <= piyavskii._MAX_CANDIDATES
 
 
 def test_two_query_certification_on_cone():
@@ -331,8 +359,11 @@ def bumpy_box_function(norm, dim, seed):
         wave = np.sin(7.0 * points).sum(axis=-1) / dim
         return 1.0 - norm.length(points - center) + 0.2 * wave
 
+    # The objective's constant is at most 2.4.  A bound ten times that
+    # keeps the cones steep, so no candidate's envelope falls below the
+    # best value early and a run queries most of its candidates.
     box = Box(np.zeros(dim), np.ones(dim))
-    return lc.TestFunction(f"bumpy-{norm.kind}-d{dim}", box, norm, 2.5, evaluator)
+    return lc.TestFunction(f"bumpy-{norm.kind}-d{dim}", box, norm, 25.0, evaluator)
 
 
 @pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1), ids=lambda n: n.kind)
@@ -343,17 +374,19 @@ def test_grid_run_matches_full_scan(norm, dim):
     points = rng.uniform(size=(300, dim))
     # repeated rows are marked together when either copy is queried
     points = np.concatenate([points, points[:40], points[:5]])
-    cand = CandidateSet(points, cover_radius=0.05)
-    trace = assert_grid_run_matches_scan(fn, 0.01, 400, cand)
+    # a declared cover below eps / lip, so the run does not stop at once
+    cand = CandidateSet(points, cover_radius=1e-8)
+    trace = assert_grid_run_matches_scan(fn, 1e-6, 400, cand)
     assert len(trace) > 100
     # the default first query, the centre, as a candidate given twice
     centre = fn.domain.lower + fn.domain.edges * 0.5
-    twice = CandidateSet(np.concatenate([points, [centre, centre]]), cover_radius=0.05)
-    trace = assert_grid_run_matches_scan(fn, 0.01, 400, twice)
+    twice = CandidateSet(np.concatenate([points, [centre, centre]]), cover_radius=1e-8)
+    trace = assert_grid_run_matches_scan(fn, 1e-6, 400, twice)
     assert trace.queries[1].tolist() != centre.tolist()
     # a midpoint grid of a few hundred points
-    grid = grid_candidates(fn.domain, 1.0 / round(400 ** (1.0 / dim)), norm)
-    assert_grid_run_matches_scan(fn, 0.01, 300, grid)
+    grid, _ = midpoint_grid(fn.domain, 1.0 / round(400 ** (1.0 / dim)))
+    trace = assert_grid_run_matches_scan(fn, 1e-6, 300, CandidateSet(grid, 1e-8))
+    assert len(trace) > 100
 
 
 def column_order_length(kind):
@@ -377,15 +410,15 @@ def test_grid_run_sums_long_rows_in_column_order(norm, dim):
     rng = np.random.default_rng(100 + dim)
     # coordinates of mixed magnitude, so that the summation order shows
     points = rng.uniform(size=(300, dim)) ** rng.integers(1, 40, size=dim)
-    cand = CandidateSet(points, cover_radius=0.05)
-    trace = assert_grid_run_matches_scan(fn, 0.01, 200, cand, length=column_order_length(norm.kind))
+    cand = CandidateSet(points, cover_radius=1e-8)
+    trace = assert_grid_run_matches_scan(fn, 1e-6, 200, cand, length=column_order_length(norm.kind))
     assert len(trace) == 200
 
 
 def test_grid_run_matches_full_scan_on_registry_sets():
     fn = lc.get_function("constant-d2")
-    # the default center is not a candidate of this set
-    cand = grid_candidates(fn.domain, 0.5, SUP)
+    # the default center is not a candidate of this 4-point grid
+    cand = CandidateSet(midpoint_grid(fn.domain, 0.5)[0], cover_radius=1e-8)
     assert len(assert_grid_run_matches_scan(fn, 1e-6, 50, cand)) == 5
     fn = lc.get_function("multibump-d2")
     cand = candidates_for(fn.domain, fn.lip_bound, 0.05, fn.norm)
@@ -396,9 +429,23 @@ def test_grid_run_matches_full_scan_on_registry_sets():
 
 def test_grid_run_warns_on_coarse_candidates():
     fn = lc.get_function("multibump-d2")
-    coarse = grid_candidates(fn.domain, 0.5, SUP)
+    coarse = candidates_for(fn.domain, 1.0, 0.5, SUP)  # cover 0.25
     trace = ps_run_grid(fn, eps=0.01, budget=10, candidates=coarse)
     assert any("cover" in w for w in trace.warnings)
+    assert len(trace) == 1
+
+
+def test_grid_run_stops_at_once_when_the_cap_leaves_eps_out_of_reach():
+    # At L * diam * 2^-8 the capped ring set covers only to 0.0126,
+    # above eps / L = 0.0078; no certificate can reach eps, so the run
+    # stops after its first query instead of spending the budget.
+    fn = lc.get_function("cone-d2")
+    eps = fn.lip_bound * lc.diameter(fn.domain, fn.norm) * 2.0**-8
+    trace = ps_run_grid(fn, eps, 300)
+    assert len(trace) == 1
+    assert any("cannot be certified" in w for w in trace.warnings)
+    assert trace.certificates[0] > eps
+    assert certificate_validity(trace, fn.known_max).ok
 
 
 def test_grid_run_valid_on_2d_registry():
@@ -436,11 +483,18 @@ def test_grid_certificates_account_for_unseen_candidates():
 
 
 def test_grid_exhausts_candidates_then_stops():
-    fn = lc.get_function("constant-d2")
-    cand = grid_candidates(fn.domain, 0.5, SUP)  # 4 points
-    trace = ps_run_grid(fn, eps=1e-6, budget=50, candidates=cand)
+    # constant 0.3, so the final certificate (0.3 + 0.25) - 0.3 rounds
+    # just above eps = 0.25 = lip * cover_radius: never certified, never
+    # out of reach, and the run ends by exhausting its candidates
+    fn = replace(
+        lc.get_function("constant-d2"), evaluator=lambda x: np.full(len(x), 0.3), known_max=0.3
+    )
+    cand = candidates_for(fn.domain, 1.0, 0.5, SUP)  # 4 points, cover 0.25
+    trace = ps_run_grid(fn, eps=0.25, budget=50, candidates=cand)
     # the default first query (the center) is not a candidate; after it
     # and all four candidates only the cover slack remains and the run
     # stops well short of the budget
     assert len(trace) == 5
+    assert not trace.warnings
+    assert trace.certificates[-1] > 0.25
     assert trace.certificates[-1] == pytest.approx(fn.lip_bound * cand.cover_radius)

@@ -1,5 +1,6 @@
-"""Every public name has a caller inside the package or in a demo, and
-every defaulted parameter of a public function is set by some caller."""
+"""Every public name has a caller inside the package or in a demo,
+every defaulted parameter of a public function is set by some caller,
+and no module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -92,3 +93,32 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
             if not ways & found:
                 unset.append(f"{name}.{param.name}")
     assert unset == [], f"defaulted parameters no caller sets: {unset}"
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names an import binds in a module and no expression reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a package __init__ imports names to re-export them
+    stale = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src" / "lipcert").rglob("*.py"))
+        if path.name != "__init__.py" and (names := _unread_imports(path))
+    }
+    assert stale == {}, f"imported but never read: {stale}"

@@ -22,7 +22,7 @@ EXPECTED = {
 
 
 def dense_points(fn, per_axis=513):
-    box = lc.enclosing_box(fn.domain)
+    box = fn.domain.enclosing_box()
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
     if fn.dim == 1:
         pts = axes[0][:, None]
@@ -62,7 +62,7 @@ def test_declared_maximum_is_exact():
         assert vals.max() == fn.known_max
     rng = np.random.default_rng(5)
     for fn in registry():
-        sample = lc.uniform_sample(fn.domain, rng, 4000)
+        sample = fn.domain.uniform_sample(rng, 4000)
         assert np.asarray(fn(sample)).max() <= fn.known_max + 1e-12
 
 

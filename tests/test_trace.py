@@ -46,7 +46,6 @@ def make_trace(values, certs=None, eps=None):
         lip_bound=1.0,
         eps=eps,
         budget=n,
-        seed=None,
         queries=queries,
         values=values,
         rec_points=rec_points,
@@ -75,7 +74,6 @@ def test_shape_validation():
             lip_bound=1.0,
             eps=None,
             budget=2,
-            seed=None,
             queries=np.zeros((2, 1)),
             values=np.zeros(3),
             rec_points=np.zeros((2, 1)),
@@ -125,7 +123,6 @@ def test_recommendations_consistent_rejects_late_tie():
         lip_bound=1.0,
         eps=None,
         budget=2,
-        seed=None,
         queries=queries,
         values=values,
         rec_points=np.array([[0.0], [1.0]]),
@@ -183,7 +180,6 @@ def test_recommendations_consistent_matches_the_loop(data):
         lip_bound=1.0,
         eps=None,
         budget=n,
-        seed=None,
         queries=queries,
         values=values,
         rec_points=rec_points,
@@ -306,7 +302,7 @@ def _oracle_json(trace):
             "L": float(trace.lip_bound),
             "eps": None if trace.eps is None else float(trace.eps),
             "budget": int(trace.budget),
-            "seed": trace.seed,
+            "seed": None,
         },
         "records": records,
     }
@@ -349,7 +345,7 @@ def _edge_trace(queries, values, certificates, **header):
     [
         _edge_trace([[0.5]], [0.25], [math.inf]),
         _edge_trace([[-0.0, 5e-324], [1e308, -1e-310]], [-0.0, 1e308], [math.inf, 2.5e-320]),
-        _edge_trace([[1e-310, -0.0, 0.1]], [-1e308], None, seed=12345, eps=None),
+        _edge_trace([[1e-310, -0.0, 0.1]], [-1e308], None, eps=None),
         _edge_trace([[0.0], [1.0]], [-math.inf, 1.0], [math.inf, 0.0]),
         _edge_trace(np.zeros((2, 0)), [0.0, 1.0], None),
         _edge_trace(
@@ -360,7 +356,7 @@ def _edge_trace(queries, values, certificates, **header):
     ids=[
         "one-record-inf-xi",
         "zeros-subnormals-huge",
-        "seeded-plain-d3",
+        "plain-d3",
         "neg-inf-value",
         "no-coordinates",
         "labels",
