@@ -87,7 +87,7 @@ class TestFunction:
                 value = float(out[0])
                 if math.isfinite(value):
                     return value
-            elif np.isfinite(out).all():
+            elif np.count_nonzero(np.isfinite(out)) == len(out):
                 return out
         raise ValueError(self._bad_output(points, out))
 

@@ -96,10 +96,11 @@ class RunTrace:
 
 def check_run_args(eps: Optional[float], budget: int) -> None:
     """Argument checks shared by the optimizers: a positive integer
-    budget and, unless ``eps`` is None for a run that certifies nothing,
-    a positive accuracy target.  The Lipschitz bound is not an argument;
-    every run uses the objective's own ``lip_bound``."""
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
+    budget, not a ``bool``, and, unless ``eps`` is None for a run that
+    certifies nothing, a positive accuracy target.  The Lipschitz bound
+    is not an argument; every run uses the objective's own
+    ``lip_bound``."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     if eps is not None and not eps > 0:
         raise ValueError(f"accuracy target must be positive, got {eps}")

@@ -8,9 +8,10 @@ emits, after each query, a bound on how far the recommendation can be
 from the maximum, and stops once that bound reaches the target accuracy.
 The non-certified variant runs to its budget and emits no bounds.
 
-Each leaf carries its integer cell position, so expanding a cell costs
-one :meth:`BisectionPartition.split` (a fixed number of numpy passes
-over its ``2**d`` children), one batched evaluation, and one heap push
+Each leaf carries its integer cell position as a tuple of ints, so
+expanding a cell costs one :meth:`BisectionPartition.split` (in Python
+floats, one axis at a time, except on a ball from d = 5 on), one
+evaluation of the array of its fresh representatives, and one heap push
 per child.  Nothing is decoded from flat cell indices.
 
 No point is queried twice, by two rules.  A cell that float64 cannot
@@ -99,22 +100,22 @@ def _tree_search(
     memo = None
     memo_depth = 0 if partition.restrict_to is not None else partition._exact_depth
 
-    # Active leaves as (-optimistic, depth, index, positions, row): ties
-    # go to smaller depth, then smaller index, and (depth, index) is
-    # unique, so the compare never reaches the position block the leaf's
-    # split returned.  Only cells that can be split become leaves; the
-    # optimistic values of the others, frozen by the depth cap or by
-    # float64, form an envelope that stays in the certificate.
-    leaves = [(-(v0 + lip * diam), 0, 0, root, 0)]
+    # Active leaves as (-optimistic, depth, index, position): ties go to
+    # smaller depth, then smaller index, and (depth, index) is unique, so
+    # the compare never reaches the position.  Only cells that can be
+    # split become leaves; the optimistic values of the others, frozen
+    # by the depth cap or by float64, form an envelope that stays in the
+    # certificate.
+    leaves = [(-(v0 + lip * diam), 0, 0, (0,) * partition.dim)]
     frozen_b = -np.inf
     if partition._frozen(0, root) is not None:
         frozen_b = -leaves.pop()[0]
     done = certified and certs[0] <= eps
     while leaves and len(values) < budget and not done:
-        neg_b, depth, index, block, row = heapq.heappop(leaves)
+        neg_b, depth, index, pos = heapq.heappop(leaves)
         optimistic = -neg_b
-        codes, kid_pos, kid_reps, frozen = partition.split(depth, block[row])
-        if not len(codes):
+        codes, kid_pos, kid_reps, frozen = partition.split(depth, pos)
+        if not codes:
             continue
         room = budget - len(values)
         if memo is None and depth >= memo_depth:
@@ -152,15 +153,15 @@ def _tree_search(
                 certs.append(max(0.0, top - best_val))
         slack = lip * diam * shrink ** (depth + 1)
         base = index * arity
-        flags = [False] * len(codes) if frozen is None else frozen.tolist()
-        for kid, (code, val, flag) in enumerate(zip(codes.tolist(), kid_vals, flags)):
+        flags = [False] * len(codes) if frozen is None else frozen
+        for code, kid, val, flag in zip(codes, kid_pos, kid_vals, flags):
             # A frozen child joins the envelope now, not when it would
             # have been popped; until then every popped leaf's optimistic
             # value is at least its own, so no certificate changes.
             if flag:
                 frozen_b = max(frozen_b, val + slack)
             else:
-                heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid_pos, kid))
+                heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid))
         done = len(values) == budget
         # The accuracy check sits at round granularity: a round whose
         # certificate passes the target is still recorded in full.

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from itertools import compress, product
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +38,11 @@ from .core.geometry import _all_columns
 _MAX_BITS = 60
 # Offsets from a cell's position to its lower and upper corners.
 _CORNERS = np.array([0, 1], dtype=np.int64).reshape(2, 1, 1)
+# Widest ball whose cells split in Python floats.  Each child's distance
+# to the ball's center is combined in Python, so from 2**5 children on
+# one _cells call over their arrays costs less; a box's children need no
+# per-child arithmetic and split in floats at every d.
+_FLOAT_BALL_DIMS = 4
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class BisectionPartition:
             ):
                 raise ValueError("restriction ball must sit inside the box")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.box.dim
 
@@ -108,43 +114,131 @@ class BisectionPartition:
         return _MAX_BITS // self.dim
 
     def split(
-        self, depth: int, pos: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        self, depth: int, pos: Sequence[int]
+    ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray, Optional[list[bool]]]:
         """Feasible children of the depth-``depth`` cell at integer
-        position ``pos`` (int64, shape ``(d,)``), in child-code order.
+        position ``pos`` (d ints, as a tuple or an int array), in
+        child-code order.
 
         Returns ``(codes, positions, representatives, frozen)``: child
-        ``c`` has index ``parent_index * arity + c`` at depth ``depth + 1``,
-        integer position ``2 * pos + bits[c]`` and the representative
-        :meth:`_cells` gives for that position.  ``bits[c, j]`` is bit
-        ``d - 1 - j`` of ``c``, so the code's most significant bit selects
-        the upper half along dimension 0.  Empty arrays mean that no
-        child meets the ball restriction, so the cell holds no domain
-        point left to search and can be dropped.  ``frozen`` marks the
-        children that cannot be split again, as :meth:`_frozen` decides,
-        and is None when every child can; a frozen child still belongs
-        to the domain.  One call costs a fixed number of numpy passes
-        over the ``(arity, d)`` child arrays, with no per-child Python
-        work and no index decoding.  Raises ``ValueError`` for a negative
-        depth or one at :attr:`max_depth`.
+        ``c`` has index ``parent_index * arity + c`` at depth ``depth +
+        1``, integer position ``2 * pos + bits[c]`` (a tuple of ints) and,
+        in one ``(n, d)`` float array, the representative :meth:`_cells`
+        gives for that position.  ``bits[c, j]`` is bit ``d - 1 - j`` of
+        ``c``, so the code's most significant bit selects the upper half
+        along dimension 0.  No children (``n = 0``) means that none meets
+        the ball restriction, so the cell holds no domain point left to
+        search and can be dropped.  ``frozen`` marks the children that
+        cannot be split again, as :meth:`_frozen` decides, and is None
+        when every child can; a frozen child still belongs to the
+        domain.  Raises ``ValueError`` for a negative depth or one at
+        :attr:`max_depth`.
+
+        The children of a box cell, and of a ball cell up to d = 4, are
+        computed in Python floats by :meth:`_scalar_children`, with the
+        operations of :meth:`_cells` in its order, so that every value
+        equals the numpy one bit for bit.  Those of a ball cell from
+        d = 5 on, where per-child Python work costs more than numpy's
+        fixed cost per call, come from one :meth:`_cells` call over the
+        stacked child positions.
         """
         if not 0 <= depth < self.max_depth:
             raise ValueError(
                 f"cannot split a depth-{depth} cell; depths 0..{self.max_depth - 1} split"
             )
-        kid_pos = 2 * pos + self._bits
-        _, _, reps, feas = self._cells(kid_pos, depth + 1)
-        frozen = self._frozen(depth + 1, kid_pos)
-        if feas is None or feas.all():
-            return self._codes, kid_pos, reps, frozen
-        return (
-            np.flatnonzero(feas), kid_pos[feas], reps[feas],
-            None if frozen is None else frozen[feas],
-        )
+        if isinstance(pos, np.ndarray):
+            pos = pos.tolist()
+        kid = depth + 1
+        if self.restrict_to is None or self.dim <= _FLOAT_BALL_DIMS:
+            codes, positions, reps = self._scalar_children(kid, pos)
+        else:
+            kid_pos = 2 * np.array(pos, dtype=np.int64) + self._bits
+            _, _, reps, feas = self._cells(kid_pos, kid)
+            positions = product(*[(2 * p, 2 * p + 1) for p in pos])
+            codes, positions = np.flatnonzero(feas).tolist(), list(compress(positions, feas))
+            reps = reps[feas]
+        frozen = self._frozen(kid, positions)
+        return codes, positions, reps, None if frozen is None else frozen.tolist()
 
-    def _frozen(self, depth: int, pos: np.ndarray) -> Optional[np.ndarray]:
-        """Which depth-``depth`` cells at integer positions ``pos`` (shape
-        ``(n, d)``) cannot be split, or None when every one can.
+    def _scalar_children(
+        self, depth: int, parent: Sequence[int]
+    ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray]:
+        """Codes, positions and representatives of the feasible
+        depth-``depth`` children of the cell at ``parent``, as
+        :meth:`split` returns them, computed in Python floats.
+
+        Each axis has two halves, whose bounds ``q*s + l``, ``(q+1)*s +
+        l``, ``(q+2)*s + l`` and centers ``a + (m - a)*0.5`` are computed
+        once, and the children take the halves in code order, through
+        :func:`itertools.product`.  On a ball, so are each half's point
+        nearest to the ball's center and its norm terms, which the
+        children add up (or take the largest of) axis by axis, in the
+        column order of :meth:`Norm.length` for d <= 7.
+        """
+        scale = 0.5**depth
+        lows, edges = self._box_floats
+        axis_pos, axis_bounds, axis_centers = [], [], []
+        for p, low, edge in zip(parent, lows, edges):
+            q, s = 2 * p, edge * scale
+            a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
+            axis_pos.append((q, q + 1))
+            axis_bounds.append((a, m, b))
+            axis_centers += (a + (m - a) * 0.5, m + (b - m) * 0.5)
+        positions = list(product(*axis_pos))
+        reps = np.array(axis_centers)[self._center_index]
+        if self.restrict_to is None:
+            return list(range(len(positions))), positions, reps
+        kind, radius, ball_center = self._ball_floats
+        axis_near, center_dists, near_dists = [], None, None
+        for (a, m, b), center_a, center_b, c in zip(
+            axis_bounds, axis_centers[::2], axis_centers[1::2], ball_center
+        ):
+            # np.maximum(c, lo) and np.minimum(x, hi) return their second
+            # argument on a tie, which decides the sign of a zero
+            near_a, near_b = (a if a >= c else c), (m if m >= c else c)
+            near_a, near_b = (m if near_a >= m else near_a), (b if near_b >= b else near_b)
+            axis_near.append((near_a, near_b))
+            x0, x1, y0, y1 = center_a - c, center_b - c, near_a - c, near_b - c
+            if kind == "euclidean":
+                terms_c, terms_n = (x0 * x0, x1 * x1), (y0 * y0, y1 * y1)
+            else:
+                terms_c, terms_n = (abs(x0), abs(x1)), (abs(y0), abs(y1))
+            if center_dists is None:
+                center_dists, near_dists = terms_c, terms_n
+            elif kind == "sup":
+                center_dists = [t if t >= u else u for u in center_dists for t in terms_c]
+                near_dists = [t if t >= u else u for u in near_dists for t in terms_n]
+            else:
+                center_dists = [u + t for u in center_dists for t in terms_c]
+                near_dists = [u + t for u in near_dists for t in terms_n]
+        if kind == "euclidean":
+            center_dists = list(map(math.sqrt, center_dists))
+            near_dists = list(map(math.sqrt, near_dists))
+        if max(center_dists) > radius:
+            # a child whose center lies outside the ball is represented by
+            # its point nearest the ball's center
+            nearest = list(product(*axis_near))
+            for code, dist in enumerate(center_dists):
+                if dist > radius:
+                    reps[code] = nearest[code]
+        if max(near_dists) <= radius:
+            return list(range(len(positions))), positions, reps
+        codes = [code for code, dist in enumerate(near_dists) if dist <= radius]
+        return codes, [positions[code] for code in codes], reps[codes]
+
+    @cached_property
+    def _ball_floats(self) -> tuple[str, float, list[float]]:
+        """The ball restriction's norm kind, radius and center, the last
+        two as Python floats."""
+        ball = self.restrict_to
+        return ball.norm.kind, float(ball.radius), ball.center.tolist()
+
+    def _frozen(
+        self, depth: int, pos: Union[np.ndarray, Sequence[tuple[int, ...]]]
+    ) -> Optional[np.ndarray]:
+        """Which depth-``depth`` cells at integer positions ``pos`` (an
+        ``(n, d)`` int array, or n tuples of d ints) cannot be split, or
+        None when every one can.
 
         A cell at :attr:`max_depth` cannot, and neither can a cell one of
         whose children's centers does not lie strictly inside that
@@ -162,7 +256,8 @@ class BisectionPartition:
             return None
         frozen = None
         steps = self._step(depth + 1).tolist()
-        for col, step, low in zip(pos.T.tolist(), steps, self.box.lower.tolist()):
+        cols = pos.T.tolist() if isinstance(pos, np.ndarray) else zip(*pos)
+        for col, step, low in zip(cols, steps, self._box_floats[0]):
             for p in set(col):
                 q = 2 * p
                 a, m, b = q * step + low, (q + 1) * step + low, (q + 2) * step + low
@@ -198,14 +293,20 @@ class BisectionPartition:
     def _bits(self) -> np.ndarray:
         """``(arity, d)`` table of child offsets: ``bits[c, j]`` is 1 when
         child ``c`` takes the upper half along dimension j."""
-        return (self._codes[:, None] >> np.arange(self.dim - 1, -1, -1)) & 1
+        codes = np.arange(self.arity, dtype=np.int64)
+        return (codes[:, None] >> np.arange(self.dim - 1, -1, -1)) & 1
 
     @cached_property
-    def _codes(self) -> np.ndarray:
-        # split hands this array to every caller, so none may write to it
-        codes = np.arange(self.arity, dtype=np.int64)
-        codes.flags.writeable = False
-        return codes
+    def _center_index(self) -> np.ndarray:
+        """``(arity, d)`` index that lays out the per-axis child centers,
+        ``[lower half's on axis 0, upper half's on axis 0, lower half's
+        on axis 1, ...]``, as the children's rows."""
+        return 2 * np.arange(self.dim) + self._bits
+
+    @cached_property
+    def _box_floats(self) -> tuple[list[float], list[float]]:
+        """The box's lower corner and edges as Python floats."""
+        return self.box.lower.tolist(), self.box.edges.tolist()
 
     @cached_property
     def _steps(self) -> dict[int, np.ndarray]:
@@ -223,8 +324,11 @@ class BisectionPartition:
         self, pos: np.ndarray, depth: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Geometry of the depth-``depth`` cells at integer positions
-        ``pos`` (shape ``(n, d)``): the one place it is computed, read by
-        both :meth:`split` and :func:`verify_assumptions`.
+        ``pos`` (shape ``(n, d)``), batched: what
+        :func:`verify_assumptions` checks, and the reference that
+        :meth:`split` equals bit for bit.  :meth:`split` reads it only
+        for balls from d = 5 on; otherwise it computes its children's
+        geometry itself, in Python floats.
 
         Returns ``(lower, upper, reps, feasible)``.  Cells at a fixed depth
         tile the box: a cell is half-open (closed at its lower faces)
@@ -320,8 +424,12 @@ def verify_assumptions(
 
     Args:
       partition: a :class:`BisectionPartition`.  A subclass is verified
-        through its own :meth:`~BisectionPartition._cells`, the geometry
-        its :meth:`~BisectionPartition.split` hands the tree search.
+        through its own :meth:`~BisectionPartition._cells`.  That is the
+        geometry its :meth:`~BisectionPartition.split` hands the tree
+        search only for balls from d = 5 on; elsewhere ``split``
+        computes its children in Python floats, so a subclass that
+        overrides only ``_cells`` changes what is verified, not what is
+        searched.
       max_depth: deepest level to verify, inclusive.
       seed: seed for the interior sampling; results are deterministic.
     """

@@ -129,6 +129,25 @@ def test_invalid_budget_and_eps():
         cdoo_run(fn, eps=0.0, budget=10)
 
 
+@pytest.mark.parametrize(
+    "run, label",
+    [
+        (lambda fn, budget: cdoo_run(fn, 0.01, budget), "tent-d1"),
+        (lambda fn, budget: ncdoo_run(fn, budget), "tent-d1"),
+        (lambda fn, budget: lc.ps_run_1d(fn, 0.01, budget), "tent-d1"),
+        (lambda fn, budget: lc.ps_run_grid(fn, 0.01, budget), "cone-d2"),
+    ],
+    ids=["cdoo", "ncdoo", "ps1d", "psgrid"],
+)
+def test_a_bool_budget_is_rejected(run, label):
+    # True is an int equal to 1, but a trace must not record it as a budget
+    fn = lc.get_function(label)
+    for budget in (True, False):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            run(fn, budget)
+    assert run(fn, 1).budget == 1
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_evaluation_raises_instead_of_certifying(poison, bad):
     # max(0.0, nan) is 0.0, so a poisoned value used to become a zero
@@ -381,7 +400,7 @@ def test_search_matches_reference_at_depth_sixty():
         def split(self, depth, pos):
             kids = super().split(depth, pos)
             if kids[3] is not None:
-                frozen.extend([depth + 1] * int(kids[3].sum()))
+                frozen.extend([depth + 1] * sum(kids[3]))
             return kids
 
     fn = lc.get_function("tent-d1")
@@ -491,8 +510,8 @@ def test_split_matches_the_keyed_methods(part):
         assert frozen is None or np.array_equal(frozen, want)
         kids = _ref_children(part, key)
         mask = [_ref_feasible(part, k) for k in kids]
-        assert codes.tolist() == [c for c in range(part.arity) if mask[c]]
-        for code, row_pos, rep in zip(codes.tolist(), kid_pos, reps):
+        assert codes == [c for c in range(part.arity) if mask[c]]
+        for code, row_pos, rep in zip(codes, kid_pos, reps):
             kid = kids[code]
             assert kid[1] == _index(row_pos, depth + 1, part.dim)
             assert np.array_equal(rep, _ref_representative(part, kid))

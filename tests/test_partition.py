@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lipcert import (
     EUCLIDEAN,
     Ball,
     BisectionPartition,
     Box,
+    Norm,
     bisection_setup,
     verify_assumptions,
 )
@@ -46,9 +47,9 @@ def test_root_cell(unit2):
 
 def test_children_are_dimension_major(unit2):
     codes, kid_pos, reps, frozen = unit2.split(0, np.zeros(2, dtype=np.int64))
-    assert codes.tolist() == [0, 1, 2, 3] and frozen is None
+    assert codes == [0, 1, 2, 3] and frozen is None
     # child code's most significant bit moves along dimension 0
-    assert kid_pos.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert kid_pos == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert np.array_equal(reps, [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
     # the verifier's index order is the same child-code order
     assert np.array_equal(unit2._depth_summary(1)[2], reps)
@@ -87,9 +88,16 @@ def test_depth_cap():
     assert part.max_depth == 60
     codes, _, _, frozen = part.split(59, np.zeros(1, dtype=np.int64))
     # children at the cap are frozen whatever their geometry
-    assert codes.tolist() == [0, 1] and frozen.tolist() == [True, True]
+    assert codes == [0, 1] and frozen == [True, True]
     with pytest.raises(ValueError):
         part.split(60, np.zeros(1, dtype=np.int64))
+    # in 2-D the cap comes before float64 runs out at depth 46
+    part2 = BisectionPartition(Box(np.zeros(2), np.ones(2)))
+    assert part2.max_depth == 30 and part2._exact_depth == 46
+    codes, _, _, frozen = part2.split(29, (0, 0))
+    assert codes == [0, 1, 2, 3] and frozen == [True] * 4
+    with pytest.raises(ValueError):
+        part2.split(30, (0, 0))
     part3 = BisectionPartition(Box(np.zeros(3), np.ones(3)))
     assert part3.max_depth == 20
 
@@ -101,7 +109,7 @@ def test_split_flags_children_float64_cannot_split():
     assert part._frozen(52, np.array([[2**52 - 1]])).tolist() == [True]
     # so does its sibling, [1 - 2**-51, 1 - 2**-52)
     codes, _, _, frozen = part.split(51, np.array([2**51 - 1]))
-    assert codes.tolist() == [0, 1] and frozen.tolist() == [True, True]
+    assert codes == [0, 1] and frozen == [True, True]
     # near zero float64 still resolves depth-59 cells: no child is frozen
     codes, _, reps, frozen = part.split(58, np.zeros(1, dtype=np.int64))
     assert reps.ravel().tolist() == [2.0**-60, 3 * 2.0**-60] and frozen is None
@@ -111,7 +119,84 @@ def test_split_flags_children_float64_cannot_split():
         51, np.array([552588911333803])
     )
     assert reps.ravel().tolist() == [0.5, 0.5000000000000004]
-    assert frozen.tolist() == [False, True]
+    assert frozen == [False, True]
+
+
+def _reference_split(part, depth, pos):
+    # the batched geometry: _cells and _frozen over all 2**d children,
+    # then the feasible ones, with "no child frozen" as all False
+    kid_pos = 2 * np.asarray(pos, dtype=np.int64) + part._bits
+    _, _, reps, feas = part._cells(kid_pos, depth + 1)
+    frozen = part._frozen(depth + 1, kid_pos)
+    feas = np.ones(len(kid_pos), dtype=bool) if feas is None else feas
+    frozen = np.zeros(len(kid_pos), dtype=bool) if frozen is None else frozen
+    return np.flatnonzero(feas).tolist(), kid_pos[feas].tolist(), reps[feas], frozen[feas].tolist()
+
+
+@st.composite
+def _cells_to_split(draw):
+    # balls split through _cells from d = 5 on
+    d = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, -0.0, 0.5, -1e9, 1e9]) | st.floats(-1e9, 1e9))
+    scale = draw(st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1e3))
+    kind = draw(st.sampled_from(["box", "sup", "euclidean", "l1"]))
+    if kind == "box":
+        edges = draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d))
+        part = BisectionPartition(Box(np.full(d, offset), offset + scale * np.array(edges)))
+        middle = part.box.center
+    else:
+        # with offset -0.0, a -0.0 coordinate puts cell bounds at 0.0 on
+        # the ball's center
+        coords = st.just(-0.0) | st.floats(-1.0, 1.0)
+        middle = np.array([draw(coords) * scale + offset for _ in range(d)])
+        ball = Ball(middle, scale, Norm(kind))
+        # a box wider than its ball (the tree search splits only the
+        # enclosing one) has cells beside the ball's center whose centers
+        # miss the ball
+        wider = draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 3.0))
+        outer = ball.enclosing_box()
+        part = BisectionPartition(Box(outer.lower, outer.upper + wider * scale), ball)
+    top = part.max_depth - 1
+    if d == 1 and draw(st.booleans()):
+        # deep cells near 0 and near 0.5, where float64 spacing changes
+        depth = draw(st.integers(50, top))
+        near = draw(st.sampled_from([0, 2 ** (depth - 1)]))
+        pos = [min(max(near + draw(st.integers(-3, 3)), 0), 2**depth - 1)]
+    else:
+        depth = draw(st.sampled_from([0, top]) | st.integers(0, top))
+        # cells on the lower and upper faces, beside the ball's center or
+        # the box's, or anywhere
+        pos = []
+        for j in range(d):
+            mid = float((middle[j] - part.box.lower[j]) / part.box.edges[j])
+            frac = draw(st.sampled_from([0.0, mid, 1.0]) | st.floats(0.0, 1.0))
+            p = int(frac * 2**depth) + draw(st.sampled_from([0, -1]))
+            pos.append(min(max(p, 0), 2**depth - 1))
+    as_array = draw(st.booleans())
+    return part, depth, np.array(pos, dtype=np.int64) if as_array else tuple(pos)
+
+
+# Children beside the line x = -0.0 through the ball's center whose
+# centers miss the ball: numpy's clamp gives their nearest points +0.0
+_TIES = BisectionPartition(Box([-1.0, -1.0], [3.0, 3.0]), Ball([-0.0, 0.0], 1.0, EUCLIDEAN))
+
+
+@given(_cells_to_split())
+@example((_TIES, 2, (1, 2)))
+@example((_TIES, 2, (0, 2)))
+@settings(deadline=None, max_examples=300)
+def test_split_equals_the_batched_geometry_bit_for_bit(case):
+    part, depth, pos = case
+    codes, positions, reps, frozen = part.split(depth, pos)
+    want_codes, want_positions, want_reps, want_frozen = _reference_split(part, depth, pos)
+    assert codes == want_codes
+    assert positions == [tuple(p) for p in want_positions]
+    assert all(type(x) is int for p in positions for x in p)
+    assert reps.dtype == want_reps.dtype == np.float64
+    assert reps.shape == want_reps.shape == (len(codes), part.dim)
+    # bytes, so that -0.0 and 0.0 differ
+    assert reps.tobytes() == want_reps.tobytes()
+    assert (frozen or [False] * len(codes)) == want_frozen
 
 
 def test_exact_depth_of_common_boxes():
@@ -167,8 +252,8 @@ def test_cells_nest_into_parents(d, depth, raw_index):
     for level in range(depth):
         code = index // part.arity ** (depth - 1 - level) % part.arity
         codes, kid_pos, reps, _ = part.split(level, pos)
-        assert codes.tolist() == list(range(part.arity))
-        pos = kid_pos[code]
+        assert codes == list(range(part.arity))
+        pos = np.array(kid_pos[code])
         klo, khi, krep, _ = part._cells(pos[None], level + 1)
         assert np.all(khi - klo == pytest.approx(0.5 ** (level + 1)))
         assert np.all(klo >= lo - 1e-15)
@@ -196,9 +281,9 @@ def test_ball_restriction_feasibility(disc):
     # depth-3 corner cell [-1,-0.75]^2 (index 0) is fully outside the ball
     assert not disc._depth_summary(3)[3][0]
     assert 0 not in disc.split(2, np.zeros(2, dtype=np.int64))[0]
-    # so none of its children is feasible: empty arrays
+    # so none of its children is feasible: no children
     codes, kid_pos, reps, frozen = disc.split(3, np.zeros(2, dtype=np.int64))
-    assert codes.shape == (0,) and kid_pos.shape == reps.shape == (0, 2)
+    assert codes == kid_pos == [] and reps.shape == (0, 2)
     assert frozen is None
 
 
@@ -206,7 +291,7 @@ def test_ball_restriction_moves_representative_inside(disc):
     # cell [0.5,1]^2 is child 3 of depth-1 cell (1, 1); its center is
     # outside the ball
     codes, kid_pos, reps, _ = disc.split(1, np.array([1, 1]))
-    assert codes.tolist()[-1] == 3 and kid_pos[-1].tolist() == [3, 3]
+    assert codes[-1] == 3 and kid_pos[-1] == (3, 3)
     rep = reps[-1]
     assert not disc.restrict_to.contains(np.full(2, 0.75))
     assert disc.restrict_to.contains(rep)
