@@ -10,9 +10,9 @@ The non-certified variant runs to its budget and emits no bounds.
 
 Each leaf carries its integer cell position as a tuple of ints, so
 expanding a cell costs one :meth:`BisectionPartition.split` (in Python
-floats, one axis at a time, except on a ball from d = 5 on), one
-evaluation of the array of its fresh representatives, and one heap push
-per child.  Nothing is decoded from flat cell indices.
+floats, one axis at a time), one evaluation of the array of its fresh
+representatives, and one heap push per child.  Nothing is decoded from
+flat cell indices.
 
 No point is queried twice, by two rules.  A cell that float64 cannot
 split, because some child's center would not lie strictly inside that
@@ -42,8 +42,15 @@ from ..partition import BisectionPartition, bisection_setup
 
 
 def _fits(partition: object, canonical: BisectionPartition) -> bool:
-    """Whether ``partition`` has :func:`bisection_setup`'s geometry."""
+    """Whether ``partition`` has :func:`bisection_setup`'s geometry.
+
+    A subclass that overrides ``_cells`` does not: that method's geometry
+    is what :func:`~lipcert.partition.verify_assumptions` checks, but
+    ``split`` does not read it, so the run would search other cells.
+    """
     if not isinstance(partition, BisectionPartition):
+        return False
+    if type(partition)._cells is not BisectionPartition._cells:
         return False
     box, ball, want = partition.box, partition.restrict_to, canonical.restrict_to
     if not (
@@ -75,7 +82,8 @@ def _tree_search(
         # a larger one queries points outside the domain.
         raise ValueError(
             "partition must bisect the objective's enclosing box, restricted "
-            "to the domain when it is a ball, as bisection_setup builds it"
+            "to the domain when it is a ball, as bisection_setup builds it, "
+            "with BisectionPartition's own _cells"
         )
     check_run_args(eps, budget)
     certified = eps is not None
@@ -83,8 +91,8 @@ def _tree_search(
     diam = partition.diam_bound
     arity = partition.arity
     shrink = partition.shrink
-    root = np.zeros((1, partition.dim), np.int64)
-    _, _, root_reps, _ = partition._cells(root, 0)
+    root = (0,) * partition.dim
+    _, _, root_reps, _ = partition._cells(np.array([root]), 0)
     rep0 = root_reps[0]
     v0 = float(fn(rep0))
     blocks = [rep0[None]]
@@ -106,9 +114,9 @@ def _tree_search(
     # split become leaves; the optimistic values of the others, frozen
     # by the depth cap or by float64, form an envelope that stays in the
     # certificate.
-    leaves = [(-(v0 + lip * diam), 0, 0, (0,) * partition.dim)]
+    leaves = [(-(v0 + lip * diam), 0, 0, root)]
     frozen_b = -np.inf
-    if partition._frozen(0, root) is not None:
+    if partition._frozen(0, [root]) is not None:
         frozen_b = -leaves.pop()[0]
     done = certified and certs[0] <= eps
     while leaves and len(values) < budget and not done:

@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, product
-from typing import Optional, Sequence, Union
+from itertools import product
+from typing import Optional
 
 import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound
 from .core._buckets import Buckets
-from .core.geometry import _all_columns
+from .core.geometry import _COLUMN_DIMS, _all_columns
 
 
 # int64 cell indices and exact dyadic arithmetic both need d * depth to
@@ -38,11 +38,6 @@ from .core.geometry import _all_columns
 _MAX_BITS = 60
 # Offsets from a cell's position to its lower and upper corners.
 _CORNERS = np.array([0, 1], dtype=np.int64).reshape(2, 1, 1)
-# Widest ball whose cells split in Python floats.  Each child's distance
-# to the ball's center is combined in Python, so from 2**5 children on
-# one _cells call over their arrays costs less; a box's children need no
-# per-child arithmetic and split in floats at every d.
-_FLOAT_BALL_DIMS = 4
 
 
 @dataclass(frozen=True)
@@ -114,11 +109,10 @@ class BisectionPartition:
         return _MAX_BITS // self.dim
 
     def split(
-        self, depth: int, pos: Sequence[int]
+        self, depth: int, pos: tuple[int, ...]
     ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray, Optional[list[bool]]]:
         """Feasible children of the depth-``depth`` cell at integer
-        position ``pos`` (d ints, as a tuple or an int array), in
-        child-code order.
+        position ``pos`` (a tuple of d ints), in child-code order.
 
         Returns ``(codes, positions, representatives, frozen)``: child
         ``c`` has index ``parent_index * arity + c`` at depth ``depth +
@@ -134,51 +128,23 @@ class BisectionPartition:
         domain.  Raises ``ValueError`` for a negative depth or one at
         :attr:`max_depth`.
 
-        The children of a box cell, and of a ball cell up to d = 4, are
-        computed in Python floats by :meth:`_scalar_children`, with the
-        operations of :meth:`_cells` in its order, so that every value
-        equals the numpy one bit for bit.  Those of a ball cell from
-        d = 5 on, where per-child Python work costs more than numpy's
-        fixed cost per call, come from one :meth:`_cells` call over the
-        stacked child positions.
+        The children are computed in Python floats, with the operations
+        of :meth:`_cells` in its order, so that every value equals the
+        batched one bit for bit.  Each axis has two halves, whose bounds
+        ``q*s + l``, ``(q+1)*s + l``, ``(q+2)*s + l`` and centers ``a +
+        (m - a)*0.5`` are computed once, and the children take the
+        halves in code order, through :func:`itertools.product`.  A ball
+        restriction then goes through :meth:`_ball_children`.
         """
         if not 0 <= depth < self.max_depth:
             raise ValueError(
                 f"cannot split a depth-{depth} cell; depths 0..{self.max_depth - 1} split"
             )
-        if isinstance(pos, np.ndarray):
-            pos = pos.tolist()
-        kid = depth + 1
-        if self.restrict_to is None or self.dim <= _FLOAT_BALL_DIMS:
-            codes, positions, reps = self._scalar_children(kid, pos)
-        else:
-            kid_pos = 2 * np.array(pos, dtype=np.int64) + self._bits
-            _, _, reps, feas = self._cells(kid_pos, kid)
-            positions = product(*[(2 * p, 2 * p + 1) for p in pos])
-            codes, positions = np.flatnonzero(feas).tolist(), list(compress(positions, feas))
-            reps = reps[feas]
-        frozen = self._frozen(kid, positions)
-        return codes, positions, reps, None if frozen is None else frozen.tolist()
-
-    def _scalar_children(
-        self, depth: int, parent: Sequence[int]
-    ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray]:
-        """Codes, positions and representatives of the feasible
-        depth-``depth`` children of the cell at ``parent``, as
-        :meth:`split` returns them, computed in Python floats.
-
-        Each axis has two halves, whose bounds ``q*s + l``, ``(q+1)*s +
-        l``, ``(q+2)*s + l`` and centers ``a + (m - a)*0.5`` are computed
-        once, and the children take the halves in code order, through
-        :func:`itertools.product`.  On a ball, so are each half's point
-        nearest to the ball's center and its norm terms, which the
-        children add up (or take the largest of) axis by axis, in the
-        column order of :meth:`Norm.length` for d <= 7.
-        """
+        depth += 1
         scale = 0.5**depth
         lows, edges = self._box_floats
         axis_pos, axis_bounds, axis_centers = [], [], []
-        for p, low, edge in zip(parent, lows, edges):
+        for p, low, edge in zip(pos, lows, edges):
             q, s = 2 * p, edge * scale
             a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
             axis_pos.append((q, q + 1))
@@ -187,8 +153,36 @@ class BisectionPartition:
         positions = list(product(*axis_pos))
         reps = np.array(axis_centers)[self._center_index]
         if self.restrict_to is None:
-            return list(range(len(positions))), positions, reps
+            codes = list(range(len(positions)))
+        else:
+            codes, positions, reps = self._ball_children(
+                axis_bounds, axis_centers, positions, reps
+            )
+        frozen = self._frozen(depth, positions)
+        return codes, positions, reps, None if frozen is None else frozen.tolist()
+
+    def _ball_children(
+        self,
+        axis_bounds: list[tuple[float, float, float]],
+        axis_centers: list[float],
+        positions: list[tuple[int, ...]],
+        reps: np.ndarray,
+    ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray]:
+        """The children that meet the ball restriction, with their codes,
+        positions and representatives, from the per-axis bounds and
+        centers :meth:`split` computed and the children's positions and
+        centers (``reps``, overwritten).
+
+        Each half's point nearest to the ball's center and its norm terms
+        are computed once per axis, and the children add the terms up
+        (or take the largest of them) axis by axis, in the column order
+        of :meth:`Norm.length`.  From d = 8 on that method reduces each
+        row with numpy, in an order these sums do not follow, so there
+        the distances come from one :meth:`Norm.length` call over the
+        children's centers and nearest points.
+        """
         kind, radius, ball_center = self._ball_floats
+        columns = self.dim <= _COLUMN_DIMS
         axis_near, center_dists, near_dists = [], None, None
         for (a, m, b), center_a, center_b, c in zip(
             axis_bounds, axis_centers[::2], axis_centers[1::2], ball_center
@@ -198,6 +192,8 @@ class BisectionPartition:
             near_a, near_b = (a if a >= c else c), (m if m >= c else c)
             near_a, near_b = (m if near_a >= m else near_a), (b if near_b >= b else near_b)
             axis_near.append((near_a, near_b))
+            if not columns:
+                continue
             x0, x1, y0, y1 = center_a - c, center_b - c, near_a - c, near_b - c
             if kind == "euclidean":
                 terms_c, terms_n = (x0 * x0, x1 * x1), (y0 * y0, y1 * y1)
@@ -211,7 +207,11 @@ class BisectionPartition:
             else:
                 center_dists = [u + t for u in center_dists for t in terms_c]
                 near_dists = [u + t for u in near_dists for t in terms_n]
-        if kind == "euclidean":
+        if not columns:
+            ball = self.restrict_to
+            points = np.stack((reps, np.array(axis_near).ravel()[self._center_index]))
+            center_dists, near_dists = ball.norm.length(points - ball.center).tolist()
+        elif kind == "euclidean":
             center_dists = list(map(math.sqrt, center_dists))
             near_dists = list(map(math.sqrt, near_dists))
         if max(center_dists) > radius:
@@ -233,12 +233,9 @@ class BisectionPartition:
         ball = self.restrict_to
         return ball.norm.kind, float(ball.radius), ball.center.tolist()
 
-    def _frozen(
-        self, depth: int, pos: Union[np.ndarray, Sequence[tuple[int, ...]]]
-    ) -> Optional[np.ndarray]:
-        """Which depth-``depth`` cells at integer positions ``pos`` (an
-        ``(n, d)`` int array, or n tuples of d ints) cannot be split, or
-        None when every one can.
+    def _frozen(self, depth: int, pos: list[tuple[int, ...]]) -> Optional[np.ndarray]:
+        """Which depth-``depth`` cells at integer positions ``pos`` (n
+        tuples of d ints) cannot be split, or None when every one can.
 
         A cell at :attr:`max_depth` cannot, and neither can a cell one of
         whose children's centers does not lie strictly inside that
@@ -256,8 +253,7 @@ class BisectionPartition:
             return None
         frozen = None
         steps = self._step(depth + 1).tolist()
-        cols = pos.T.tolist() if isinstance(pos, np.ndarray) else zip(*pos)
-        for col, step, low in zip(cols, steps, self._box_floats[0]):
+        for col, step, low in zip(zip(*pos), steps, self._box_floats[0]):
             for p in set(col):
                 q = 2 * p
                 a, m, b = q * step + low, (q + 1) * step + low, (q + 2) * step + low
@@ -326,9 +322,8 @@ class BisectionPartition:
         """Geometry of the depth-``depth`` cells at integer positions
         ``pos`` (shape ``(n, d)``), batched: what
         :func:`verify_assumptions` checks, and the reference that
-        :meth:`split` equals bit for bit.  :meth:`split` reads it only
-        for balls from d = 5 on; otherwise it computes its children's
-        geometry itself, in Python floats.
+        :meth:`split` equals bit for bit.  :meth:`split` does not read
+        it: it computes its children's geometry in Python floats.
 
         Returns ``(lower, upper, reps, feasible)``.  Cells at a fixed depth
         tile the box: a cell is half-open (closed at its lower faces)
@@ -424,12 +419,11 @@ def verify_assumptions(
 
     Args:
       partition: a :class:`BisectionPartition`.  A subclass is verified
-        through its own :meth:`~BisectionPartition._cells`.  That is the
-        geometry its :meth:`~BisectionPartition.split` hands the tree
-        search only for balls from d = 5 on; elsewhere ``split``
-        computes its children in Python floats, so a subclass that
-        overrides only ``_cells`` changes what is verified, not what is
-        searched.
+        through its own :meth:`~BisectionPartition._cells`.
+        :meth:`~BisectionPartition.split` computes the same geometry in
+        Python floats without reading it, so the tree search refuses a
+        subclass that overrides ``_cells``: what it verifies would not
+        be what is searched.
       max_depth: deepest level to verify, inclusive.
       seed: seed for the interior sampling; results are deterministic.
     """

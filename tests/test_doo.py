@@ -252,6 +252,23 @@ def test_partition_ball_must_be_the_domain():
     )
 
 
+def test_partition_must_not_override_the_verified_geometry():
+    # verify_assumptions checks _cells, which split does not read, so a
+    # subclass overriding it would be verified on cells it is not
+    # searched on
+    class OwnCells(BisectionPartition):
+        def _cells(self, pos, depth):
+            return super()._cells(pos, depth)
+
+    fn = lc.get_function("cone-d2")
+    canonical, _ = bisection_setup(fn)
+    part = OwnCells(canonical.box, canonical.restrict_to)
+    with pytest.raises(ValueError, match="own _cells"):
+        cdoo_run(fn, 0.1, 100, partition=part)
+    with pytest.raises(ValueError, match="own _cells"):
+        ncdoo_run(fn, 100, partition=part)
+
+
 # --- reference: the tree search as it ran on keyed cell methods ----------
 
 # A cell key is a (depth, index) tuple; depth-h indices run over
@@ -492,16 +509,17 @@ def test_split_matches_the_keyed_methods(part):
     ball = part.restrict_to
     cells = []
     for depth in depths:
-        cells.append((depth, rng.integers(0, 2**depth, size=part.dim, dtype=np.int64)))
+        cells.append((depth, tuple(rng.integers(0, 2**depth, size=part.dim).tolist())))
         if ball is not None:
             # random cells of an 8-d box mostly miss its ball
             point = ball.uniform_sample(rng, 1)[0]
             frac = (point - part.box.lower) / part.box.edges
-            cells.append((depth, np.minimum((frac * 2**depth).astype(np.int64), 2**depth - 1)))
+            cell = np.minimum((frac * 2**depth).astype(np.int64), 2**depth - 1)
+            cells.append((depth, tuple(cell.tolist())))
     for depth, pos in cells:
         key = (depth, _index(pos, depth, part.dim))
         assert np.array_equal(_ref_positions(part, key), pos)
-        cell_frozen = part._frozen(depth, pos[None])
+        cell_frozen = part._frozen(depth, [pos])
         assert (cell_frozen is not None and cell_frozen[0]) == _ref_frozen(part, key)
         codes, kid_pos, reps, frozen = part.split(depth, pos)
         # the children's flags are what the cell test gives for them
@@ -516,7 +534,7 @@ def test_split_matches_the_keyed_methods(part):
             assert kid[1] == _index(row_pos, depth + 1, part.dim)
             assert np.array_equal(rep, _ref_representative(part, kid))
     with pytest.raises(ValueError):
-        part.split(part.max_depth, np.zeros(part.dim, dtype=np.int64))
+        part.split(part.max_depth, (0,) * part.dim)
 
 
 # --- no point is queried twice -------------------------------------------
