@@ -46,7 +46,10 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Parsed sweep parameters; every field has a workable default."""
+    """Sweep parameters; every field has a workable default.  Making
+    one, through :func:`parse_sweep_config` or ``dataclasses.replace``
+    alike, checks every field and raises ``ValueError`` for a value no
+    sweep can run with."""
 
     functions: tuple[str, ...] = LABELS
     lip: float = 1.0
@@ -62,6 +65,29 @@ class SweepConfig:
     jobs: int = 1
     out: str = "sweep.csv"
     plot_stem: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name in self.functions:
+            if name not in LABELS:
+                raise ValueError(f"unknown function {name!r} in 'functions'")
+        for name in list(self.budgets) + list(self.algorithms):
+            if name not in LABELS:
+                raise ValueError(f"override for unknown function {name!r}")
+        for name, algo in self.algorithms.items():
+            if algo not in CERTIFIED:
+                raise ValueError(f"unknown algorithm {algo!r} for {name!r}")
+        if self.lip <= 0:
+            raise ValueError("L must be positive")
+        if self.eps_count < 1:
+            raise ValueError("eps-count must be at least 1")
+        if self.budget < 1 or any(b < 1 for b in self.budgets.values()):
+            raise ValueError("budgets must be positive")
+        if self.grid_step_divisor < 8 * (1 - 1e-12):
+            raise ValueError("grid-step-divisor must be at least 8")
+        if self.integral_method not in ("grid", "montecarlo"):
+            raise ValueError(f"unknown integral-method {self.integral_method!r}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 # Config key of each scalar setting: its field name with dashes, and L
@@ -122,34 +148,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
         else:
             settings[name] = convert(entry, str if default is None else type(default))
     budgets, algorithms = overrides.values()
-    config = replace(
+    return replace(
         defaults,
         budgets={name: convert(entry, int) for name, entry in budgets.items()},
         algorithms={name: entry[2] for name, entry in algorithms.items()},
         **settings,
     )
-    for name in config.functions:
-        if name not in LABELS:
-            raise ValueError(f"unknown function {name!r} in 'functions'")
-    for name in list(config.budgets) + list(config.algorithms):
-        if name not in LABELS:
-            raise ValueError(f"override for unknown function {name!r}")
-    for name, algo in config.algorithms.items():
-        if algo not in CERTIFIED:
-            raise ValueError(f"unknown algorithm {algo!r} for {name!r}")
-    if config.lip <= 0:
-        raise ValueError("L must be positive")
-    if config.eps_count < 1:
-        raise ValueError("eps-count must be at least 1")
-    if config.budget < 1 or any(b < 1 for b in config.budgets.values()):
-        raise ValueError("budgets must be positive")
-    if config.grid_step_divisor < 8 * (1 - 1e-12):
-        raise ValueError("grid-step-divisor must be at least 8")
-    if config.integral_method not in ("grid", "montecarlo"):
-        raise ValueError(f"unknown integral-method {config.integral_method!r}")
-    if config.jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return config
 
 
 def _fmt(value) -> str:

@@ -58,11 +58,6 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
-# Up to this many coordinates numpy reduces a row in column order, which
-# ``_column_length`` reproduces; longer rows are summed pairwise.
-_COLUMN_DIMS = 7
-
-
 def _column_length(
     kind: str,
     cols: np.ndarray,
@@ -70,8 +65,8 @@ def _column_length(
     out: Union[np.ndarray, None] = None,
 ) -> np.ndarray:
     """Norm of the vectors whose coordinate ``j`` is ``cols[j]``, for
-    ``cols`` of shape ``(d, ...)``, combining the coordinates in order
-    ``j = 0, 1, ...`` (see :meth:`Norm.length`).
+    ``cols`` of shape ``(d, ...)`` with ``d >= 1``, combining the
+    coordinates in order ``j = 0, 1, ...`` (see :meth:`Norm.length`).
 
     ``terms``, shaped like ``cols`` (and possibly ``cols`` itself),
     receives ``|x_j|`` or ``x_j * x_j``, and ``out``, shaped like
@@ -110,31 +105,27 @@ class Norm:
 
     def length(self, v: np.ndarray) -> Union[float, np.ndarray]:
         """Norm of a vector ``(d,)`` (a ``float``), of each row of a batch
-        ``(n, d)``, or along the last axis of any ``(..., d)`` array.
+        ``(n, d)``, or along the last axis of any ``(..., d)`` array.  A
+        0-d input is a vector of one coordinate; a last axis of length 0
+        raises ``ValueError``.
 
-        For ``1 <= d <= 7`` the coordinate columns are combined in order
-        ``j = 0, 1, ..., d - 1``: ``sup`` is a chain of ``np.maximum``
-        over ``|x_j|``, ``euclidean`` is ``x_0 * x_0``, then ``+= x_j *
-        x_j`` for each later column, then ``sqrt``, and ``l1`` adds the
-        ``|x_j|`` in order.  numpy reduces a row of fewer than 8 entries
-        in that same order, so the results are bitwise those of
-        ``.max(axis=-1)`` and ``.sum(axis=-1)``, without the cost numpy
-        pays to reduce a short axis.  From ``d = 8`` on those row
-        reductions are used as they are, because numpy sums longer rows
-        pairwise.
+        The coordinate columns are combined in order ``j = 0, 1, ...,
+        d - 1`` at every d: ``sup`` is a chain of ``np.maximum`` over
+        ``|x_j|``, ``euclidean`` is ``x_0 * x_0``, then ``+= x_j * x_j``
+        for each later column, then ``sqrt``, and ``l1`` adds the
+        ``|x_j|`` in order.  The result does not depend on the memory
+        layout of ``v``.  For ``d <= 7`` it is bitwise that of
+        ``.max(axis=-1)`` and ``.sum(axis=-1)``, which reduce rows that
+        short in the same order, without the cost numpy pays to reduce a
+        short axis; from ``d = 8`` on numpy sums rows pairwise, in an
+        order that depends on the layout.
         """
         v = np.asarray(v, dtype=float)
-        if 1 <= (v.shape[-1] if v.ndim else 0) <= _COLUMN_DIMS:
-            if v.ndim == 1:
-                return float(_column_length(self.kind, v[:, None])[0])
-            return _column_length(self.kind, v.T).T
-        if self.kind == "sup":
-            out = np.abs(v).max(axis=-1)
-        elif self.kind == "euclidean":
-            out = np.sqrt((v * v).sum(axis=-1))
-        else:
-            out = np.abs(v).sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
+        if v.shape[-1:] == (0,):
+            raise ValueError(f"vectors of dimension 0 have no norm, got shape {v.shape}")
+        if v.ndim <= 1:
+            return float(_column_length(self.kind, v.reshape(-1, 1))[0])
+        return _column_length(self.kind, v.T).T
 
     def unit_ball_volume(self, dim: int) -> float:
         """Exact volume of the unit ball of this norm in dimension ``dim``."""
@@ -176,8 +167,8 @@ class Box:
     def __post_init__(self) -> None:
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float)).copy()
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float)).copy()
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower and upper must be 1-D arrays of equal length")
+        if lower.shape != upper.shape or lower.ndim != 1 or lower.size == 0:
+            raise ValueError("lower and upper must be nonempty 1-D arrays of equal length")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
         lower.flags.writeable = False
@@ -224,8 +215,8 @@ class Ball:
 
     def __post_init__(self) -> None:
         center = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
-        if center.ndim != 1:
-            raise ValueError("center must be a 1-D array")
+        if center.ndim != 1 or center.size == 0:
+            raise ValueError("center must be a nonempty 1-D array")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         center.flags.writeable = False

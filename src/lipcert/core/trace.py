@@ -291,15 +291,24 @@ def trace_to_json(trace: RunTrace) -> str:
 def trace_from_json(text: str) -> RunTrace:
     """Inverse of :func:`trace_to_json`; round-trips bitwise.
 
-    Raises ValueError when a record's ``n`` is not its 1-based position
-    or a query, value or recommendation is not finite, since no
-    evaluation can have produced it.  A ``+inf`` certificate is valid.
+    Raises ValueError for what no run can have produced: a header whose
+    ``eps`` and ``budget`` fail :func:`check_run_args`, whose ``L`` is
+    not positive, or whose budget is smaller than the number of records;
+    a record whose ``n`` is not its 1-based position; and a query, value
+    or recommendation that is not finite.  A ``+inf`` certificate is
+    valid.
     """
     doc = json.loads(text)
     header = doc["header"]
     records = doc["records"]
     if not records:
         raise ValueError("trace document contains no records")
+    lip, eps, budget = float(header["L"]), _float_or_none(header["eps"]), header["budget"]
+    check_run_args(eps, budget)
+    if not lip > 0:
+        raise ValueError(f"Lipschitz bound must be positive, got {lip}")
+    if len(records) > budget:
+        raise ValueError(f"{len(records)} records exceed the budget of {budget}")
     for i, record in enumerate(records, start=1):
         if record.get("n") != i:
             raise ValueError(f"record {i} has n = {record.get('n')!r}, not its position {i}")
@@ -321,9 +330,9 @@ def trace_from_json(text: str) -> RunTrace:
     return RunTrace(
         algorithm=header["algorithm"],
         function=header["function"],
-        lip_bound=float(header["L"]),
-        eps=_float_or_none(header["eps"]),
-        budget=int(header["budget"]),
+        lip_bound=lip,
+        eps=eps,
+        budget=budget,
         queries=queries,
         values=values,
         rec_points=recs,

@@ -116,7 +116,7 @@ def _tree_search(
     # certificate.
     leaves = [(-(v0 + lip * diam), 0, 0, root)]
     frozen_b = -np.inf
-    if partition._frozen(0, [root]) is not None:
+    if partition._frozen(0, root):
         frozen_b = -leaves.pop()[0]
     done = certified and certs[0] <= eps
     while leaves and len(values) < budget and not done:

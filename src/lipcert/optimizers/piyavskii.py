@@ -286,10 +286,8 @@ def ps_run_grid(
     stored once per run as one row per coordinate, and the O(n d)
     scratch memory for differences, distances and cone values is
     allocated once per run, not per query.  The distances combine the
-    d coordinate terms in order, as :meth:`Norm.length` does; they
-    match it bitwise for ``d <= 7``, while from ``d = 8`` on
-    ``Norm.length`` sums each row pairwise and the euclidean and l1
-    distances may differ from it in the last bit.
+    d coordinate terms in order, as :meth:`Norm.length` does, and match
+    it bitwise.
 
     Args:
       fn: objective in dimension at least two.

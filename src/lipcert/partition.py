@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound
 from .core._buckets import Buckets
-from .core.geometry import _COLUMN_DIMS, _all_columns
+from .core.geometry import _all_columns
 
 
 # int64 cell indices and exact dyadic arithmetic both need d * depth to
@@ -38,6 +38,18 @@ from .core.geometry import _COLUMN_DIMS, _all_columns
 _MAX_BITS = 60
 # Offsets from a cell's position to its lower and upper corners.
 _CORNERS = np.array([0, 1], dtype=np.int64).reshape(2, 1, 1)
+
+
+def _unsplittable(p: int, step: float, low: float) -> bool:
+    """Whether float64 cannot halve, along one axis, the cell at integer
+    position ``p`` whose children there have edge ``step``: a child's
+    center, computed from its bounds as :meth:`BisectionPartition._cells`
+    computes them, would not lie strictly inside them, so the child
+    would repeat a point already seen.  Python floats round as numpy
+    does."""
+    q = 2 * p
+    a, m, b = q * step + low, (q + 1) * step + low, (q + 2) * step + low
+    return not a < a + (m - a) * 0.5 < m < m + (b - m) * 0.5 < b
 
 
 @dataclass(frozen=True)
@@ -123,9 +135,9 @@ class BisectionPartition:
         along dimension 0.  No children (``n = 0``) means that none meets
         the ball restriction, so the cell holds no domain point left to
         search and can be dropped.  ``frozen`` marks the children that
-        cannot be split again, as :meth:`_frozen` decides, and is None
-        when every child can; a frozen child still belongs to the
-        domain.  Raises ``ValueError`` for a negative depth or one at
+        cannot be split again, as :meth:`_frozen` decides for each, and
+        is None when every child can; a frozen child still belongs to
+        the domain.  Raises ``ValueError`` for a negative depth or one at
         :attr:`max_depth`.
 
         The children are computed in Python floats, with the operations
@@ -133,8 +145,12 @@ class BisectionPartition:
         batched one bit for bit.  Each axis has two halves, whose bounds
         ``q*s + l``, ``(q+1)*s + l``, ``(q+2)*s + l`` and centers ``a +
         (m - a)*0.5`` are computed once, and the children take the
-        halves in code order, through :func:`itertools.product`.  A ball
-        restriction then goes through :meth:`_ball_children`.
+        halves in code order, through :func:`itertools.product`.  From
+        :attr:`_exact_depth` on, the same pass tests whether float64 can
+        split each half (:func:`_unsplittable`), and a child is frozen
+        when one of its halves cannot be split or when it sits at
+        :attr:`max_depth`.  A ball restriction then goes through
+        :meth:`_ball_children`.
         """
         if not 0 <= depth < self.max_depth:
             raise ValueError(
@@ -142,14 +158,19 @@ class BisectionPartition:
             )
         depth += 1
         scale = 0.5**depth
+        # the halves' own children have edges edge * kid_scale
+        kid_scale = 0.5 ** (depth + 1) if self._exact_depth <= depth < self.max_depth else None
         lows, edges = self._box_floats
-        axis_pos, axis_bounds, axis_centers = [], [], []
+        axis_pos, axis_bounds, axis_centers, axis_frozen = [], [], [], []
         for p, low, edge in zip(pos, lows, edges):
             q, s = 2 * p, edge * scale
             a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
             axis_pos.append((q, q + 1))
             axis_bounds.append((a, m, b))
             axis_centers += (a + (m - a) * 0.5, m + (b - m) * 0.5)
+            if kid_scale is not None:
+                t = edge * kid_scale
+                axis_frozen.append((_unsplittable(q, t, low), _unsplittable(q + 1, t, low)))
         positions = list(product(*axis_pos))
         reps = np.array(axis_centers)[self._center_index]
         if self.restrict_to is None:
@@ -158,8 +179,11 @@ class BisectionPartition:
             codes, positions, reps = self._ball_children(
                 axis_bounds, axis_centers, positions, reps
             )
-        frozen = self._frozen(depth, positions)
-        return codes, positions, reps, None if frozen is None else frozen.tolist()
+        frozen = [True] * len(codes) if depth == self.max_depth else []
+        if any(map(any, axis_frozen)):
+            flags = list(map(any, product(*axis_frozen)))
+            frozen = [flags[code] for code in codes]
+        return codes, positions, reps, frozen if True in frozen else None
 
     def _ball_children(
         self,
@@ -176,13 +200,10 @@ class BisectionPartition:
         Each half's point nearest to the ball's center and its norm terms
         are computed once per axis, and the children add the terms up
         (or take the largest of them) axis by axis, in the column order
-        of :meth:`Norm.length`.  From d = 8 on that method reduces each
-        row with numpy, in an order these sums do not follow, so there
-        the distances come from one :meth:`Norm.length` call over the
-        children's centers and nearest points.
+        of :meth:`Norm.length`, so that every distance equals the one
+        :meth:`_cells` takes, at every d.
         """
         kind, radius, ball_center = self._ball_floats
-        columns = self.dim <= _COLUMN_DIMS
         axis_near, center_dists, near_dists = [], None, None
         for (a, m, b), center_a, center_b, c in zip(
             axis_bounds, axis_centers[::2], axis_centers[1::2], ball_center
@@ -192,8 +213,6 @@ class BisectionPartition:
             near_a, near_b = (a if a >= c else c), (m if m >= c else c)
             near_a, near_b = (m if near_a >= m else near_a), (b if near_b >= b else near_b)
             axis_near.append((near_a, near_b))
-            if not columns:
-                continue
             x0, x1, y0, y1 = center_a - c, center_b - c, near_a - c, near_b - c
             if kind == "euclidean":
                 terms_c, terms_n = (x0 * x0, x1 * x1), (y0 * y0, y1 * y1)
@@ -207,11 +226,7 @@ class BisectionPartition:
             else:
                 center_dists = [u + t for u in center_dists for t in terms_c]
                 near_dists = [u + t for u in near_dists for t in terms_n]
-        if not columns:
-            ball = self.restrict_to
-            points = np.stack((reps, np.array(axis_near).ravel()[self._center_index]))
-            center_dists, near_dists = ball.norm.length(points - ball.center).tolist()
-        elif kind == "euclidean":
+        if kind == "euclidean":
             center_dists = list(map(math.sqrt, center_dists))
             near_dists = list(map(math.sqrt, near_dists))
         if max(center_dists) > radius:
@@ -233,38 +248,29 @@ class BisectionPartition:
         ball = self.restrict_to
         return ball.norm.kind, float(ball.radius), ball.center.tolist()
 
-    def _frozen(self, depth: int, pos: list[tuple[int, ...]]) -> Optional[np.ndarray]:
-        """Which depth-``depth`` cells at integer positions ``pos`` (n
-        tuples of d ints) cannot be split, or None when every one can.
+    def _frozen(self, depth: int, pos: tuple[int, ...]) -> bool:
+        """Whether the depth-``depth`` cell at integer position ``pos`` (a
+        tuple of d ints) cannot be split.
 
-        A cell at :attr:`max_depth` cannot, and neither can a cell one of
-        whose children's centers does not lie strictly inside that
-        child's bounds in float64: those children would repeat points
-        already seen.  Along each coordinate the children's bounds are
-        the cell's lower bound, its midpoint and its upper bound,
-        computed from integer positions as :meth:`_cells` computes them,
-        so each coordinate value is tested once, in Python floats, which
-        round as numpy does.  Cells shallower than :attr:`_exact_depth`
-        always pass, so they skip the test.
+        A cell at :attr:`max_depth` cannot, and neither can a cell that
+        float64 cannot halve along some axis (:func:`_unsplittable`):
+        one of its children's centers would not lie strictly inside that
+        child's bounds, and the child would repeat a point already seen.
+        Cells shallower than :attr:`_exact_depth` always pass, so they
+        skip the test.  :meth:`split` flags its children by this rule.
         """
         if depth >= self.max_depth:
-            return np.ones(len(pos), dtype=bool)
+            return True
         if depth < self._exact_depth:
-            return None
-        frozen = None
-        steps = self._step(depth + 1).tolist()
-        for col, step, low in zip(zip(*pos), steps, self._box_floats[0]):
-            for p in set(col):
-                q = 2 * p
-                a, m, b = q * step + low, (q + 1) * step + low, (q + 2) * step + low
-                if not a < a + (m - a) * 0.5 < m < m + (b - m) * 0.5 < b:
-                    hit = np.array(col) == p
-                    frozen = hit if frozen is None else frozen | hit
-        return frozen
+            return False
+        scale = 0.5 ** (depth + 1)
+        lows, edges = self._box_floats
+        return any(_unsplittable(p, e * scale, low) for p, low, e in zip(pos, lows, edges))
 
     @cached_property
     def _exact_depth(self) -> int:
-        """Shallowest depth at which :meth:`_frozen` must compare centers.
+        """Shallowest depth whose cells :meth:`_frozen` must test, and so
+        the depth from which :meth:`split` tests its children's halves.
 
         A depth-k cell has edges ``s_j = edge_j / 2**k``, and its bounds
         ``lower + q * s`` each carry a rounding error below ``5 u M``,
@@ -276,8 +282,8 @@ class BisectionPartition:
         their cells and no two cells share one.  With ``min_edge >=
         2**(e1 - 1)`` and ``M < 2**e2`` (``math.frexp`` exponents), that
         holds for every child depth ``k <= e1 - e2 + 46``, so shallower
-        cells skip the comparison, and the tree search keeps no memo of
-        box points above it.  M is floored at ``2**-960`` so that every
+        cells skip the test, and the tree search keeps no memo of box
+        points above it.  M is floored at ``2**-960`` so that every
         step stays a normal float.
         """
         magnitude = float(np.abs([self.box.lower, self.box.upper]).max())
@@ -304,18 +310,6 @@ class BisectionPartition:
         """The box's lower corner and edges as Python floats."""
         return self.box.lower.tolist(), self.box.edges.tolist()
 
-    @cached_property
-    def _steps(self) -> dict[int, np.ndarray]:
-        """Cell edges per depth, filled by :meth:`_step` on first use."""
-        return {}
-
-    def _step(self, depth: int) -> np.ndarray:
-        """Edges of a depth-``depth`` cell, ``edges * 0.5**depth``."""
-        step = self._steps.get(depth)
-        if step is None:
-            step = self._steps[depth] = self.box.edges * 0.5**depth
-        return step
-
     def _cells(
         self, pos: np.ndarray, depth: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -338,7 +332,7 @@ class BisectionPartition:
         positions ``(pos, pos + 1)``, and both ball tests from one
         :meth:`Norm.length` call.
         """
-        lower, upper = (pos + _CORNERS) * self._step(depth) + self.box.lower
+        lower, upper = (pos + _CORNERS) * (self.box.edges * 0.5**depth) + self.box.lower
         half = (upper - lower) * 0.5
         ball = self.restrict_to
         if ball is None:

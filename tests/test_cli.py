@@ -275,6 +275,13 @@ def test_sweep_command(tmp_path, capsys):
     assert override.exists()
     capsys.readouterr()
 
+    # the override goes through the config's own check, and writes nothing
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "no.csv"),
+                     "--jobs", jobs]) == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "no.csv").exists()
+
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
 

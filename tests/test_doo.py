@@ -519,14 +519,16 @@ def test_split_matches_the_keyed_methods(part):
     for depth, pos in cells:
         key = (depth, _index(pos, depth, part.dim))
         assert np.array_equal(_ref_positions(part, key), pos)
-        cell_frozen = part._frozen(depth, [pos])
-        assert (cell_frozen is not None and cell_frozen[0]) == _ref_frozen(part, key)
+        assert part._frozen(depth, pos) == _ref_frozen(part, key)
         codes, kid_pos, reps, frozen = part.split(depth, pos)
-        # the children's flags are what the cell test gives for them
-        want = part._frozen(depth + 1, kid_pos)
-        assert (frozen is None) == (want is None)
-        assert frozen is None or np.array_equal(frozen, want)
         kids = _ref_children(part, key)
+        # each child's flag is the reference rule for that child (of an
+        # 8-d cell's children, about every 32nd: the rule is slow there)
+        every = max(1, len(codes) // 8)
+        flags = frozen or [False] * len(codes)
+        for code, flag in zip(codes[::every], flags[::every]):
+            assert flag == (depth + 1 >= part.max_depth or _ref_frozen(part, kids[code]))
+        assert frozen is None or True in frozen
         mask = [_ref_feasible(part, k) for k in kids]
         assert codes == [c for c in range(part.arity) if mask[c]]
         for code, row_pos, rep in zip(codes, kid_pos, reps):

@@ -51,7 +51,8 @@ def test_norm_length_batches():
 @pytest.mark.parametrize(
     "norm, dim",
     [(norm, d) for norm in (SUP, EUCLIDEAN, L1) for d in range(1, 8)]
-    + [(SUP, d) for d in range(8, 13)],
+    + [(SUP, d) for d in range(8, 13)]
+    + [(norm, d) for norm in (EUCLIDEAN, L1) for d in range(8, 13)],
 )
 def test_norm_length_along_columns_is_bitwise_equal(norm, dim):
     v = np.random.default_rng(dim).normal(size=(500, dim)) * np.logspace(-3, 3, dim)
@@ -69,6 +70,19 @@ def _row_reduction_length(kind, v):
         out = np.sqrt((v * v).sum(axis=-1))
     else:
         out = np.abs(v).sum(axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _column_sum_length(kind, v):
+    """The euclidean or l1 norm with the coordinates added left to right,
+    ``((t_0 + t_1) + t_2) + ...``: the oracle from d = 8 on, where numpy
+    sums rows pairwise."""
+    v = np.asarray(v, dtype=float)
+    terms = v * v if kind == "euclidean" else np.abs(v)
+    out = terms[..., 0]
+    for j in range(1, v.shape[-1]):
+        out = out + terms[..., j]
+    out = np.sqrt(out) if kind == "euclidean" else out
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -104,7 +118,10 @@ def _awkward_rows(dim, seed, rows=300):
 @pytest.mark.parametrize("kind", ("sup", "euclidean", "l1"))
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_norm_length_matches_row_reductions(kind, dim):
+    # numpy reduces rows of up to 7 entries, and takes a maximum of any
+    # length, in column order; longer sums it adds pairwise
     norm = Norm(kind)
+    oracle = _row_reduction_length if kind == "sup" or dim <= 7 else _column_sum_length
     v = _awkward_rows(dim, seed=dim)
     assert np.isnan(v).any() and np.isinf(v).any()
     layouts = {
@@ -120,16 +137,27 @@ def test_norm_length_matches_row_reductions(kind, dim):
     for name, batch in layouts.items():
         got = norm.length(batch)
         assert isinstance(got, np.ndarray), name
-        assert _same_bits(got, _row_reduction_length(kind, batch)), name
+        assert _same_bits(got, oracle(kind, batch)), name
     for row in v[::7]:
         got = norm.length(row)
         assert type(got) is float
-        assert _same_bits(got, _row_reduction_length(kind, row)), row
+        assert _same_bits(got, oracle(kind, row)), row
     # a list of Python floats is converted like an array
-    assert _same_bits(norm.length(v[1].tolist()), _row_reduction_length(kind, v[1]))
+    assert _same_bits(norm.length(v[1].tolist()), oracle(kind, v[1]))
     # NaN propagates through every norm
     assert math.isnan(norm.length(np.r_[np.full(dim - 1, np.inf), np.nan]))
     assert math.isnan(norm.length(np.r_[np.nan, np.full(dim - 1, 1.0)]))
+
+
+@pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1))
+def test_norm_length_edge_shapes(norm):
+    # a 0-d input is a vector of one coordinate
+    assert norm.length(3.0) == norm.length(-3.0) == 3.0
+    assert type(norm.length(np.float64(-2.5))) is float
+    # a last axis of length 0 holds no vector, whatever the norm
+    for empty in ([], np.zeros((4, 0)), np.zeros((0, 0)), np.zeros((2, 3, 0))):
+        with pytest.raises(ValueError, match="dimension 0"):
+            norm.length(empty)
 
 
 def test_box_contains_matches_the_broadcast_test():
@@ -226,6 +254,13 @@ def test_box_basics():
 def test_box_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         Box(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+def test_domains_reject_zero_dimensions():
+    with pytest.raises(ValueError, match="nonempty"):
+        Box([], [])
+    with pytest.raises(ValueError, match="nonempty"):
+        Ball([], 1.0, SUP)
 
 
 def test_box_arrays_are_read_only():

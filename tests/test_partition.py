@@ -106,7 +106,7 @@ def test_split_flags_children_float64_cannot_split():
     part = BisectionPartition(Box(np.zeros(1), np.ones(1)))
     # [1 - 2**-52, 1) holds one float between its bounds; its children's
     # centers would sit on their bounds
-    assert part._frozen(52, [(2**52 - 1,)]).tolist() == [True]
+    assert part._frozen(52, (2**52 - 1,))
     # so does its sibling, [1 - 2**-51, 1 - 2**-52)
     codes, _, _, frozen = part.split(51, (2**51 - 1,))
     assert codes == [0, 1] and frozen == [True, True]
@@ -122,21 +122,32 @@ def test_split_flags_children_float64_cannot_split():
     assert frozen == [False, True]
 
 
+def _ref_frozen(part, depth, pos):
+    # a cell cannot be split at max_depth, nor when float64 puts one of
+    # its children's centers, computed from that child's bounds, on or
+    # outside them
+    if depth >= part.max_depth:
+        return True
+    kid_pos = 2 * np.asarray(pos, dtype=np.int64) + part._bits
+    lower, upper, _, _ = part._cells(kid_pos, depth + 1)
+    center = lower + (upper - lower) * 0.5
+    return not (np.all(lower < center) and np.all(center < upper))
+
+
 def _reference_split(part, depth, pos):
-    # the batched geometry: _cells and _frozen over all 2**d children,
-    # then the feasible ones, with "no child frozen" as all False
+    # the batched geometry: _cells over all 2**d children, then the
+    # feasible ones, each flagged by _ref_frozen
     kid_pos = 2 * np.asarray(pos, dtype=np.int64) + part._bits
     _, _, reps, feas = part._cells(kid_pos, depth + 1)
-    frozen = part._frozen(depth + 1, kid_pos.tolist())
     feas = np.ones(len(kid_pos), dtype=bool) if feas is None else feas
-    frozen = np.zeros(len(kid_pos), dtype=bool) if frozen is None else frozen
-    return np.flatnonzero(feas).tolist(), kid_pos[feas].tolist(), reps[feas], frozen[feas].tolist()
+    frozen = [_ref_frozen(part, depth + 1, kid) for kid in kid_pos[feas]]
+    return np.flatnonzero(feas).tolist(), kid_pos[feas].tolist(), reps[feas], frozen
 
 
 @st.composite
 def _cells_to_split(draw):
-    # Norm.length reduces rows with numpy from d = 8 on, so split takes
-    # its ball distances from it there
+    # up to d = 9: from d = 8 on numpy sums rows pairwise, and split
+    # must still add a ball's distances in Norm.length's column order
     d = draw(st.integers(1, 4) | st.integers(5, 9))
     offset = draw(st.sampled_from([0.0, -0.0, 0.5, -1e9, 1e9]) | st.floats(-1e9, 1e9))
     scale = draw(st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1e3))
@@ -180,8 +191,8 @@ def _cells_to_split(draw):
 # centers miss the ball: numpy's clamp gives their nearest points +0.0
 _TIES = BisectionPartition(Box([-1.0, -1.0], [3.0, 3.0]), Ball([-0.0, 0.0], 1.0, EUCLIDEAN))
 # An 8-D ball whose radius lies between two roundings of its children's
-# distances: numpy's row sum, which Norm.length uses from d = 8 on, puts
-# 6 of them outside, a sum over the columns in order inside
+# distances: numpy's row sum puts 6 of them outside, the sum over the
+# columns in order, which Norm.length and split both take, inside
 _CENTER_8D = np.array([-0.22, 0.011, 0.399, -0.212, -0.676, 0.662, 0.888, -0.53])
 _ROW_SUMS = BisectionPartition(
     Box(_CENTER_8D - 1.0, _CENTER_8D + 2.0), Ball(_CENTER_8D, 0.9682458365518541, EUCLIDEAN)
@@ -204,7 +215,8 @@ def test_split_equals_the_batched_geometry_bit_for_bit(case):
     assert reps.shape == want_reps.shape == (len(codes), part.dim)
     # bytes, so that -0.0 and 0.0 differ
     assert reps.tobytes() == want_reps.tobytes()
-    assert (frozen or [False] * len(codes)) == want_frozen
+    assert frozen == (want_frozen if True in want_frozen else None)
+    assert part._frozen(depth, pos) == _ref_frozen(part, depth, pos)
 
 
 def test_exact_depth_of_common_boxes():

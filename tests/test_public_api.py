@@ -6,7 +6,12 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import lipcert
 
@@ -34,6 +39,23 @@ def test_every_public_name_is_reached():
     reached = set().union(*map(_references, files))
     unreached = sorted(set(lipcert.__all__) - reached - EXEMPT)
     assert unreached == [], f"public names with no caller: {unreached}"
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # the demos count as callers above, so each must run as shipped, in
+    # its own process and from a directory other than the checkout
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 # Defaulted parameters set only where the callee cannot be named, each

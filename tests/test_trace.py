@@ -406,3 +406,26 @@ def test_reader_rejects_records_out_of_position(edit):
         del records[2]["n"]
     with pytest.raises(ValueError, match="record (2|3) has n = "):
         trace_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "key, value, fragment",
+    [
+        ("budget", 2.5, "budget must be a positive integer"),
+        ("budget", True, "budget must be a positive integer"),
+        ("budget", 0, "budget must be a positive integer"),
+        ("budget", 1, "5 records exceed the budget of 1"),
+        ("L", -1, "Lipschitz bound must be positive"),
+        ("L", math.nan, "Lipschitz bound must be positive"),
+        ("eps", -0.5, "accuracy target must be positive"),
+    ],
+)
+def test_reader_rejects_headers_no_run_produces(key, value, fragment):
+    doc = json.loads(trace_to_json(lc.cdoo_run(lc.get_function("tent-d1"), 0.25, 100)))
+    assert len(doc["records"]) == 5
+    # a budget the run spent in full still reads back
+    doc["header"]["budget"] = 5
+    assert trace_from_json(json.dumps(doc)).budget == 5
+    doc["header"][key] = value
+    with pytest.raises(ValueError, match=fragment):
+        trace_from_json(json.dumps(doc))
