@@ -31,6 +31,7 @@ from .core import (
     sigma_from_trace,
 )
 from .core._buckets import Buckets, covering_side
+from .core.geometry import _grid_counts
 from .optimizers import ALGORITHMS, CERTIFIED
 
 # How far the audit's accuracy ladder descends below the target.
@@ -174,11 +175,10 @@ def audit_certified_run(
         separation = headroom * eps_tilde / fn.lip_bound
         step = ball_radius / 2.0
         while True:
-            counts = np.maximum(1, np.ceil(box.edges / step))
-            if float(np.prod(counts)) <= _GRID_CAP:
+            if float(np.prod(_grid_counts(box, step))) <= _GRID_CAP:
                 break
             step *= 1.5
-        grid, _ = midpoint_grid(box, step, max_points=_GRID_CAP * 2)
+        grid, _ = midpoint_grid(box, step, max_points=_GRID_CAP)
         inside = np.asarray(fn.domain.contains(grid))
         grid = grid[inside]
         if len(grid) == 0:

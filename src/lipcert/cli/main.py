@@ -32,6 +32,7 @@ from ..complexity import (
     sandwich_check,
 )
 from ..core import (
+    Box,
     Norm,
     certificate_validity,
     recommendations_consistent,
@@ -262,8 +263,6 @@ def _verify_assumptions(max_depth: int) -> bool:
 
 
 def _unit_box(dim: int):
-    from ..core import Box
-
     return Box(np.zeros(dim), np.ones(dim))
 
 

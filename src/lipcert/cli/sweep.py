@@ -86,6 +86,10 @@ class SweepConfig:
             raise ValueError("grid-step-divisor must be at least 8")
         if self.integral_method not in ("grid", "montecarlo"):
             raise ValueError(f"unknown integral-method {self.integral_method!r}")
+        if self.mc_samples < 2:
+            raise ValueError("mc-samples must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 

@@ -16,9 +16,9 @@ flat cell indices.
 
 No point is queried twice, by two rules.  A cell that float64 cannot
 split, because some child's center would not lie strictly inside that
-child's bounds, is frozen exactly like a cell at ``max_depth``: the
-split that makes it flags it, it never becomes a leaf, and its
-optimistic value stays in the certificate's envelope.  The test is
+child's bounds, is frozen exactly like a cell at ``max_depth``: when
+the search pops it, its optimistic value joins the certificate's
+envelope, and the round ends with no split and no query.  The test is
 local, so a run keeps splitting wherever float64 still resolves its
 cells, such as near zero.  And once a child can land on a point queried
 before, the run keeps the value of every point it queries: on a ball
@@ -110,19 +110,21 @@ def _tree_search(
 
     # Active leaves as (-optimistic, depth, index, position): ties go to
     # smaller depth, then smaller index, and (depth, index) is unique, so
-    # the compare never reaches the position.  Only cells that can be
-    # split become leaves; the optimistic values of the others, frozen
-    # by the depth cap or by float64, form an envelope that stays in the
-    # certificate.
+    # the compare never reaches the position.  A popped leaf that cannot
+    # be split, frozen by the depth cap or by float64, joins an envelope
+    # of optimistic values that stays in the certificate.  While it waits
+    # on the heap, every leaf popped has an optimistic value at least its
+    # own, so the certificates cover its cell from the round that pushed it.
     leaves = [(-(v0 + lip * diam), 0, 0, root)]
     frozen_b = -np.inf
-    if partition._frozen(0, root):
-        frozen_b = -leaves.pop()[0]
     done = certified and certs[0] <= eps
     while leaves and len(values) < budget and not done:
         neg_b, depth, index, pos = heapq.heappop(leaves)
         optimistic = -neg_b
-        codes, kid_pos, kid_reps, frozen = partition.split(depth, pos)
+        if partition._frozen(depth, pos):
+            frozen_b = max(frozen_b, optimistic)
+            continue
+        codes, kid_pos, kid_reps = partition.split(depth, pos)
         if not codes:
             continue
         room = budget - len(values)
@@ -152,8 +154,8 @@ def _tree_search(
         if fresh_vals:
             blocks.append(fresh)
             # The popped leaf had the largest optimistic value among the
-            # still-splittable cells; together with the frozen cells'
-            # envelope this bounds the maximum over the domain.
+            # leaves; together with the frozen cells' envelope this
+            # bounds the maximum over the domain.
             top = max(optimistic, frozen_b)
             for val in fresh_vals:
                 values.append(val)
@@ -161,15 +163,8 @@ def _tree_search(
                 certs.append(max(0.0, top - best_val))
         slack = lip * diam * shrink ** (depth + 1)
         base = index * arity
-        flags = [False] * len(codes) if frozen is None else frozen
-        for code, kid, val, flag in zip(codes, kid_pos, kid_vals, flags):
-            # A frozen child joins the envelope now, not when it would
-            # have been popped; until then every popped leaf's optimistic
-            # value is at least its own, so no certificate changes.
-            if flag:
-                frozen_b = max(frozen_b, val + slack)
-            else:
-                heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid))
+        for code, kid, val in zip(codes, kid_pos, kid_vals):
+            heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid))
         done = len(values) == budget
         # The accuracy check sits at round granularity: a round whose
         # certificate passes the target is still recorded in full.

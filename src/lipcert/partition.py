@@ -40,18 +40,6 @@ _MAX_BITS = 60
 _CORNERS = np.array([0, 1], dtype=np.int64).reshape(2, 1, 1)
 
 
-def _unsplittable(p: int, step: float, low: float) -> bool:
-    """Whether float64 cannot halve, along one axis, the cell at integer
-    position ``p`` whose children there have edge ``step``: a child's
-    center, computed from its bounds as :meth:`BisectionPartition._cells`
-    computes them, would not lie strictly inside them, so the child
-    would repeat a point already seen.  Python floats round as numpy
-    does."""
-    q = 2 * p
-    a, m, b = q * step + low, (q + 1) * step + low, (q + 2) * step + low
-    return not a < a + (m - a) * 0.5 < m < m + (b - m) * 0.5 < b
-
-
 @dataclass(frozen=True)
 class BisectionPartition:
     """Coordinate-halving partition of a box, optionally restricted to a
@@ -122,68 +110,48 @@ class BisectionPartition:
 
     def split(
         self, depth: int, pos: tuple[int, ...]
-    ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray, Optional[list[bool]]]:
+    ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray]:
         """Feasible children of the depth-``depth`` cell at integer
         position ``pos`` (a tuple of d ints), in child-code order.
 
-        Returns ``(codes, positions, representatives, frozen)``: child
-        ``c`` has index ``parent_index * arity + c`` at depth ``depth +
-        1``, integer position ``2 * pos + bits[c]`` (a tuple of ints) and,
-        in one ``(n, d)`` float array, the representative :meth:`_cells`
-        gives for that position.  ``bits[c, j]`` is bit ``d - 1 - j`` of
-        ``c``, so the code's most significant bit selects the upper half
-        along dimension 0.  No children (``n = 0``) means that none meets
-        the ball restriction, so the cell holds no domain point left to
-        search and can be dropped.  ``frozen`` marks the children that
-        cannot be split again, as :meth:`_frozen` decides for each, and
-        is None when every child can; a frozen child still belongs to
-        the domain.  Raises ``ValueError`` for a negative depth or one at
-        :attr:`max_depth`.
+        Returns ``(codes, positions, representatives)``: child ``c`` has
+        index ``parent_index * arity + c`` at depth ``depth + 1``, integer
+        position ``2 * pos + bits[c]`` (a tuple of ints) and, in one
+        ``(n, d)`` float array, the representative :meth:`_cells` gives
+        for that position.  ``bits[c, j]`` is bit ``d - 1 - j`` of ``c``,
+        so the code's most significant bit selects the upper half along
+        dimension 0.  No children (``n = 0``) means that none meets the
+        ball restriction, so the cell holds no domain point left to
+        search and can be dropped.  Whether a child can be split again is
+        :meth:`_frozen`'s to say.  Raises ``ValueError`` for a negative
+        depth or one at :attr:`max_depth`.
 
         The children are computed in Python floats, with the operations
         of :meth:`_cells` in its order, so that every value equals the
         batched one bit for bit.  Each axis has two halves, whose bounds
         ``q*s + l``, ``(q+1)*s + l``, ``(q+2)*s + l`` and centers ``a +
         (m - a)*0.5`` are computed once, and the children take the
-        halves in code order, through :func:`itertools.product`.  From
-        :attr:`_exact_depth` on, the same pass tests whether float64 can
-        split each half (:func:`_unsplittable`), and a child is frozen
-        when one of its halves cannot be split or when it sits at
-        :attr:`max_depth`.  A ball restriction then goes through
-        :meth:`_ball_children`.
+        halves in code order, through :func:`itertools.product`.  A ball
+        restriction then goes through :meth:`_ball_children`.
         """
         if not 0 <= depth < self.max_depth:
             raise ValueError(
                 f"cannot split a depth-{depth} cell; depths 0..{self.max_depth - 1} split"
             )
-        depth += 1
-        scale = 0.5**depth
-        # the halves' own children have edges edge * kid_scale
-        kid_scale = 0.5 ** (depth + 1) if self._exact_depth <= depth < self.max_depth else None
+        scale = 0.5 ** (depth + 1)
         lows, edges = self._box_floats
-        axis_pos, axis_bounds, axis_centers, axis_frozen = [], [], [], []
+        axis_pos, axis_bounds, axis_centers = [], [], []
         for p, low, edge in zip(pos, lows, edges):
             q, s = 2 * p, edge * scale
             a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
             axis_pos.append((q, q + 1))
             axis_bounds.append((a, m, b))
             axis_centers += (a + (m - a) * 0.5, m + (b - m) * 0.5)
-            if kid_scale is not None:
-                t = edge * kid_scale
-                axis_frozen.append((_unsplittable(q, t, low), _unsplittable(q + 1, t, low)))
         positions = list(product(*axis_pos))
         reps = np.array(axis_centers)[self._center_index]
         if self.restrict_to is None:
-            codes = list(range(len(positions)))
-        else:
-            codes, positions, reps = self._ball_children(
-                axis_bounds, axis_centers, positions, reps
-            )
-        frozen = [True] * len(codes) if depth == self.max_depth else []
-        if any(map(any, axis_frozen)):
-            flags = list(map(any, product(*axis_frozen)))
-            frozen = [flags[code] for code in codes]
-        return codes, positions, reps, frozen if True in frozen else None
+            return list(range(len(positions))), positions, reps
+        return self._ball_children(axis_bounds, axis_centers, positions, reps)
 
     def _ball_children(
         self,
@@ -253,11 +221,13 @@ class BisectionPartition:
         tuple of d ints) cannot be split.
 
         A cell at :attr:`max_depth` cannot, and neither can a cell that
-        float64 cannot halve along some axis (:func:`_unsplittable`):
-        one of its children's centers would not lie strictly inside that
-        child's bounds, and the child would repeat a point already seen.
-        Cells shallower than :attr:`_exact_depth` always pass, so they
-        skip the test.  :meth:`split` flags its children by this rule.
+        float64 cannot halve along some axis: there, the center of one of
+        its children, computed from that child's bounds as :meth:`_cells`
+        computes them (Python floats round as numpy does), would not lie
+        strictly inside them, and the child would repeat a point already
+        seen.  Cells shallower than :attr:`_exact_depth` always pass, so
+        they skip the test.  The tree search applies this rule to each
+        leaf it pops.
         """
         if depth >= self.max_depth:
             return True
@@ -265,12 +235,16 @@ class BisectionPartition:
             return False
         scale = 0.5 ** (depth + 1)
         lows, edges = self._box_floats
-        return any(_unsplittable(p, e * scale, low) for p, low, e in zip(pos, lows, edges))
+        for p, low, edge in zip(pos, lows, edges):
+            q, s = 2 * p, edge * scale
+            a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
+            if not a < a + (m - a) * 0.5 < m < m + (b - m) * 0.5 < b:
+                return True
+        return False
 
     @cached_property
     def _exact_depth(self) -> int:
-        """Shallowest depth whose cells :meth:`_frozen` must test, and so
-        the depth from which :meth:`split` tests its children's halves.
+        """Shallowest depth whose cells :meth:`_frozen` must test.
 
         A depth-k cell has edges ``s_j = edge_j / 2**k``, and its bounds
         ``lower + q * s`` each carry a rounding error below ``5 u M``,

@@ -332,8 +332,7 @@ def _ref_search(fn, eps, budget):
     # Queries each new point once, evaluated on its own.  It keys every
     # point, on boxes too, so a box run that skipped its memo and
     # repeated a point would differ from it.  Frozen cells wait on the
-    # heap and join the envelope when popped, where the search never
-    # pushes them; the certificates agree either way.
+    # heap and join the envelope when popped.
     part, lip = bisection_setup(fn)
     check_run_args(eps, budget)
     certified = eps is not None
@@ -414,11 +413,11 @@ def test_search_matches_reference_at_depth_sixty():
     frozen = []
 
     class Recording(BisectionPartition):
-        def split(self, depth, pos):
-            kids = super().split(depth, pos)
-            if kids[3] is not None:
-                frozen.extend([depth + 1] * sum(kids[3]))
-            return kids
+        def _frozen(self, depth, pos):
+            if super()._frozen(depth, pos):
+                frozen.append(depth)
+                return True
+            return False
 
     fn = lc.get_function("tent-d1")
     plain, _ = bisection_setup(fn)
@@ -520,15 +519,14 @@ def test_split_matches_the_keyed_methods(part):
         key = (depth, _index(pos, depth, part.dim))
         assert np.array_equal(_ref_positions(part, key), pos)
         assert part._frozen(depth, pos) == _ref_frozen(part, key)
-        codes, kid_pos, reps, frozen = part.split(depth, pos)
+        codes, kid_pos, reps = part.split(depth, pos)
         kids = _ref_children(part, key)
-        # each child's flag is the reference rule for that child (of an
+        # each child's _frozen is the reference rule for that child (of an
         # 8-d cell's children, about every 32nd: the rule is slow there)
         every = max(1, len(codes) // 8)
-        flags = frozen or [False] * len(codes)
-        for code, flag in zip(codes[::every], flags[::every]):
-            assert flag == (depth + 1 >= part.max_depth or _ref_frozen(part, kids[code]))
-        assert frozen is None or True in frozen
+        for code, kid in zip(codes[::every], kid_pos[::every]):
+            want = depth + 1 >= part.max_depth or _ref_frozen(part, kids[code])
+            assert part._frozen(depth + 1, kid) == want
         mask = [_ref_feasible(part, k) for k in kids]
         assert codes == [c for c in range(part.arity) if mask[c]]
         for code, row_pos, rep in zip(codes, kid_pos, reps):

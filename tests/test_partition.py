@@ -46,8 +46,9 @@ def test_root_cell(unit2):
 
 
 def test_children_are_dimension_major(unit2):
-    codes, kid_pos, reps, frozen = unit2.split(0, (0, 0))
-    assert codes == [0, 1, 2, 3] and frozen is None
+    codes, kid_pos, reps = unit2.split(0, (0, 0))
+    assert codes == [0, 1, 2, 3]
+    assert not any(unit2._frozen(1, kid) for kid in kid_pos)
     # child code's most significant bit moves along dimension 0
     assert kid_pos == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert np.array_equal(reps, [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
@@ -60,7 +61,7 @@ def test_child_bounds_partition_the_parent(unit2):
     # depth-2 cells 8..11
     lower1, upper1, _, _ = unit2._depth_summary(1)
     parent_lower, parent_upper = lower1[2], upper1[2]
-    codes, kid_pos, reps, _ = unit2.split(1, (1, 0))
+    codes, kid_pos, reps = unit2.split(1, (1, 0))
     lower2, upper2, reps2, _ = unit2._depth_summary(2)
     assert np.array_equal(reps, reps2[8:12])
     vol = 0.0
@@ -86,40 +87,40 @@ def test_index_bounds_checked(unit2):
 def test_depth_cap():
     part = BisectionPartition(Box(np.zeros(1), np.ones(1)))
     assert part.max_depth == 60
-    codes, _, _, frozen = part.split(59, (0,))
+    codes, kid_pos, _ = part.split(59, (0,))
     # children at the cap are frozen whatever their geometry
-    assert codes == [0, 1] and frozen == [True, True]
+    assert codes == [0, 1] and [part._frozen(60, kid) for kid in kid_pos] == [True, True]
     with pytest.raises(ValueError):
         part.split(60, (0,))
     # in 2-D the cap comes before float64 runs out at depth 46
     part2 = BisectionPartition(Box(np.zeros(2), np.ones(2)))
     assert part2.max_depth == 30 and part2._exact_depth == 46
-    codes, _, _, frozen = part2.split(29, (0, 0))
-    assert codes == [0, 1, 2, 3] and frozen == [True] * 4
+    codes, kid_pos, _ = part2.split(29, (0, 0))
+    assert codes == [0, 1, 2, 3] and [part2._frozen(30, kid) for kid in kid_pos] == [True] * 4
     with pytest.raises(ValueError):
         part2.split(30, (0, 0))
     part3 = BisectionPartition(Box(np.zeros(3), np.ones(3)))
     assert part3.max_depth == 20
 
 
-def test_split_flags_children_float64_cannot_split():
+def test_frozen_marks_children_float64_cannot_split():
     part = BisectionPartition(Box(np.zeros(1), np.ones(1)))
     # [1 - 2**-52, 1) holds one float between its bounds; its children's
     # centers would sit on their bounds
     assert part._frozen(52, (2**52 - 1,))
     # so does its sibling, [1 - 2**-51, 1 - 2**-52)
-    codes, _, _, frozen = part.split(51, (2**51 - 1,))
-    assert codes == [0, 1] and frozen == [True, True]
+    codes, kid_pos, _ = part.split(51, (2**51 - 1,))
+    assert codes == [0, 1] and [part._frozen(52, kid) for kid in kid_pos] == [True, True]
     # near zero float64 still resolves depth-59 cells: no child is frozen
-    codes, _, reps, frozen = part.split(58, (0,))
-    assert reps.ravel().tolist() == [2.0**-60, 3 * 2.0**-60] and frozen is None
+    codes, kid_pos, reps = part.split(58, (0,))
+    assert reps.ravel().tolist() == [2.0**-60, 3 * 2.0**-60]
+    assert [part._frozen(59, kid) for kid in kid_pos] == [False, False]
     # floats are twice as far apart just above 0.5 as just below it, so
     # of these two siblings on [0.1, 1.73] only the one below 0.5 splits
-    codes, _, reps, frozen = BisectionPartition(Box([0.1], [1.73])).split(
-        51, (552588911333803,)
-    )
+    wide = BisectionPartition(Box([0.1], [1.73]))
+    codes, kid_pos, reps = wide.split(51, (552588911333803,))
     assert reps.ravel().tolist() == [0.5, 0.5000000000000004]
-    assert frozen == [False, True]
+    assert [wide._frozen(52, kid) for kid in kid_pos] == [False, True]
 
 
 def _ref_frozen(part, depth, pos):
@@ -136,7 +137,7 @@ def _ref_frozen(part, depth, pos):
 
 def _reference_split(part, depth, pos):
     # the batched geometry: _cells over all 2**d children, then the
-    # feasible ones, each flagged by _ref_frozen
+    # feasible ones, each with its _ref_frozen verdict
     kid_pos = 2 * np.asarray(pos, dtype=np.int64) + part._bits
     _, _, reps, feas = part._cells(kid_pos, depth + 1)
     feas = np.ones(len(kid_pos), dtype=bool) if feas is None else feas
@@ -206,7 +207,7 @@ _ROW_SUMS = BisectionPartition(
 @settings(deadline=None, max_examples=300)
 def test_split_equals_the_batched_geometry_bit_for_bit(case):
     part, depth, pos = case
-    codes, positions, reps, frozen = part.split(depth, pos)
+    codes, positions, reps = part.split(depth, pos)
     want_codes, want_positions, want_reps, want_frozen = _reference_split(part, depth, pos)
     assert codes == want_codes
     assert positions == [tuple(p) for p in want_positions]
@@ -215,7 +216,7 @@ def test_split_equals_the_batched_geometry_bit_for_bit(case):
     assert reps.shape == want_reps.shape == (len(codes), part.dim)
     # bytes, so that -0.0 and 0.0 differ
     assert reps.tobytes() == want_reps.tobytes()
-    assert frozen == (want_frozen if True in want_frozen else None)
+    assert [part._frozen(depth + 1, p) for p in positions] == want_frozen
     assert part._frozen(depth, pos) == _ref_frozen(part, depth, pos)
 
 
@@ -271,7 +272,7 @@ def test_cells_nest_into_parents(d, depth, raw_index):
     lo, hi = np.zeros(d), np.ones(d)
     for level in range(depth):
         code = index // part.arity ** (depth - 1 - level) % part.arity
-        codes, kid_pos, reps, _ = part.split(level, pos)
+        codes, kid_pos, reps = part.split(level, pos)
         assert codes == list(range(part.arity))
         pos = kid_pos[code]
         klo, khi, krep, _ = part._cells(np.array([pos]), level + 1)
@@ -302,15 +303,14 @@ def test_ball_restriction_feasibility(disc):
     assert not disc._depth_summary(3)[3][0]
     assert 0 not in disc.split(2, (0, 0))[0]
     # so none of its children is feasible: no children
-    codes, kid_pos, reps, frozen = disc.split(3, (0, 0))
+    codes, kid_pos, reps = disc.split(3, (0, 0))
     assert codes == kid_pos == [] and reps.shape == (0, 2)
-    assert frozen is None
 
 
 def test_ball_restriction_moves_representative_inside(disc):
     # cell [0.5,1]^2 is child 3 of depth-1 cell (1, 1); its center is
     # outside the ball
-    codes, kid_pos, reps, _ = disc.split(1, (1, 1))
+    codes, kid_pos, reps = disc.split(1, (1, 1))
     assert codes[-1] == 3 and kid_pos[-1] == (3, 3)
     rep = reps[-1]
     assert not disc.restrict_to.contains(np.full(2, 0.75))

@@ -87,6 +87,9 @@ def test_full_config_round_trip():
         ("grid-step-divisor = 4", "at least 8"),
         ("integral-method = simpson", "integral-method"),
         ("jobs = 0", "at least 1"),
+        ("mc-samples = 1", "mc-samples must be at least 2"),
+        ("mc-samples = 0", "mc-samples must be at least 2"),
+        ("seed = -1", "seed must be non-negative"),
         ("budget = many", "budget"),
         ("budget.tent-d1 = 1\nbudget.tent-d1 = 2", "line 2: duplicate key 'budget.tent-d1'"),
         ("algorithm.cone-d2 = cdoo\n\nalgorithm.cone-d2 = psgrid", "line 3: .*'algorithm.cone-d2'"),
