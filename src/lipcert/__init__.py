@@ -16,8 +16,6 @@ from .complexity import (
     LemmaSuiteVerdict,
     SandwichVerdict,
     estimate_sc,
-    exact_covering_bruteforce,
-    exact_packing_bruteforce,
     greedy_packing,
     integral_estimate,
     layer_decomposition,
@@ -41,7 +39,6 @@ from .core import (
     convert_lip_bound,
     diameter,
     midpoint_grid,
-    norm_ratio,
     read_trace,
     recommendations_consistent,
     sigma_from_trace,
@@ -101,8 +98,6 @@ __all__ = [
     "default_algorithm",
     "diameter",
     "estimate_sc",
-    "exact_covering_bruteforce",
-    "exact_packing_bruteforce",
     "get_function",
     "greedy_packing",
     "integral_estimate",
@@ -110,7 +105,6 @@ __all__ = [
     "lemma_consistency_trials",
     "midpoint_grid",
     "ncdoo_run",
-    "norm_ratio",
     "ps_run_1d",
     "ps_run_grid",
     "read_trace",

@@ -12,8 +12,6 @@ from .layers import (
 )
 from .packing import (
     LemmaSuiteVerdict,
-    exact_covering_bruteforce,
-    exact_packing_bruteforce,
     greedy_packing,
     lemma_consistency_trials,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "LemmaSuiteVerdict",
     "SandwichVerdict",
     "estimate_sc",
-    "exact_covering_bruteforce",
-    "exact_packing_bruteforce",
     "greedy_packing",
     "integral_estimate",
     "layer_decomposition",

@@ -108,7 +108,7 @@ def _pairwise(points: np.ndarray, norm: Norm) -> np.ndarray:
     return np.atleast_2d(norm.length(diff))
 
 
-def exact_packing_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> int:
+def _exact_packing_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> int:
     """Largest packing size, by branch and bound on the conflict graph.
 
     Vertices are points, edges join pairs at distance at most ``radius``;
@@ -146,7 +146,7 @@ def exact_packing_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> i
     return best
 
 
-def exact_covering_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> int:
+def _exact_covering_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> int:
     """Smallest covering with centers in the set, by branch and bound.
 
     Branches on an uncovered point with the fewest potential centers;
@@ -235,9 +235,9 @@ def lemma_consistency_trials(trials: int, seed: int) -> LemmaSuiteVerdict:
         pts = rng.random((n, d))
         norm = norms[int(rng.integers(3))]
         r = float(rng.uniform(0.05, 0.7))
-        pack_2r = exact_packing_bruteforce(pts, 2.0 * r, norm)
-        cover_r = exact_covering_bruteforce(pts, r, norm)
-        pack_r = exact_packing_bruteforce(pts, r, norm)
+        pack_2r = _exact_packing_bruteforce(pts, 2.0 * r, norm)
+        cover_r = _exact_covering_bruteforce(pts, r, norm)
+        pack_r = _exact_packing_bruteforce(pts, r, norm)
         greedy_r = len(greedy_packing(pts, r, norm))
         checks = [
             ("packing(2r) <= covering(r)", pack_2r, cover_r),
@@ -246,8 +246,8 @@ def lemma_consistency_trials(trials: int, seed: int) -> LemmaSuiteVerdict:
         ]
         r2 = float(rng.uniform(0.1, 0.8))
         r1 = r2 * float(rng.uniform(0.2, 0.95))
-        pack_r1 = exact_packing_bruteforce(pts, r1, norm)
-        pack_r2 = exact_packing_bruteforce(pts, r2, norm)
+        pack_r1 = _exact_packing_bruteforce(pts, r1, norm)
+        pack_r2 = _exact_packing_bruteforce(pts, r2, norm)
         checks.append(
             (
                 "packing(r1) <= (4 r2 / r1)^d packing(r2)",

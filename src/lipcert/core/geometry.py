@@ -31,7 +31,7 @@ _EQUIVALENCE = {
 }
 
 
-def norm_ratio(from_kind: str, to_kind: str, dim: int) -> float:
+def _norm_ratio(from_kind: str, to_kind: str, dim: int) -> float:
     """Return max{|v|_from / |v|_to} over nonzero v in dimension ``dim``."""
     _check_kind(from_kind)
     _check_kind(to_kind)
@@ -50,7 +50,7 @@ def convert_lip_bound(lip: float, from_kind: str, to_kind: str, dim: int) -> flo
     """
     if lip <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lip}")
-    return lip * norm_ratio(from_kind, to_kind, dim)
+    return lip * _norm_ratio(from_kind, to_kind, dim)
 
 
 def _check_kind(kind: str) -> None:
@@ -270,7 +270,7 @@ def diameter(domain: Domain, norm: Norm) -> float:
     if isinstance(domain, Box):
         return float(norm.length(domain.edges))
     if isinstance(domain, Ball):
-        return 2.0 * domain.radius * norm_ratio(norm.kind, domain.norm.kind, domain.dim)
+        return 2.0 * domain.radius * _norm_ratio(norm.kind, domain.norm.kind, domain.dim)
     raise TypeError(f"unsupported domain type {type(domain).__name__}")
 
 

@@ -15,7 +15,7 @@ import json
 import os
 import math
 from dataclasses import dataclass, field
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -95,11 +95,11 @@ class RunTrace:
 
 
 def check_run_args(eps: Optional[float], budget: int) -> None:
-    """Argument checks shared by the optimizers: a positive integer
-    budget, not a ``bool``, and, unless ``eps`` is None for a run that
-    certifies nothing, a positive accuracy target.  The Lipschitz bound
-    is not an argument; every run uses the objective's own
-    ``lip_bound``."""
+    """Argument checks of every run, made by :func:`build_trace` before
+    its first round: a positive integer budget, not a ``bool``, and,
+    unless ``eps`` is None for a run that certifies nothing, a positive
+    accuracy target.  The Lipschitz bound is not an argument; every run
+    uses the objective's own ``lip_bound``."""
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     if eps is not None and not eps > 0:
@@ -120,20 +120,36 @@ def build_trace(
     lip_bound: float,
     eps: Optional[float],
     budget: int,
-    queries: np.ndarray,
-    values: np.ndarray,
-    certificates: Optional[np.ndarray] = None,
+    rounds: Iterable[tuple[np.ndarray, list[float], list[float]]],
     warnings: tuple[str, ...] = (),
 ) -> RunTrace:
-    """Trace of a run from what it queried, observed and certified.
+    """Run a search to its stop and trace what it queried, observed and
+    certified.
+
+    ``rounds`` yields, for each round of the search, its queries as a
+    ``(k, d)`` array, their values, and the certificate after each.  The
+    run stops after the round that spends the budget (records past it
+    are dropped) or whose last certificate is at or below ``eps``, or
+    when the rounds end; it is never resumed.  The accuracy check sits
+    at round granularity: a round whose certificate passes the target is
+    still recorded in full.  With ``eps`` None the trace keeps no
+    certificates and the run has no accuracy stop.
 
     The recommendation after n queries is the best of the first n, ties
     going to the earliest index: the rule
     :func:`recommendations_consistent` checks.
     """
-    values = np.asarray(values, dtype=float)
+    check_run_args(eps, budget)
+    blocks, values, certificates = [], [], []
+    for points, vals, certs in rounds:
+        blocks.append(points)
+        values.extend(vals)
+        certificates.extend(certs)
+        if len(values) >= budget or eps is not None and certs[-1] <= eps:
+            break
+    queries = np.asarray(np.concatenate(blocks)[:budget], dtype=float)
+    values = np.asarray(values[:budget], dtype=float)
     best = _best_so_far(values, np.maximum.accumulate(values))
-    queries = np.asarray(queries, dtype=float)
     return RunTrace(
         algorithm=algorithm,
         function=function,
@@ -144,7 +160,7 @@ def build_trace(
         values=values,
         rec_points=queries[best],
         rec_values=values[best],
-        certificates=certificates,
+        certificates=None if eps is None else certificates[:budget],
         warnings=warnings,
     )
 

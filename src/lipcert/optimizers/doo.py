@@ -3,10 +3,13 @@ error certificates.
 
 Both variants expand, at each round, the active leaf with the largest
 optimistic value: observed value at the representative plus the Lipschitz
-bound times the cell diameter bound.  The certified variant additionally
-emits, after each query, a bound on how far the recommendation can be
-from the maximum, and stops once that bound reaches the target accuracy.
-The non-certified variant runs to its budget and emits no bounds.
+bound times the cell diameter bound.  The search yields its rounds, the
+root and then the fresh children of each split, each query with a bound
+on how far the recommendation can be from the maximum, and
+:func:`~lipcert.core.build_trace` stops it: after the round that spends
+the budget or, for the certified variant, after the round whose last
+bound reaches the target accuracy.  The non-certified variant runs to
+its budget and keeps no bounds.
 
 Each leaf carries its integer cell position as a tuple of ints, so
 expanding a cell costs one :meth:`BisectionPartition.split` (in Python
@@ -37,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import RunTrace, TestFunction, build_trace, check_run_args
+from ..core import RunTrace, TestFunction, build_trace
 from ..partition import BisectionPartition, bisection_setup
 
 
@@ -85,9 +88,12 @@ def _tree_search(
             "to the domain when it is a ball, as bisection_setup builds it, "
             "with BisectionPartition's own _cells"
         )
-    check_run_args(eps, budget)
-    certified = eps is not None
+    return build_trace(algorithm, fn.label, lip, eps, budget, _rounds(fn, partition, lip, budget))
 
+
+def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget: int):
+    """The search's rounds: the root, then the fresh children of each
+    split, cut so that no point past the budget is evaluated."""
     diam = partition.diam_bound
     arity = partition.arity
     shrink = partition.shrink
@@ -95,18 +101,19 @@ def _tree_search(
     _, _, root_reps, _ = partition._cells(np.array([root]), 0)
     rep0 = root_reps[0]
     v0 = float(fn(rep0))
-    blocks = [rep0[None]]
-    values = [v0]
-    certs = [max(0.0, lip * diam)]
+    yield rep0[None], [v0], [max(0.0, lip * diam)]
+    n = 1
     best_val = v0
     # Value of every queried point, keyed by its coordinates (a tuple
     # compare reads -0.0 as 0.0), from the first split whose children
     # can land on a point queried before: at once on a ball, whose
     # clamped representatives meet, and on a box from
     # BisectionPartition._exact_depth on, down to which no two cells
-    # share a center.  Box runs that stay above it key nothing.
+    # share a center.  Box runs that stay above it key nothing.  Until
+    # the memo starts, the queried points are kept to fill it.
     memo = None
     memo_depth = 0 if partition.restrict_to is not None else partition._exact_depth
+    blocks, values = [rep0[None]], [v0]
 
     # Active leaves as (-optimistic, depth, index, position): ties go to
     # smaller depth, then smaller index, and (depth, index) is unique, so
@@ -117,8 +124,7 @@ def _tree_search(
     # own, so the certificates cover its cell from the round that pushed it.
     leaves = [(-(v0 + lip * diam), 0, 0, root)]
     frozen_b = -np.inf
-    done = certified and certs[0] <= eps
-    while leaves and len(values) < budget and not done:
+    while leaves:
         neg_b, depth, index, pos = heapq.heappop(leaves)
         optimistic = -neg_b
         if partition._frozen(depth, pos):
@@ -127,14 +133,17 @@ def _tree_search(
         codes, kid_pos, kid_reps = partition.split(depth, pos)
         if not codes:
             continue
-        room = budget - len(values)
+        room = budget - n
         if memo is None and depth >= memo_depth:
             memo = dict(zip(map(tuple, np.concatenate(blocks).tolist()), values))
+            blocks = values = None
         if memo is None:
             # Only the children the budget lets the trace record are
             # evaluated.
             fresh = kid_reps if len(kid_reps) <= room else kid_reps[:room]
             kid_vals = fresh_vals = fn(fresh).tolist()
+            blocks.append(fresh)
+            values += fresh_vals
         else:
             # A child whose point was queried before, by an earlier split
             # or a sibling, takes the stored value and spends no budget.
@@ -151,30 +160,21 @@ def _tree_search(
             fresh_vals = fn(fresh).tolist() if new else []
             memo.update(zip(new, fresh_vals))
             kid_vals = [memo[key] for key in keys]
-        if fresh_vals:
-            blocks.append(fresh)
-            # The popped leaf had the largest optimistic value among the
-            # leaves; together with the frozen cells' envelope this
-            # bounds the maximum over the domain.
-            top = max(optimistic, frozen_b)
-            for val in fresh_vals:
-                values.append(val)
-                best_val = max(best_val, val)
-                certs.append(max(0.0, top - best_val))
         slack = lip * diam * shrink ** (depth + 1)
         base = index * arity
         for code, kid, val in zip(codes, kid_pos, kid_vals):
             heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid))
-        done = len(values) == budget
-        # The accuracy check sits at round granularity: a round whose
-        # certificate passes the target is still recorded in full.
-        if certified and certs[-1] <= eps:
-            done = True
-
-    return build_trace(
-        algorithm, fn.label, lip, eps, budget, np.concatenate(blocks), values,
-        certs if certified else None,
-    )
+        if fresh_vals:
+            # The popped leaf had the largest optimistic value among the
+            # leaves; together with the frozen cells' envelope this
+            # bounds the maximum over the domain.
+            top = max(optimistic, frozen_b)
+            certs = []
+            for val in fresh_vals:
+                best_val = max(best_val, val)
+                certs.append(max(0.0, top - best_val))
+            n += len(fresh_vals)
+            yield fresh, fresh_vals, certs
 
 
 def cdoo_run(
@@ -191,8 +191,8 @@ def cdoo_run(
 
     Args:
       fn: objective to maximise.
-      eps: accuracy to certify; the run stops once a certificate reaches
-        it, or at the budget, whichever comes first.
+      eps: accuracy to certify; the run stops after the round whose
+        certificate reaches it, or at the budget, whichever comes first.
       budget: maximum number of queries.
       partition: bisection partition to search over; defaults to the
         canonical partition of the objective's domain.  Any other must
@@ -203,6 +203,8 @@ def cdoo_run(
       A trace whose certificates, for any truly valid bound, dominate the
       recommendation's suboptimality at every step.
     """
+    if eps is None:
+        raise ValueError("cdoo certifies, so it needs an accuracy target")
     return _tree_search(fn, partition, eps, budget, "cdoo")
 
 

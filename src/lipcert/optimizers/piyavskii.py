@@ -30,7 +30,6 @@ from ..core import (
     RunTrace,
     TestFunction,
     build_trace,
-    check_run_args,
     midpoint_grid,
 )
 from ..core.geometry import _column_length, _grid_counts
@@ -150,10 +149,11 @@ def ps_run_1d(
 
     Each round queries, observes, recomputes the envelope maximum, emits
     the certificate (envelope maximum minus best observed value), and
-    moves to the envelope's leftmost argmax.  Stops once the certificate
-    reaches ``eps`` or the budget runs out.  The envelope uses the
-    objective's ``lip_bound``; in one dimension all supported norms
-    coincide.
+    moves to the envelope's leftmost argmax.  Each round is one query,
+    and :func:`~lipcert.core.build_trace` stops the run after the round
+    whose certificate reaches ``eps`` or that spends the budget.  The
+    envelope uses the objective's ``lip_bound``; in one dimension all
+    supported norms coincide.
 
     Args:
       fn: one-dimensional objective on a box domain.
@@ -163,33 +163,26 @@ def ps_run_1d(
     """
     if fn.dim != 1 or not isinstance(fn.domain, Box):
         raise ValueError("exact sawtooth certification needs a 1-D box domain")
-    check_run_args(eps, budget)
+    if eps is None:
+        raise ValueError("ps1d certifies, so it needs an accuracy target")
     lip = fn.lip_bound
     a, b = float(fn.domain.lower[0]), float(fn.domain.upper[0])
     x = 0.5 * (a + b) if x1 is None else float(x1)
     if not a <= x <= b:
         raise ValueError(f"first query {x} outside [{a}, {b}]")
-
     env = Envelope1D(a, b, lip)
-    queries: list[float] = []
-    values: list[float] = []
-    certs: list[float] = []
+    return build_trace("ps1d", fn.label, lip, eps, budget, _ps1d_rounds(fn, env, x))
+
+
+def _ps1d_rounds(fn: TestFunction, env: Envelope1D, x: float):
     best_v = -math.inf
     while True:
-        fx = float(fn(np.array([x])))
+        point = np.array([x])
+        fx = float(fn(point))
         env.insert(x, fx)
-        queries.append(x)
-        values.append(fx)
         best_v = max(best_v, fx)
-        env_max, env_argmax = env.max_and_argmax()
-        certs.append(max(0.0, env_max - best_v))
-        if certs[-1] <= eps or len(queries) == budget:
-            break
-        x = env_argmax
-
-    return build_trace(
-        "ps1d", fn.label, lip, eps, budget, np.asarray(queries)[:, None], values, certs
-    )
+        env_max, x = env.max_and_argmax()
+        yield point[None], [fx], [max(0.0, env_max - best_v)]
 
 
 @dataclass(frozen=True)
@@ -274,11 +267,13 @@ def ps_run_grid(
     round queries the not-yet-queried candidate with the largest
     envelope value (first index on ties).  The first query is the
     domain's center, and the envelope uses the objective's ``lip_bound``
-    in its own norm.  The run stops once the certificate reaches
-    ``eps``, the budget is spent or every candidate is queried.  Every
-    certificate is at least ``lip * cover_radius``, so a set whose
-    covering radius exceeds ``eps / lip`` stops the run after its first
-    query, with a warning in the trace.
+    in its own norm.  Each round is one query, and
+    :func:`~lipcert.core.build_trace` stops the run after the round
+    whose certificate reaches ``eps`` or that spends the budget; the
+    rounds end once every candidate is queried.  Every certificate is
+    at least ``lip * cover_radius``, so a set whose covering radius
+    exceeds ``eps / lip`` ends the rounds after the first query, with a
+    warning in the trace.
 
     The envelope is one array updated in place, with queried candidates
     set to ``-inf``, so a query costs one distance pass and one
@@ -298,15 +293,14 @@ def ps_run_grid(
     """
     if fn.dim < 2:
         raise ValueError("use the exact 1-D sawtooth method in one dimension")
-    check_run_args(eps, budget)
+    if eps is None:
+        raise ValueError("psgrid certifies, so it needs an accuracy target")
     lip = fn.lip_bound
-    norm = fn.norm
     if candidates is None:
-        candidates = candidates_for(fn.domain, lip, eps, norm)
-    cand = candidates.points
-    if cand.shape[1] != fn.dim:
+        candidates = candidates_for(fn.domain, lip, eps, fn.norm)
+    if candidates.points.shape[1] != fn.dim:
         raise ValueError("candidate dimension does not match the objective")
-    inside = np.asarray(fn.domain.contains(cand))
+    inside = np.asarray(fn.domain.contains(candidates.points))
     if not inside.all():
         raise ValueError("candidate set contains points outside the domain")
     hopeless = candidates.cover_radius > eps / lip
@@ -316,8 +310,14 @@ def ps_run_grid(
             f"covering radius {candidates.cover_radius:g} exceeds eps/lip "
             f"{eps / lip:g}; the target accuracy cannot be certified",
         )
-    x = np.array(fn.domain.center)
+    rounds = _psgrid_rounds(fn, candidates, hopeless)
+    return build_trace("psgrid", fn.label, lip, eps, budget, rounds, warnings)
 
+
+def _psgrid_rounds(fn: TestFunction, candidates: CandidateSet, hopeless: bool):
+    lip = fn.lip_bound
+    cand = candidates.points
+    x = np.array(fn.domain.center)
     # envelope on the candidates, -inf on those already queried
     env = np.full(len(cand), math.inf)
     cols = np.ascontiguousarray(cand.T)
@@ -325,15 +325,12 @@ def ps_run_grid(
     dist = np.empty(len(cand))
     cone = np.empty(len(cand))
     hit = np.empty(len(cand), dtype=bool)
-    queries: list[np.ndarray] = []
-    values: list[float] = []
-    certs: list[float] = []
     best_v = -math.inf
     slack = lip * candidates.cover_radius
     while True:
         fx = float(fn(x))
         np.subtract(cols, x[:, None], out=diff)
-        _column_length(norm.kind, diff, diff, dist)
+        _column_length(fn.norm.kind, diff, diff, dist)
         np.multiply(lip, dist, out=cone)
         np.add(fx, cone, out=cone)
         np.minimum(env, cone, out=env)
@@ -341,8 +338,6 @@ def ps_run_grid(
         # can underflow to distance 0, so compare those rows
         zero = np.flatnonzero(np.equal(dist, 0.0, out=hit))
         env[zero[np.all(cand[zero] == x, axis=1)]] = -math.inf
-        queries.append(x)
-        values.append(fx)
         best_v = max(best_v, fx)
         pick = int(np.argmax(env))
         top = float(env[pick])
@@ -350,12 +345,7 @@ def ps_run_grid(
         # so at most best_v: leaving it out of top does not change
         # max(top, best_v).  The covering correction bridges from the
         # candidates to the whole domain.
-        certs.append(max(0.0, max(top, best_v) + slack - best_v))
-        if hopeless or certs[-1] <= eps or len(queries) == budget or top == -math.inf:
-            break
+        yield x[None], [fx], [max(0.0, max(top, best_v) + slack - best_v)]
+        if hopeless or top == -math.inf:
+            return
         x = cand[pick]
-
-    return build_trace(
-        "psgrid", fn.label, lip, eps, budget, np.asarray(queries), values, certs,
-        warnings,
-    )

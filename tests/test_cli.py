@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
 
@@ -247,7 +248,8 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
 def test_verify_traces_fails_on_a_repeated_point(capsys, monkeypatch):
     def repeating(fn, eps, budget):
         queries, values = [[0.5], [0.25], [0.5]], [0.0, -0.25, 0.0]
-        return build_trace("ncdoo", fn.label, fn.lip_bound, None, budget, queries, values)
+        rounds = [(queries, values, [math.inf] * 3)]
+        return build_trace("ncdoo", fn.label, fn.lip_bound, None, budget, rounds)
 
     monkeypatch.setitem(ALGORITHMS, "ncdoo", repeating)
     assert main(["verify", "--suite", "traces"]) == 2

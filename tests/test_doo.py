@@ -140,12 +140,38 @@ def test_invalid_budget_and_eps():
     ids=["cdoo", "ncdoo", "ps1d", "psgrid"],
 )
 def test_a_bool_budget_is_rejected(run, label):
-    # True is an int equal to 1, but a trace must not record it as a budget
-    fn = lc.get_function(label)
-    for budget in (True, False):
+    # True is an int equal to 1, but a trace must not record it as a
+    # budget; the check comes before the first evaluation
+    fn, calls = _counted(lc.get_function(label))
+    for budget in (True, False, 0):
         with pytest.raises(ValueError, match="budget must be a positive integer"):
             run(fn, budget)
+    assert calls == []
     assert run(fn, 1).budget == 1
+
+
+def _counted(fn):
+    calls = []
+
+    def counting(x, inner=fn.evaluator):
+        calls.append(len(x))
+        return inner(x)
+
+    return replace(fn, evaluator=counting), calls
+
+
+@pytest.mark.parametrize(
+    "run, label",
+    [(cdoo_run, "tent-d1"), (lc.ps_run_1d, "tent-d1"), (lc.ps_run_grid, "cone-d2")],
+    ids=["cdoo", "ps1d", "psgrid"],
+)
+def test_a_certified_run_rejects_a_missing_eps(run, label):
+    # cdoo used to run to its budget with no certificates, and the
+    # sawtooth runners raised TypeError, ps1d after one evaluation
+    fn, calls = _counted(lc.get_function(label))
+    with pytest.raises(ValueError, match="needs an accuracy target"):
+        run(fn, None, 50)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -159,14 +185,9 @@ def test_non_finite_evaluation_raises_instead_of_certifying(poison, bad):
 
 def test_budget_cut_evaluates_only_the_recorded_children(poison):
     fn = lc.get_function("multibump-d2")
-    evaluated = []
-
-    def counting(x, inner=fn.evaluator):
-        evaluated.append(len(x))
-        return inner(x)
-
+    counted, evaluated = _counted(fn)
     # the root's split has four children, and the budget records one
-    trace = ncdoo_run(replace(fn, evaluator=counting), 2)
+    trace = ncdoo_run(counted, 2)
     assert len(trace) == 2
     assert sum(evaluated) == 2
     # so a child left out of the trace can no longer fail the run
@@ -369,10 +390,7 @@ def _ref_search(fn, eps, budget):
                 break
         if certified and not done and certs[-1] <= eps:
             done = True
-    return build_trace(
-        "ref", fn.label, lip, eps, budget, np.asarray(queries), values,
-        certs if certified else None,
-    )
+    return build_trace("ref", fn.label, lip, eps, budget, [(np.asarray(queries), values, certs)])
 
 
 def _assert_same_run(trace, ref):

@@ -18,8 +18,8 @@ from lipcert import (
     convert_lip_bound,
     diameter,
     midpoint_grid,
-    norm_ratio,
 )
+from lipcert.core.geometry import _norm_ratio
 
 
 # squares of coordinates must not underflow, or the euclidean length
@@ -222,9 +222,9 @@ def test_norm_ratio_is_tight_on_witness_vectors():
     # euclidean->sup ratio sqrt(d) likewise.
     d = 3
     ones = np.ones(d)
-    assert L1.length(ones) / SUP.length(ones) == norm_ratio("l1", "sup", d)
+    assert L1.length(ones) / SUP.length(ones) == _norm_ratio("l1", "sup", d)
     assert EUCLIDEAN.length(ones) / SUP.length(ones) == pytest.approx(
-        norm_ratio("euclidean", "sup", d)
+        _norm_ratio("euclidean", "sup", d)
     )
 
 

@@ -10,12 +10,11 @@ from lipcert import (
     EUCLIDEAN,
     L1,
     SUP,
-    exact_covering_bruteforce,
-    exact_packing_bruteforce,
     greedy_packing,
     lemma_consistency_trials,
 )
 from lipcert.complexity import packing
+from lipcert.complexity.packing import _exact_covering_bruteforce, _exact_packing_bruteforce
 
 
 NORMS = (SUP, EUCLIDEAN, L1)
@@ -72,7 +71,7 @@ def test_greedy_output_is_separated_and_maximal(pts, radius):
 def test_greedy_vs_exact_packing(pts, radius):
     for norm in NORMS:
         greedy = len(greedy_packing(pts, radius, norm))
-        exact = exact_packing_bruteforce(pts, radius, norm)
+        exact = _exact_packing_bruteforce(pts, radius, norm)
         assert greedy <= exact
         # a maximal packing is at least half... no: any maximal packing
         # covers at radius, so exact-at-2-radius also bounds it below
@@ -81,28 +80,28 @@ def test_greedy_vs_exact_packing(pts, radius):
 
 def test_exact_packing_small_cases():
     pts = np.array([[0.0], [1.0], [2.0]])
-    assert exact_packing_bruteforce(pts, 0.5, SUP) == 3
-    assert exact_packing_bruteforce(pts, 1.0, SUP) == 2
-    assert exact_packing_bruteforce(pts, 2.0, SUP) == 1
-    assert exact_packing_bruteforce(pts, 1.5, SUP) == 2
+    assert _exact_packing_bruteforce(pts, 0.5, SUP) == 3
+    assert _exact_packing_bruteforce(pts, 1.0, SUP) == 2
+    assert _exact_packing_bruteforce(pts, 2.0, SUP) == 1
+    assert _exact_packing_bruteforce(pts, 1.5, SUP) == 2
 
 
 def test_exact_covering_small_cases():
     # ball centers are drawn from the set itself; that internal variant
     # still satisfies the packing chain on both sides
     pts = np.array([[0.0], [1.0], [2.0]])
-    assert exact_covering_bruteforce(pts, 0.5, SUP) == 3
-    assert exact_covering_bruteforce(pts, 1.0, SUP) == 1
+    assert _exact_covering_bruteforce(pts, 0.5, SUP) == 3
+    assert _exact_covering_bruteforce(pts, 1.0, SUP) == 1
     # at radius 0.9 no point reaches either neighbour
-    assert exact_covering_bruteforce(pts, 0.9, SUP) == 3
+    assert _exact_covering_bruteforce(pts, 0.9, SUP) == 3
     pts = np.array([[0.0], [0.5], [2.0]])
-    assert exact_covering_bruteforce(pts, 0.6, SUP) == 2
+    assert _exact_covering_bruteforce(pts, 0.6, SUP) == 2
 
 
 def test_exact_packing_respects_size_limit():
     pts = np.zeros((25, 1))
     with pytest.raises(ValueError):
-        exact_packing_bruteforce(pts, 0.5, SUP)
+        _exact_packing_bruteforce(pts, 0.5, SUP)
 
 
 @given(point_sets(max_points=9), st.floats(min_value=0.05, max_value=1.5))
@@ -111,9 +110,9 @@ def test_packing_covering_chain(pts, radius):
     # packing at twice the radius <= covering <= packing, the classical
     # chain, against both exact oracles
     for norm in NORMS:
-        n2 = exact_packing_bruteforce(pts, 2.0 * radius, norm)
-        m = exact_covering_bruteforce(pts, radius, norm)
-        n1 = exact_packing_bruteforce(pts, radius, norm)
+        n2 = _exact_packing_bruteforce(pts, 2.0 * radius, norm)
+        m = _exact_covering_bruteforce(pts, radius, norm)
+        n1 = _exact_packing_bruteforce(pts, radius, norm)
         assert n2 <= m <= n1
 
 
@@ -129,8 +128,8 @@ def test_packing_rescaling_inequality(pts, r1, factor):
     r2 = r1 * factor
     d = pts.shape[1]
     for norm in NORMS:
-        n1 = exact_packing_bruteforce(pts, r1, norm)
-        n2 = exact_packing_bruteforce(pts, r2, norm)
+        n1 = _exact_packing_bruteforce(pts, r1, norm)
+        n2 = _exact_packing_bruteforce(pts, r2, norm)
         assert n1 <= (4.0 * r2 / r1) ** d * n2
 
 

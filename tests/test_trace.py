@@ -162,7 +162,7 @@ def test_recommendations_consistent_matches_the_loop(data):
     queries = np.array(
         data.draw(st.lists(st.lists(_ENTRIES, min_size=2, max_size=2), min_size=n, max_size=n))
     )
-    honest = build_trace("stub", "stub-fn", 1.0, None, n, queries, values)
+    honest = build_trace("stub", "stub-fn", 1.0, None, n, [(queries, values, [math.inf] * n)])
     rec_points = honest.rec_points.copy()
     rec_values = honest.rec_values.copy()
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
@@ -187,6 +187,64 @@ def test_recommendations_consistent_matches_the_loop(data):
         certificates=None,
     )
     assert recommendations_consistent(trace) == _loop_consistent(trace)
+
+
+def _rounds(certificates, pulled):
+    # round j queries one point per certificate, 10 j + i, of value j,
+    # and logs in pulled each time it is advanced
+    for j, certs in enumerate(certificates):
+        pulled.append(j)
+        points = 10.0 * j + np.arange(len(certs), dtype=float)[:, None]
+        yield points, [float(j)] * len(certs), list(certs)
+
+
+def _loop(eps, budget, certificates):
+    pulled = []
+    trace = build_trace("stub", "stub-fn", 1.0, eps, budget, _rounds(certificates, pulled))
+    return trace, pulled
+
+
+def test_build_trace_records_the_round_that_passes_eps_in_full():
+    trace, pulled = _loop(1.0, 100, [[4.0], [3.0, 0.5, 0.25], [0.1]])
+    assert trace.certificates.tolist() == [4.0, 3.0, 0.5, 0.25]
+    assert trace.queries.ravel().tolist() == [0.0, 10.0, 11.0, 12.0]
+    assert pulled == [0, 1]
+    assert recommendations_consistent(trace)
+
+
+def test_build_trace_stops_at_the_budget():
+    trace, pulled = _loop(0.01, 5, [[4.0, 3.0], [2.0, 1.0], [0.5, 0.25], [0.1]])
+    # the round that spends the budget is recorded up to it
+    assert trace.certificates.tolist() == [4.0, 3.0, 2.0, 1.0, 0.5]
+    assert trace.values.tolist() == [0.0, 0.0, 1.0, 1.0, 2.0]
+    assert trace.queries.shape == (5, 1)
+    assert pulled == [0, 1, 2]
+    trace, pulled = _loop(0.01, 4, [[4.0, 3.0], [2.0, 1.0], [0.5]])
+    assert len(trace) == 4 and pulled == [0, 1]
+
+
+def test_build_trace_stops_when_the_rounds_end():
+    trace, pulled = _loop(0.01, 100, [[4.0], [3.0, 2.0]])
+    assert trace.certificates.tolist() == [4.0, 3.0, 2.0]
+    assert trace.budget == 100 and pulled == [0, 1]
+
+
+def test_build_trace_without_eps_keeps_no_certificates_and_has_no_accuracy_stop():
+    trace, pulled = _loop(None, 3, [[0.0], [0.0], [0.0], [0.0]])
+    assert trace.certificates is None and trace.eps is None
+    assert len(trace) == 3 and pulled == [0, 1, 2]
+
+
+def test_build_trace_never_advances_the_rounds_past_the_stop():
+    def rounds():
+        yield np.zeros((1, 2)), [0.0], [0.5]
+        raise AssertionError("advanced past the stop")
+
+    assert len(build_trace("stub", "stub-fn", 1.0, 0.5, 10, rounds())) == 1
+    assert len(build_trace("stub", "stub-fn", 1.0, None, 1, rounds())) == 1
+    # and checks its arguments before the first round
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
+        build_trace("stub", "stub-fn", 1.0, 0.5, 0, iter([()]))
 
 
 def test_sigma_first_crossing():
@@ -336,8 +394,13 @@ def test_json_bytes_match_the_oracle(fn, algo):
 
 
 def _edge_trace(queries, values, certificates, **header):
-    trace = build_trace("stub", "stub-fn", 1.0, 0.5, len(values), queries, values, certificates)
-    return replace(trace, **header)
+    # rounds without certificates are built as a run that certifies
+    # nothing, and then take the header's eps
+    eps = None if certificates is None else 0.5
+    if certificates is None:
+        certificates = [math.inf] * len(values)
+    trace = build_trace("stub", "stub-fn", 1.0, eps, len(values), [(queries, values, certificates)])
+    return replace(trace, **{"eps": 0.5, **header})
 
 
 @pytest.mark.parametrize(
