@@ -23,6 +23,7 @@ from ..core import (
     sigma_from_trace,
     zeta_from_trace,
 )
+from ..core.geometry import _check_lip_bound
 from ..optimizers import ALGORITHMS, CERTIFIED
 from ..partition import bisection_setup
 from .registry import LABELS, default_algorithm, get_function
@@ -76,14 +77,13 @@ class SweepConfig:
         for name, algo in self.algorithms.items():
             if algo not in CERTIFIED:
                 raise ValueError(f"unknown algorithm {algo!r} for {name!r}")
-        if self.lip <= 0:
-            raise ValueError("L must be positive")
+        _check_lip_bound(self.lip)
         if self.eps_count < 1:
             raise ValueError("eps-count must be at least 1")
         if self.budget < 1 or any(b < 1 for b in self.budgets.values()):
             raise ValueError("budgets must be positive")
-        if self.grid_step_divisor < 8 * (1 - 1e-12):
-            raise ValueError("grid-step-divisor must be at least 8")
+        if not 8 * (1 - 1e-12) <= self.grid_step_divisor < math.inf:
+            raise ValueError("grid-step-divisor must be finite and at least 8")
         if self.integral_method not in ("grid", "montecarlo"):
             raise ValueError(f"unknown integral-method {self.integral_method!r}")
         if self.mc_samples < 2:

@@ -2,17 +2,14 @@
 
 Points are hashed into axis-aligned cubic buckets of one side length,
 keyed by ``floor(x / side)`` per coordinate, and sorted once by a packed
-integer key in which the last axis varies fastest.  Two lookups follow:
-
-  * :meth:`Buckets.join` pairs every point of another set with every
-    hashed point in the same or an adjacent bucket, for all of them at
-    once (the separation check of ``verify_assumptions`` and the audit's
-    free-point scan);
-  * :meth:`Buckets.runs` gives, for one hashed point, the ``3**(d-1)``
-    contiguous runs of the sorted order that hold its own and its
-    adjacent buckets (greedy packing).
-
-Both return candidates only; callers keep their exact distance test.
+integer key in which the last axis varies fastest.  A key's own and
+adjacent buckets then fill ``3**(d-1)`` contiguous runs of the sorted
+keys, one per offset of the other axes, and one table of run bounds
+serves both lookups: :meth:`Buckets.runs` reads the runs of one hashed
+point (greedy packing), and :meth:`Buckets.join` reads them for every
+point of another set at once (the separation check of
+``verify_assumptions`` and the audit's free-point scan).  Both return
+candidates only; callers keep their exact distance test.
 
 **Completeness.**  Let ``r > 0`` be a radius, ``M`` the largest absolute
 coordinate of any point involved, ``u = 2**-53`` the unit roundoff, and
@@ -95,13 +92,13 @@ class Buckets:
         self.keys = keys @ self.strides
         self.order = np.argsort(self.keys, kind="stable")
         self.sorted_keys = self.keys[self.order]
-        # Packed shifts to the 3**d adjacent buckets, last axis fastest:
-        # every third one starts a run of three along the last axis.
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
-        self._shifts = offsets @ self.strides
-        # Keys are integers, so a run that ends at key k stops where
-        # key k + 1 would start: one left search finds both run ends.
-        self._run_ends = np.stack([self._shifts[0::3], self._shifts[2::3] + 1], axis=1).ravel()
+        # Packed shift of each run's middle bucket, one per offset of the
+        # first d - 1 axes; a run spans shifts -1..1 along the last axis.
+        # Keys are integers, so a run that ends at key k stops where key
+        # k + 1 would start: one left search finds both run ends.
+        offsets = list(itertools.product((-1, 0, 1), repeat=d - 1))
+        heads = np.array(offsets, dtype=np.int64) @ self.strides[:-1]
+        self._run_ends = np.stack([heads - 1, heads + 2], axis=1).ravel()
 
     def runs(self, i: int) -> list[int]:
         """The ``3**(d-1)`` runs of ``order`` that hold the buckets adjacent
@@ -111,9 +108,9 @@ class Buckets:
 
     def join(self, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs ``(i, j)``: ``others[i]`` and hashed point ``j``
-        lie in the same or adjacent buckets.  Pairs come grouped by
-        bucket offset in ``itertools.product((-1, 0, 1), repeat=d)``
-        order, then by ``i``, then by ``j``'s position in ``order``."""
+        lie in the same or adjacent buckets.  Pairs come run-major: by
+        run in the order of :meth:`runs`, then by ``i``, then by ``j``'s
+        position in ``order``."""
         keys = np.floor(others / self.side).astype(np.int64) - self.origin
         # A point more than one bucket outside the hashed range on some
         # axis has no neighbours; the rest, shifted by one bucket, keep
@@ -130,11 +127,10 @@ class Buckets:
         packed = keys @ self.strides
         o_parts: list[np.ndarray] = []
         h_parts: list[np.ndarray] = []
-        for shift in self._shifts.tolist():
-            shifted = packed + shift
-            left = self.sorted_keys.searchsorted(shifted, side="left")
-            right = self.sorted_keys.searchsorted(shifted, side="right")
-            counts = right - left
+        ends = self._run_ends.tolist()
+        for start, stop in zip(ends[0::2], ends[1::2]):
+            left = self.sorted_keys.searchsorted(packed + start)
+            counts = self.sorted_keys.searchsorted(packed + stop) - left
             total = int(counts.sum())
             if total == 0:
                 continue

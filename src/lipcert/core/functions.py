@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import Ball, Box, Domain, Norm
+from .geometry import Ball, Box, Domain, Norm, _check_lip_bound
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,20 @@ class TestFunction:
     def __post_init__(self) -> None:
         if not isinstance(self.domain, (Box, Ball)):
             raise TypeError(f"unsupported domain type {type(self.domain).__name__}")
-        if not self.lip_bound > 0:
-            raise ValueError(f"Lipschitz bound must be positive, got {self.lip_bound}")
+        _check_lip_bound(self.lip_bound)
         if self.exact_lip is not None:
-            if self.exact_lip < 0:
-                raise ValueError("exact Lipschitz constant cannot be negative")
+            if not 0 <= self.exact_lip < math.inf:
+                raise ValueError(
+                    "exact Lipschitz constant must be nonnegative and finite, "
+                    f"got {self.exact_lip}"
+                )
             if self.exact_lip > self.lip_bound * (1 + 1e-12):
                 raise ValueError(
                     f"exact Lipschitz constant {self.exact_lip} exceeds the "
                     f"declared bound {self.lip_bound}"
                 )
+        if self.known_max is not None and not math.isfinite(self.known_max):
+            raise ValueError(f"known maximum must be finite, got {self.known_max}")
 
     @property
     def dim(self) -> int:

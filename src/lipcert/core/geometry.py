@@ -40,6 +40,13 @@ def _norm_ratio(from_kind: str, to_kind: str, dim: int) -> float:
     return _EQUIVALENCE[(from_kind, to_kind)](dim)
 
 
+def _check_lip_bound(lip: float) -> None:
+    """Raise ValueError unless ``lip`` is a usable Lipschitz bound: a
+    positive finite number.  Every entry that takes a bound calls it."""
+    if not 0 < lip < math.inf:
+        raise ValueError(f"Lipschitz bound must be positive and finite, got {lip}")
+
+
 def convert_lip_bound(lip: float, from_kind: str, to_kind: str, dim: int) -> float:
     """Convert a Lipschitz bound between norms.
 
@@ -48,8 +55,7 @@ def convert_lip_bound(lip: float, from_kind: str, to_kind: str, dim: int) -> flo
     ``to_kind`` distance.  The conversion factor is tight over all
     functions, so no validity is lost.
     """
-    if lip <= 0:
-        raise ValueError(f"Lipschitz bound must be positive, got {lip}")
+    _check_lip_bound(lip)
     return lip * _norm_ratio(from_kind, to_kind, dim)
 
 

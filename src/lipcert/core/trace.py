@@ -19,6 +19,8 @@ from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
+from .geometry import _check_lip_bound
+
 NOT_REACHED = math.inf
 # Float slack a true gap may exceed its certificate by and still pass.
 _VALIDITY_TOL = 1e-9
@@ -309,9 +311,9 @@ def trace_from_json(text: str) -> RunTrace:
 
     Raises ValueError for what no run can have produced: a header whose
     ``eps`` and ``budget`` fail :func:`check_run_args`, whose ``L`` is
-    not positive, or whose budget is smaller than the number of records;
-    a record whose ``n`` is not its 1-based position; and a query, value
-    or recommendation that is not finite.  A ``+inf`` certificate is
+    not positive and finite, or whose budget is smaller than the number
+    of records; a record whose ``n`` is not its 1-based position; and a
+    query, value or recommendation that is not finite.  A ``+inf`` certificate is
     valid.
     """
     doc = json.loads(text)
@@ -321,8 +323,7 @@ def trace_from_json(text: str) -> RunTrace:
         raise ValueError("trace document contains no records")
     lip, eps, budget = float(header["L"]), _float_or_none(header["eps"]), header["budget"]
     check_run_args(eps, budget)
-    if not lip > 0:
-        raise ValueError(f"Lipschitz bound must be positive, got {lip}")
+    _check_lip_bound(lip)
     if len(records) > budget:
         raise ValueError(f"{len(records)} records exceed the budget of {budget}")
     for i, record in enumerate(records, start=1):

@@ -32,7 +32,7 @@ from ..core import (
     build_trace,
     midpoint_grid,
 )
-from ..core.geometry import _column_length, _grid_counts
+from ..core.geometry import _check_lip_bound, _column_length, _grid_counts
 
 # Largest candidate set candidates_for builds; past it the set coarsens.
 _MAX_CANDIDATES = 40000
@@ -59,8 +59,7 @@ class Envelope1D:
     def __init__(self, a: float, b: float, lip: float) -> None:
         if not a < b:
             raise ValueError(f"empty interval [{a}, {b}]")
-        if not lip > 0:
-            raise ValueError(f"Lipschitz bound must be positive, got {lip}")
+        _check_lip_bound(lip)
         self.a = float(a)
         self.b = float(b)
         self.lip = float(lip)
@@ -216,8 +215,9 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
     the set is coarsened to fit and the honest, larger covering radius is
     reported; certificates stay valid but may never reach ``eps``.
     """
-    if not lip > 0 or not eps > 0:
-        raise ValueError("Lipschitz bound and accuracy target must be positive")
+    _check_lip_bound(lip)
+    if not eps > 0:
+        raise ValueError(f"accuracy target must be positive, got {eps}")
     if isinstance(domain, Ball):
         if domain.norm.kind != "euclidean" or domain.dim != 2:
             raise ValueError(

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound
-from .core._buckets import Buckets
+from .core._buckets import Buckets, covering_side
 from .core.geometry import _all_columns
 
 
@@ -38,6 +38,8 @@ from .core.geometry import _all_columns
 _MAX_BITS = 60
 # Offsets from a cell's position to its lower and upper corners.
 _CORNERS = np.array([0, 1], dtype=np.int64).reshape(2, 1, 1)
+# verify_assumptions builds every cell of every depth it checks.
+_MAX_VERIFY_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -381,9 +383,11 @@ def verify_assumptions(
     ``min(cells, 512)`` cells drawn with replacement.  Representatives
     must lie in their cells, and in the ball when the partition has one.
     Separation is checked for every pair of feasible representatives
-    across all depth combinations, using a bucket join so that no pair
-    below the bound can be missed.  The first violation found is reported
-    with its cells, named by ``(depth, index)``, and measured distance.
+    across all depth combinations.  The candidates come from a bucket
+    join sized by ``covering_side``, which ``core._buckets`` proves
+    complete, so no pair below the bound can be missed.  The first
+    violation found is reported with its cells, named by
+    ``(depth, index)``, and measured distance.
 
     Args:
       partition: a :class:`BisectionPartition`.  A subclass is verified
@@ -392,15 +396,25 @@ def verify_assumptions(
         Python floats without reading it, so the tree search refuses a
         subclass that overrides ``_cells``: what it verifies would not
         be what is searched.
-      max_depth: deepest level to verify, inclusive.
+      max_depth: deepest level to verify, inclusive.  Every cell of
+        every depth is built, so a depth past ``partition.max_depth``,
+        or one whose depths hold more than ``_MAX_VERIFY_CELLS`` cells
+        in all, raises ValueError.
       seed: seed for the interior sampling; results are deterministic.
     """
     if not isinstance(partition, BisectionPartition):
         raise ValueError(
             f"expected a BisectionPartition, got {type(partition).__name__}"
         )
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+    if not 0 <= max_depth <= partition.max_depth:
+        raise ValueError(f"max_depth must be in 0..{partition.max_depth}, got {max_depth}")
+    # cells in depths 0..max_depth, the sum of arity**h
+    total = (partition.arity ** (max_depth + 1) - 1) // (partition.arity - 1)
+    if total > _MAX_VERIFY_CELLS:
+        raise ValueError(
+            f"verifying to depth {max_depth} builds {total} cells, more than "
+            f"{_MAX_VERIFY_CELLS}; lower max_depth"
+        )
     rng = np.random.default_rng(seed)
     norm = partition.norm
     cells_checked = 0
@@ -462,13 +476,8 @@ def verify_assumptions(
             all_pts = np.concatenate(seen_pts + [cur_pts])
             all_keys = np.concatenate(seen_keys + [cur_keys])
             bound_sep = partition.separation * partition.shrink**depth
-            # Candidates share or touch a bucket of side bound_sep.  By the
-            # bound in core._buckets, the 1e-12 margin of the strict test
-            # below absorbs the key rounding while coordinates stay within
-            # about 4,500 bucket sides of zero; past that, completeness
-            # rests on the quotients being exact, as they are for dyadic
-            # boxes.
-            ai, bi = Buckets(cur_pts, bound_sep).join(all_pts)
+            side = covering_side(bound_sep, float(np.abs(all_pts).max()))
+            ai, bi = Buckets(cur_pts, side).join(all_pts)
             if len(ai):
                 dists = np.atleast_1d(norm.length(all_pts[ai] - cur_pts[bi]))
                 same = np.logical_and(

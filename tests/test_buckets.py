@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -79,8 +80,8 @@ def _ref_near_pairs(a_pts, b_pts, radius):
     b_packed = pack(kb)
     order = np.argsort(b_packed, kind="stable")
     b_sorted = b_packed[order]
-    a_idx_parts, b_idx_parts = [], []
-    for offset in itertools.product((-1, 0, 1), repeat=d):
+    a_idx_parts, b_pos_parts, run_parts = [], [], []
+    for k, offset in enumerate(itertools.product((-1, 0, 1), repeat=d)):
         shifted = pack(ka + np.asarray(offset, dtype=np.int64))
         left = np.searchsorted(b_sorted, shifted, side="left")
         right = np.searchsorted(b_sorted, shifted, side="right")
@@ -91,13 +92,17 @@ def _ref_near_pairs(a_pts, b_pts, radius):
         a_idx = np.repeat(np.arange(len(a_pts)), counts)
         starts = np.repeat(left, counts)
         prefix = np.repeat(np.cumsum(counts) - counts, counts)
-        b_idx = order[starts + (np.arange(total) - prefix)]
         a_idx_parts.append(a_idx)
-        b_idx_parts.append(b_idx)
+        b_pos_parts.append(starts + (np.arange(total) - prefix))
+        # the offsets of one run differ only on the last axis
+        run_parts.append(np.full(total, k // 3))
     if not a_idx_parts:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    return np.concatenate(a_idx_parts), np.concatenate(b_idx_parts)
+    a_idx, b_pos = np.concatenate(a_idx_parts), np.concatenate(b_pos_parts)
+    # run-major: by run, then by a point, then by b point's sorted position
+    ranked = np.lexsort((b_pos, a_idx, np.concatenate(run_parts)))
+    return a_idx[ranked], order[b_pos[ranked]]
 
 
 def _same(got, want):
@@ -338,7 +343,7 @@ class _CheckedBuckets(Buckets):
         (lambda: lc.bisection_setup(lc.get_function("cone-d2"))[0], 8, 0,
          "AssumptionCheck(ok=False, violation={'kind': 'separation', 'cell_a': (1, 0), "
          "'cell_b': (2, 0), 'measured': 0.0, 'required': 0.25}, cells_checked=21, "
-         "pairs_checked=69)"),
+         "pairs_checked=102)"),
         (lambda: lc.BisectionPartition(lc.Box([0.1, -2.3, 0.7], [0.45, 1.9, 3.3])), 4, 3,
          "AssumptionCheck(ok=True, violation=None, cells_checked=4681, pairs_checked=1097)"),
     ],
@@ -350,3 +355,68 @@ def test_verify_assumptions_join_is_unchanged(monkeypatch, build, depth, seed, e
     check = lc.verify_assumptions(build(), depth, seed=seed)
     assert repr(check) == expected
     assert _CheckedBuckets.joins > before
+
+
+@dataclass(frozen=True)
+class _JitteredReps(lc.BisectionPartition):
+    """Cell centres moved by up to two float steps per coordinate in a
+    seeded few cells.  In a cube a child's centre lies exactly at the
+    separation bound from its parent's, so moved pairs land on either
+    side of the bound."""
+
+    seed: int = 0
+
+    def _cells(self, pos, depth):
+        lower, upper, reps, feas = super()._cells(pos, depth)
+        rng = np.random.default_rng([self.seed, depth])
+        steps = rng.integers(-2, 3, size=reps.shape) * (rng.random((len(reps), 1)) < 0.05)
+        return lower, upper, reps + steps * np.spacing(reps), feas
+
+
+@st.composite
+def far_boxes(draw):
+    """Cubes and other boxes whose lower corner lies near +-1e6 and whose
+    edges are odd multiples of a power of two from 2**-24 to 1: every
+    cell bound and centre is exact, while the bucket quotients round, up
+    to about 1e15 bucket sides from zero."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    lower = sign * 1e6 + np.array([draw(st.integers(0, 2**20)) for _ in range(d)]) / 2.0**10
+
+    def edge():
+        return (2 * draw(st.integers(1, 499)) + 1) / 2.0 ** draw(st.integers(0, 24))
+
+    edges = np.full(d, edge()) if draw(st.booleans()) else np.array([edge() for _ in range(d)])
+    depth = {1: 7, 2: 4, 3: 3}[d]
+    return _JitteredReps(lc.Box(lower, lower + edges), seed=draw(st.integers(0, 2**32 - 1))), depth
+
+
+def _first_separation_depth(partition, max_depth):
+    """The first depth at which some pair of distinct representatives,
+    over all pairs, is closer than the deeper one's bound (brute force)."""
+    seen = []
+    for depth in range(max_depth + 1):
+        reps = partition._depth_summary(depth)[2]
+        bound = partition.separation * partition.shrink**depth
+        for shallower, pts in enumerate(seen + [reps]):
+            dists = SUP.length(pts[:, None, :] - reps[None, :, :])
+            if shallower == depth:
+                np.fill_diagonal(dists, np.inf)
+            if (dists < bound * (1 - 1e-12)).any():
+                return depth
+        seen.append(reps)
+    return None
+
+
+@given(far_boxes())
+@settings(deadline=None, max_examples=60)
+def test_verify_assumptions_finds_every_close_pair_far_from_zero(case):
+    partition, depth = case
+    check = lc.verify_assumptions(partition, depth)
+    found = _first_separation_depth(partition, depth)
+    if found is None:
+        assert check.ok, check.violation
+    else:
+        assert check.violation["kind"] == "separation"
+        assert check.violation["cell_b"][0] == found
+        assert check.violation["measured"] < check.violation["required"]

@@ -299,3 +299,15 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     for token in ("run", "sweep", "complexity", "audit", "verify"):
         assert token in proc.stdout
+
+
+def test_cli_refuses_a_non_finite_bound_and_an_unenumerable_depth(monkeypatch, capsys):
+    monkeypatch.setattr(importlib.import_module("lipcert.partition"), "_MAX_VERIFY_CELLS", 100)
+    # the unit cube to depth 3 holds 585 cells; the line and square pass
+    assert main(["verify", "--suite", "assumptions", "--max-depth", "3"]) == 1
+    assert "585 cells, more than 100" in capsys.readouterr().err
+    code = main([
+        "run", "--function", "constant-d1", "--L", "inf", "--eps", "0.1", "--budget", "50",
+    ])
+    assert code == 1
+    assert "Lipschitz bound must be positive and finite" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -19,7 +21,10 @@ from lipcert import (
     diameter,
     midpoint_grid,
 )
+import lipcert as lc
+from lipcert.cli.sweep import SweepConfig
 from lipcert.core.geometry import _norm_ratio
+from lipcert.optimizers.piyavskii import Envelope1D, candidates_for
 
 
 # squares of coordinates must not underflow, or the euclidean length
@@ -362,3 +367,38 @@ def test_midpoint_grid_cells_tile_the_box(step, d):
     assert len(pts) == int(np.prod(counts))
     # cell volume times count recovers the box volume
     assert len(pts) * float(np.prod(steps)) == pytest.approx(1.0)
+
+
+def _trace_read_with_bound(lip):
+    doc = json.loads(lc.trace_to_json(lc.cdoo_run(lc.get_function("tent-d1"), 0.25, 100)))
+    doc["header"]["L"] = lip
+    return lc.trace_from_json(json.dumps(doc))
+
+
+# every entry that takes a Lipschitz bound, each called with a bad one
+_BOUND_ENTRIES = {
+    "TestFunction": lambda lip: dataclasses.replace(
+        lc.get_function("tent-d1"), lip_bound=lip, exact_lip=None
+    ),
+    "convert_lip_bound": lambda lip: convert_lip_bound(lip, "sup", "sup", 2),
+    "Envelope1D": lambda lip: Envelope1D(0.0, 1.0, lip),
+    "candidates_for": lambda lip: candidates_for(
+        lc.get_function("cone-d2").domain, lip, 0.1, EUCLIDEAN
+    ),
+    "trace_from_json": _trace_read_with_bound,
+    "SweepConfig": lambda lip: SweepConfig(lip=lip),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("entry", list(_BOUND_ENTRIES))
+def test_every_entry_refuses_a_non_finite_lipschitz_bound(entry, bad):
+    with pytest.raises(ValueError, match="Lipschitz bound must be positive and finite"):
+        _BOUND_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("field", ["exact_lip", "known_max"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_test_function_refuses_non_finite_ground_truth(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(lc.get_function("tent-d1"), **{field: bad})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lipcert import partition as partition_module
 from lipcert import (
     EUCLIDEAN,
     Ball,
@@ -477,3 +478,13 @@ def test_verify_assumptions_is_deterministic():
 def test_verify_assumptions_rejects_negative_depth(unit2):
     with pytest.raises(ValueError):
         verify_assumptions(unit2, max_depth=-1)
+
+
+def test_verify_assumptions_refuses_depths_it_cannot_enumerate(monkeypatch, unit2):
+    monkeypatch.setattr(partition_module, "_MAX_VERIFY_CELLS", 340)
+    # depths 0..4 of the unit square hold 1 + 4 + 16 + 64 + 256 = 341 cells
+    with pytest.raises(ValueError, match="builds 341 cells, more than 340"):
+        verify_assumptions(unit2, max_depth=4)
+    assert verify_assumptions(unit2, max_depth=3).cells_checked == 85
+    with pytest.raises(ValueError, match=r"max_depth must be in 0\.\.30, got 31"):
+        verify_assumptions(unit2, max_depth=31)

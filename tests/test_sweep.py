@@ -82,9 +82,13 @@ def test_full_config_round_trip():
         ("algorithm.tent-d1 = sgd", "unknown algorithm"),
         ("eps-count = 0", "at least 1"),
         ("L = 0", "positive"),
+        ("L = inf", "Lipschitz bound must be positive and finite"),
+        ("L = nan", "Lipschitz bound must be positive and finite"),
         ("budget = 0", "positive"),
         ("budget.tent-d1 = 0", "positive"),
         ("grid-step-divisor = 4", "at least 8"),
+        ("grid-step-divisor = inf", "finite and at least 8"),
+        ("grid-step-divisor = nan", "finite and at least 8"),
         ("integral-method = simpson", "integral-method"),
         ("jobs = 0", "at least 1"),
         ("mc-samples = 1", "mc-samples must be at least 2"),
