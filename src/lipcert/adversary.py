@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,14 +42,13 @@ _GRID_CAP = 400_000
 
 def _bump(
     center: np.ndarray, peak: float, radius: float, slope: float, norm: Norm
-) -> Callable[[np.ndarray], Union[float, np.ndarray]]:
-    """Cone of height ``peak`` at ``center`` falling at rate ``slope``,
-    and identically zero, bitwise, beyond ``radius = peak / slope``."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of a cone of height ``peak`` at ``center`` falling at rate
+    ``slope``, identically zero, bitwise, beyond ``radius = peak / slope``."""
 
-    def bump(x: np.ndarray) -> Union[float, np.ndarray]:
-        dist = np.asarray(norm.length(np.asarray(x, dtype=float) - center))
-        out = np.where(dist <= radius, np.maximum(0.0, peak - slope * dist), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+    def bump(x: np.ndarray) -> np.ndarray:
+        dist = norm.length(x - center)
+        return np.where(dist <= radius, np.maximum(0.0, peak - slope * dist), 0.0)
 
     return bump
 
@@ -174,9 +173,7 @@ def audit_certified_run(
         ball_radius = peak / slope
         separation = headroom * eps_tilde / fn.lip_bound
         step = ball_radius / 2.0
-        while True:
-            if float(np.prod(_grid_counts(box, step))) <= _GRID_CAP:
-                break
+        while float(np.prod(_grid_counts(box, step))) > _GRID_CAP:
             step *= 1.5
         grid, _ = midpoint_grid(box, step, max_points=_GRID_CAP)
         inside = np.asarray(fn.domain.contains(grid))

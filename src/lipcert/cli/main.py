@@ -132,9 +132,6 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     fn = get_function(args.function, lip=args.L)
-    if args.eps is None and args.algo in CERTIFIED:
-        print("lipcert run: --eps is required for certified runs", file=sys.stderr)
-        return 1
     runner = ALGORITHMS[args.algo]
     if args.x1 is not None:
         if args.algo != "ps1d":
@@ -144,9 +141,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace = runner(fn, args.eps, args.budget)
     for warning in trace.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    out = _resolve_out(args.out)
-    if out:
-        write_trace(trace, out)
     parts = [
         f"algorithm={trace.algorithm}",
         f"function={trace.function}",
@@ -161,6 +155,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif fn.known_max is not None and args.eps is not None:
         zeta = zeta_from_trace(trace, fn.known_max, args.eps)
         parts.append(f"zeta={'inf' if math.isinf(zeta) else zeta}")
+    # written last, so that a run refused for its target leaves no file
+    out = _resolve_out(args.out)
+    if out:
+        write_trace(trace, out)
     print(" ".join(parts))
     return 0
 

@@ -27,6 +27,7 @@ from ..core import (
     diameter,
     midpoint_grid,
 )
+from ..core.geometry import _check_accuracy
 from .packing import greedy_packing
 
 # Largest decomposition grid; past it the call fails instead of allocating.
@@ -86,8 +87,7 @@ def layer_decomposition(
         more than ``_MAX_GRID_POINTS`` points fails with advice instead
         of allocating.
     """
-    if not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
+    _check_accuracy(eps)
     if norm is None:
         norm = fn.norm
     lip = convert_lip_bound(fn.lip_bound, fn.norm.kind, norm.kind, fn.dim)

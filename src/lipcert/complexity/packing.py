@@ -53,11 +53,9 @@ def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
     grid of step ``h``, about ``(3 * radius / h)**d`` candidates.
 
     Raises:
-      ValueError: if ``radius`` is not positive or a point is not finite.
+      ValueError: unless ``points`` is ``(n, d)`` and finite and ``radius`` positive.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not radius > 0:
-        raise ValueError(f"packing radius must be positive, got {radius}")
+    points = _point_set(points, radius, "packing")
     n = len(points)
     if n == 0:
         return points.copy()
@@ -79,17 +77,27 @@ def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
         alive[i] = False
         if buckets is None:
             if i + 1 < n:
-                dists = np.atleast_1d(norm.length(points[i + 1 :] - points[i]))
+                dists = norm.length(points[i + 1 :] - points[i])
                 alive[i + 1 :] &= dists > radius
         else:
             ends = buckets.runs(i)
             idx = np.concatenate([order[a:b] for a, b in zip(ends[0::2], ends[1::2])])
             idx = idx[alive[idx]]
             if len(idx):
-                dists = np.atleast_1d(norm.length(points[idx] - points[i]))
+                dists = norm.length(points[idx] - points[i])
                 alive[idx[dists <= radius]] = False
         i = _next_alive(alive, i + 1)
     return points[chosen].copy()
+
+
+def _point_set(points: np.ndarray, radius: float, kind: str) -> np.ndarray:
+    """``points`` as floats, if it is ``(n, d)`` and the ``kind`` radius is positive."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"expected a point set of shape (n, d), got shape {points.shape}")
+    if not radius > 0:
+        raise ValueError(f"{kind} radius must be positive, got {radius}")
+    return points
 
 
 def _next_alive(alive: np.ndarray, start: int) -> int:
@@ -105,7 +113,7 @@ def _next_alive(alive: np.ndarray, start: int) -> int:
 
 def _pairwise(points: np.ndarray, norm: Norm) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
-    return np.atleast_2d(norm.length(diff))
+    return norm.length(diff)
 
 
 def _exact_packing_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> int:
@@ -115,9 +123,7 @@ def _exact_packing_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> 
     the answer is the maximum independent set.  Intended for the small
     sets used as ground truth; refuses more than a couple dozen points.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not radius > 0:
-        raise ValueError(f"packing radius must be positive, got {radius}")
+    points = _point_set(points, radius, "packing")
     n = len(points)
     if n == 0:
         return 0
@@ -153,9 +159,7 @@ def _exact_covering_bruteforce(points: np.ndarray, radius: float, norm: Norm) ->
     every feasible covering must pick one of them, so the search is
     complete.  A fractional bound on the remaining points prunes.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not radius > 0:
-        raise ValueError(f"covering radius must be positive, got {radius}")
+    points = _point_set(points, radius, "covering")
     n = len(points)
     if n == 0:
         return 0

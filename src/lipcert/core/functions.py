@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -63,31 +64,24 @@ class TestFunction:
         if self.known_max is not None and not math.isfinite(self.known_max):
             raise ValueError(f"known maximum must be finite, got {self.known_max}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.domain.dim
 
     def __call__(self, x: np.ndarray) -> Union[float, np.ndarray]:
-        """Evaluate at a point ``(d,)``, a batch ``(n, d)``, or, for
-        one-dimensional domains, a scalar or flat batch ``(n,)``.
+        """Evaluate at a point ``(d,)``, giving a float, or a batch
+        ``(n, d)``, giving ``(n,)`` values; any other shape raises.
 
         The evaluator must return ``n`` finite values; anything else
         raises, so a broken evaluation never reaches a certificate.
         """
         x = np.asarray(x, dtype=float)
-        dim = self.dim
-        single = x.shape == (dim,) or (x.ndim == 0 and dim == 1)
-        if single:
-            points = x.reshape(1, dim)
-        elif x.ndim == 1 and dim == 1:
-            points = x[:, None]
-        elif x.ndim == 2 and x.shape[1] == dim:
-            points = x
-        else:
-            raise ValueError(f"expected shape ({dim},) or (n, {dim}), got {x.shape}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"expected shape ({self.dim},) or (n, {self.dim}), got {x.shape}")
+        points = x.reshape(-1, self.dim)
         out = np.asarray(self.evaluator(points), dtype=float)
         if out.shape == (len(points),):
-            if single:
+            if x.ndim == 1:
                 value = float(out[0])
                 if math.isfinite(value):
                     return value

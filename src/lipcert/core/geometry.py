@@ -47,6 +47,13 @@ def _check_lip_bound(lip: float) -> None:
         raise ValueError(f"Lipschitz bound must be positive and finite, got {lip}")
 
 
+def _check_accuracy(eps: float) -> None:
+    """Raise ValueError unless ``eps`` is a positive finite accuracy
+    target.  Every entry that takes a target calls it."""
+    if eps is None or not 0 < eps < math.inf:
+        raise ValueError(f"accuracy target must be positive and finite, got {eps}")
+
+
 def convert_lip_bound(lip: float, from_kind: str, to_kind: str, dim: int) -> float:
     """Convert a Lipschitz bound between norms.
 

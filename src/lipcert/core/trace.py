@@ -15,11 +15,11 @@ import json
 import os
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .geometry import _check_lip_bound
+from .geometry import _check_accuracy, _check_lip_bound
 
 NOT_REACHED = math.inf
 # Float slack a true gap may exceed its certificate by and still pass.
@@ -100,12 +100,12 @@ def check_run_args(eps: Optional[float], budget: int) -> None:
     """Argument checks of every run, made by :func:`build_trace` before
     its first round: a positive integer budget, not a ``bool``, and,
     unless ``eps`` is None for a run that certifies nothing, a positive
-    accuracy target.  The Lipschitz bound is not an argument; every run
-    uses the objective's own ``lip_bound``."""
+    finite accuracy target.  The Lipschitz bound is not an argument;
+    every run uses the objective's own ``lip_bound``."""
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
-    if eps is not None and not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
+    if eps is not None:
+        _check_accuracy(eps)
 
 
 def _best_so_far(values: np.ndarray, running: np.ndarray) -> np.ndarray:
@@ -194,10 +194,8 @@ def sigma_from_trace(trace: RunTrace, eps: Optional[float] = None) -> Union[int,
     """
     if trace.certificates is None:
         raise ValueError("trace carries no certificates")
-    if eps is None:
-        eps = trace.eps
-    if eps is None or not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
+    eps = trace.eps if eps is None else eps
+    _check_accuracy(eps)
     hits = np.flatnonzero(trace.certificates <= eps)
     return int(hits[0]) + 1 if len(hits) else NOT_REACHED
 
@@ -211,10 +209,8 @@ def zeta_from_trace(
     for non-certified runs and is never larger than the certified time on
     a valid certified run.
     """
-    if eps is None:
-        eps = trace.eps
-    if eps is None or not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
+    eps = trace.eps if eps is None else eps
+    _check_accuracy(eps)
     if known_max is None or not math.isfinite(known_max):
         raise ValueError("a finite known maximum is required")
     hits = np.flatnonzero(known_max - trace.rec_values <= eps)
@@ -358,23 +354,17 @@ def trace_from_json(text: str) -> RunTrace:
     )
 
 
-def write_json(text: str, fp: Union[str, os.PathLike, IO[str]]) -> None:
-    """Write a JSON document and a final newline to a path or open handle."""
-    if isinstance(fp, (str, os.PathLike)):
-        with open(os.fspath(fp), "w") as handle:
-            handle.write(text)
-            handle.write("\n")
-    else:
-        fp.write(text)
-        fp.write("\n")
+def write_json(text: str, path: Union[str, os.PathLike]) -> None:
+    """Write a JSON document and a final newline to a path."""
+    with open(path, "w") as handle:
+        handle.write(text)
+        handle.write("\n")
 
 
-def write_trace(trace: RunTrace, fp: Union[str, os.PathLike, IO[str]]) -> None:
-    write_json(trace_to_json(trace), fp)
+def write_trace(trace: RunTrace, path: Union[str, os.PathLike]) -> None:
+    write_json(trace_to_json(trace), path)
 
 
-def read_trace(fp: Union[str, os.PathLike, IO[str]]) -> RunTrace:
-    if isinstance(fp, (str, os.PathLike)):
-        with open(os.fspath(fp)) as handle:
-            return trace_from_json(handle.read())
-    return trace_from_json(fp.read())
+def read_trace(path: Union[str, os.PathLike]) -> RunTrace:
+    with open(path) as handle:
+        return trace_from_json(handle.read())

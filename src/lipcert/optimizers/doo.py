@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import RunTrace, TestFunction, build_trace
+from ..core.geometry import _check_accuracy
 from ..partition import BisectionPartition, bisection_setup
 
 
@@ -191,8 +192,8 @@ def cdoo_run(
 
     Args:
       fn: objective to maximise.
-      eps: accuracy to certify; the run stops after the round whose
-        certificate reaches it, or at the budget, whichever comes first.
+      eps: accuracy to certify, refused before any query unless positive and
+        finite; the run stops after the round whose certificate reaches it.
       budget: maximum number of queries.
       partition: bisection partition to search over; defaults to the
         canonical partition of the objective's domain.  Any other must
@@ -203,8 +204,7 @@ def cdoo_run(
       A trace whose certificates, for any truly valid bound, dominate the
       recommendation's suboptimality at every step.
     """
-    if eps is None:
-        raise ValueError("cdoo certifies, so it needs an accuracy target")
+    _check_accuracy(eps)
     return _tree_search(fn, partition, eps, budget, "cdoo")
 
 

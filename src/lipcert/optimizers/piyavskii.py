@@ -32,7 +32,7 @@ from ..core import (
     build_trace,
     midpoint_grid,
 )
-from ..core.geometry import _check_lip_bound, _column_length, _grid_counts
+from ..core.geometry import _check_accuracy, _check_lip_bound, _column_length, _grid_counts
 
 # Largest candidate set candidates_for builds; past it the set coarsens.
 _MAX_CANDIDATES = 40000
@@ -156,14 +156,13 @@ def ps_run_1d(
 
     Args:
       fn: one-dimensional objective on a box domain.
-      eps: accuracy to certify.
+      eps: accuracy to certify; refused before any query unless positive and finite.
       budget: maximum number of queries.
       x1: first query; defaults to the interval midpoint.
     """
+    _check_accuracy(eps)
     if fn.dim != 1 or not isinstance(fn.domain, Box):
         raise ValueError("exact sawtooth certification needs a 1-D box domain")
-    if eps is None:
-        raise ValueError("ps1d certifies, so it needs an accuracy target")
     lip = fn.lip_bound
     a, b = float(fn.domain.lower[0]), float(fn.domain.upper[0])
     x = 0.5 * (a + b) if x1 is None else float(x1)
@@ -194,9 +193,9 @@ class CandidateSet:
     cover_radius: float
 
     def __post_init__(self) -> None:
-        points = np.atleast_2d(np.asarray(self.points, dtype=float)).copy()
-        if len(points) == 0:
-            raise ValueError("a candidate set needs at least one point")
+        points = np.array(self.points, dtype=float)
+        if points.ndim != 2 or len(points) == 0:
+            raise ValueError(f"candidates must be an (n, d) array, n >= 1, got {points.shape}")
         if not self.cover_radius > 0:
             raise ValueError(f"cover radius must be positive, got {self.cover_radius}")
         points.flags.writeable = False
@@ -216,8 +215,7 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
     reported; certificates stay valid but may never reach ``eps``.
     """
     _check_lip_bound(lip)
-    if not eps > 0:
-        raise ValueError(f"accuracy target must be positive, got {eps}")
+    _check_accuracy(eps)
     if isinstance(domain, Ball):
         if domain.norm.kind != "euclidean" or domain.dim != 2:
             raise ValueError(
@@ -286,15 +284,14 @@ def ps_run_grid(
 
     Args:
       fn: objective in dimension at least two.
-      eps: accuracy to certify.
+      eps: accuracy to certify; refused before any query unless positive and finite.
       budget: maximum number of queries.
       candidates: candidate set; defaults to :func:`candidates_for` on
         the objective's domain.
     """
+    _check_accuracy(eps)
     if fn.dim < 2:
         raise ValueError("use the exact 1-D sawtooth method in one dimension")
-    if eps is None:
-        raise ValueError("psgrid certifies, so it needs an accuracy target")
     lip = fn.lip_bound
     if candidates is None:
         candidates = candidates_for(fn.domain, lip, eps, fn.norm)

@@ -40,6 +40,8 @@ _MAX_BITS = 60
 _CORNERS = np.array([0, 1], dtype=np.int64).reshape(2, 1, 1)
 # verify_assumptions builds every cell of every depth it checks.
 _MAX_VERIFY_CELLS = 2_000_000
+# Rounding verify_assumptions allows, per unit of the largest box coordinate.
+_COORD_SLACK = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -262,10 +264,14 @@ class BisectionPartition:
         points above it.  M is floored at ``2**-960`` so that every
         step stays a normal float.
         """
-        magnitude = float(np.abs([self.box.lower, self.box.upper]).max())
         e1 = math.frexp(float(self.box.edges.min()))[1]
-        e2 = math.frexp(max(magnitude, 2.0**-960))[1]
+        e2 = math.frexp(max(self._magnitude, 2.0**-960))[1]
         return e1 - e2 + 46
+
+    @cached_property
+    def _magnitude(self) -> float:
+        """M, the largest absolute coordinate of the box."""
+        return float(np.abs([self.box.lower, self.box.upper]).max())
 
     @cached_property
     def _bits(self) -> np.ndarray:
@@ -389,6 +395,11 @@ def verify_assumptions(
     violation found is reported with its cells, named by
     ``(depth, index)``, and measured distance.
 
+    Bounds and centers round relative to the coordinates, so those checks
+    allow ``_COORD_SLACK * M = 32 u M`` (``u = 2**-53``, M the largest box
+    coordinate in absolute value) beyond a relative 1e-12: by
+    ``_exact_depth``'s bounds, a measured length is off by under ``17 u M``.
+
     Args:
       partition: a :class:`BisectionPartition`.  A subclass is verified
         through its own :meth:`~BisectionPartition._cells`.
@@ -417,6 +428,7 @@ def verify_assumptions(
         )
     rng = np.random.default_rng(seed)
     norm = partition.norm
+    slack = _COORD_SLACK * partition._magnitude
     cells_checked = 0
     pairs_checked = 0
     seen_pts: list[np.ndarray] = []
@@ -436,14 +448,14 @@ def verify_assumptions(
         cells_checked += len(reps)
         bound = partition.diam_bound * partition.shrink**depth
         diam = float(norm.length(upper[0] - lower[0]))
-        if diam > bound * (1 + 1e-12):
+        if diam > bound * (1 + 1e-12) + slack:
             return failure("diameter", depth=depth, measured=diam, required=bound)
         pick = rng.integers(0, len(reps), size=min(len(reps), 512))
         u = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
         v = lower[pick] + rng.random((len(pick), partition.dim)) * (upper[pick] - lower[pick])
         dists = np.atleast_1d(norm.length(u - v))
         pairs_checked += len(pick)
-        if dists.max(initial=0.0) > bound * (1 + 1e-12):
+        if dists.max(initial=0.0) > bound * (1 + 1e-12) + slack:
             bad = int(np.argmax(dists))
             return failure(
                 "diameter",
@@ -484,7 +496,7 @@ def verify_assumptions(
                     all_keys[ai, 0] == depth, all_keys[ai, 1] == cur_keys[bi, 1]
                 )
                 pairs_checked += int((~same).sum())
-                bad_mask = np.logical_and(~same, dists < bound_sep * (1 - 1e-12))
+                bad_mask = np.logical_and(~same, dists < bound_sep * (1 - 1e-12) - slack)
                 if bad_mask.any():
                     bad = int(np.flatnonzero(bad_mask)[0])
                     return failure(

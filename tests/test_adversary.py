@@ -140,6 +140,24 @@ def test_audit_json_layout(tmp_path):
     target = tmp_path / "audit.json"
     write_json(audit_to_json(rep), target)
     assert json.loads(target.read_text()) == doc
-    with open(tmp_path / "handle.json", "w") as handle:
-        write_json(audit_to_json(rep), handle)
-    assert (tmp_path / "handle.json").read_text() == target.read_text()
+
+
+def test_audit_coarsens_grids_past_the_cap(monkeypatch):
+    monkeypatch.setattr(adversary, "_GRID_CAP", 100)
+    steps = []
+
+    def recording(box, step, max_points=None):
+        steps.append(step)
+        return lc.midpoint_grid(box, step, max_points=max_points)
+
+    monkeypatch.setattr(adversary, "midpoint_grid", recording)
+    rep = audit_certified_run(lc.get_function("halftent-d1"), 1 / 16)
+    assert rep.case_fired == "outside-ball"
+    assert rep.coincidence is True and rep.regret_achieved > 0
+    # each grid starts at half the bump radius, 8 eps_tilde for this
+    # slope of 1/2, and grows by 1.5 until the unit interval fits the cap
+    firsts = [8.0 * eps_tilde for eps_tilde in rep.scales_tried]
+    assert len(steps) == len(firsts)
+    assert all(math.ceil(1.0 / step - 1e-12) <= 100 for step in steps)
+    assert any(step > first for step, first in zip(steps, firsts))
+    assert all(step == first or step / 1.5 < 1 / 100 for step, first in zip(steps, firsts))

@@ -40,7 +40,7 @@ def test_run_certified_summary_and_trace(tmp_path, capsys):
 
 def test_run_requires_eps_for_certified(capsys):
     assert main(["run", "--function", "tent-d1"]) == 1
-    assert "--eps is required" in capsys.readouterr().err
+    assert "accuracy target must be positive and finite, got None" in capsys.readouterr().err
 
 
 def test_run_plain_twin_reports_zeta(capsys):
@@ -311,3 +311,35 @@ def test_cli_refuses_a_non_finite_bound_and_an_unenumerable_depth(monkeypatch, c
     ])
     assert code == 1
     assert "Lipschitz bound must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "algo, label",
+    [("cdoo", "tent-d1"), ("ncdoo", "tent-d1"), ("ps1d", "tent-d1"), ("psgrid", "cone-d2")],
+)
+def test_run_refuses_an_infinite_eps(algo, label, tmp_path, capsys):
+    # cdoo used to exit 0 with sigma=1 and write "eps": Infinity
+    out = tmp_path / "trace.json"
+    code = main([
+        "run", "--function", label, "--algo", algo, "--eps", "inf", "--budget", "50",
+        "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "accuracy target must be positive and finite, got inf" in captured.err
+    assert not out.exists()
+
+
+def test_run_prints_trace_warnings(capsys):
+    # past the candidate cap the covering radius exceeds eps / L, so the
+    # run stops after one query and says why
+    code = main([
+        "run", "--function", "cone-d2", "--algo", "psgrid", "--eps", "0.00390625",
+        "--budget", "100",
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: covering radius")
+    assert "the target accuracy cannot be certified" in captured.err
+    assert " n=1 " in captured.out

@@ -169,7 +169,7 @@ def test_a_certified_run_rejects_a_missing_eps(run, label):
     # cdoo used to run to its budget with no certificates, and the
     # sawtooth runners raised TypeError, ps1d after one evaluation
     fn, calls = _counted(lc.get_function(label))
-    with pytest.raises(ValueError, match="needs an accuracy target"):
+    with pytest.raises(ValueError, match="accuracy target must be positive and finite, got None"):
         run(fn, None, 50)
     assert calls == []
 
@@ -642,3 +642,17 @@ def test_no_point_is_queried_twice_on_drawn_domains(d, ball, kind, offset, scale
     else:
         domain = Box(center - scale * np.linspace(1.0, 2.0, d), center + scale)
     _assert_each_point_once(_tent_at(domain, norm, peak), 1e-12 * scale, 600)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "run, label",
+    [(cdoo_run, "tent-d1"), (lc.ps_run_1d, "tent-d1"), (lc.ps_run_grid, "cone-d2")],
+    ids=["cdoo", "ps1d", "psgrid"],
+)
+def test_a_certified_run_refuses_a_non_finite_eps_before_evaluating(run, label, eps):
+    # an infinite target used to certify at the first query
+    fn, calls = _counted(lc.get_function(label))
+    with pytest.raises(ValueError, match=f"accuracy target must be positive and finite, got {eps}"):
+        run(fn, eps, 50)
+    assert calls == []

@@ -23,6 +23,7 @@ from lipcert import (
 )
 import lipcert as lc
 from lipcert.cli.sweep import SweepConfig
+from lipcert.core import check_run_args
 from lipcert.core.geometry import _norm_ratio
 from lipcert.optimizers.piyavskii import Envelope1D, candidates_for
 
@@ -402,3 +403,43 @@ def test_every_entry_refuses_a_non_finite_lipschitz_bound(entry, bad):
 def test_test_function_refuses_non_finite_ground_truth(field, bad):
     with pytest.raises(ValueError, match="finite"):
         dataclasses.replace(lc.get_function("tent-d1"), **{field: bad})
+
+
+def _trace_read_with_eps(eps):
+    doc = json.loads(lc.trace_to_json(lc.cdoo_run(lc.get_function("tent-d1"), 0.25, 100)))
+    doc["header"]["eps"] = eps
+    return lc.trace_from_json(json.dumps(doc))
+
+
+def _certified_tent():
+    return lc.cdoo_run(lc.get_function("tent-d1"), 0.25, 100)
+
+
+# every entry that takes an accuracy target, each called with a bad one
+_ACCURACY_ENTRIES = {
+    "check_run_args": lambda eps: check_run_args(eps, 10),
+    "sigma_from_trace": lambda eps: lc.sigma_from_trace(_certified_tent(), eps),
+    "zeta_from_trace": lambda eps: lc.zeta_from_trace(_certified_tent(), 0.0, eps),
+    "candidates_for": lambda eps: candidates_for(
+        lc.get_function("cone-d2").domain, 1.0, eps, EUCLIDEAN
+    ),
+    "layer_decomposition": lambda eps: lc.layer_decomposition(lc.get_function("tent-d1"), eps),
+    "cdoo_run": lambda eps: lc.cdoo_run(lc.get_function("tent-d1"), eps, 50),
+    "ps_run_1d": lambda eps: lc.ps_run_1d(lc.get_function("tent-d1"), eps, 50),
+    "ps_run_grid": lambda eps: lc.ps_run_grid(lc.get_function("cone-d2"), eps, 50),
+    "trace_from_json": _trace_read_with_eps,
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, math.nan])
+@pytest.mark.parametrize("entry", list(_ACCURACY_ENTRIES))
+def test_every_entry_refuses_a_bad_accuracy_target(entry, bad):
+    # an infinite target used to pass every entry but
+    # layer_decomposition, and certified every run at its first query
+    with pytest.raises(ValueError, match=f"accuracy target must be positive and finite, got {bad}"):
+        _ACCURACY_ENTRIES[entry](bad)
+
+
+def test_norm_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown norm kind 'l2'"):
+        Norm("l2")

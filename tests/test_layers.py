@@ -258,9 +258,6 @@ def test_report_json_layout(tmp_path):
     text = target.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == doc
-    with open(tmp_path / "handle.json", "w") as handle:
-        write_json(report_to_json(rep), handle)
-    assert (tmp_path / "handle.json").read_text() == text
 
 
 @given(
@@ -283,7 +280,7 @@ def test_grid_integral_against_trapezoid_oracle(peaks, drops):
     eps = 0.25
     est = estimate_sc(fn, eps, grid_step=eps / 64).integral
     xs = np.linspace(0.0, 1.0, 20001)
-    gaps = fn.known_max - np.asarray(fn(xs))
+    gaps = fn.known_max - fn(xs[:, None])
     oracle = np.trapezoid(1.0 / (gaps + eps), xs)
     assert est == pytest.approx(float(oracle), rel=5e-3)
 

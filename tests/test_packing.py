@@ -153,3 +153,36 @@ def test_lemma_trials_validate_arguments(monkeypatch):
     monkeypatch.setattr(packing, "_LEMMA_MAX_POINTS", 40)
     with pytest.raises(ValueError):
         lemma_consistency_trials(trials=10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda pts: greedy_packing(pts, 0.2, SUP),
+        lambda pts: _exact_packing_bruteforce(pts, 0.2, SUP),
+        lambda pts: _exact_covering_bruteforce(pts, 0.2, SUP),
+    ],
+    ids=["greedy", "exact packing", "exact covering"],
+)
+@pytest.mark.parametrize(
+    "pts", [np.array([0.1, 0.5, 0.9]), np.float64(0.5), np.zeros((3, 1, 1))],
+    ids=["flat", "scalar", "3-d"],
+)
+def test_point_sets_must_be_two_dimensional(oracle, pts):
+    # a flat array used to become a single point of dimension len(pts):
+    # greedy_packing(np.array([0.1, 0.5, 0.9]), 0.2, SUP) gave one point
+    with pytest.raises(ValueError, match=r"point set of shape \(n, d\)"):
+        oracle(pts)
+
+
+def test_lemma_trials_report_a_counterexample(monkeypatch):
+    # a greedy packing that keeps every point twice breaks
+    # greedy(r) <= packing(r) on the first trial
+    monkeypatch.setattr(packing, "greedy_packing", lambda pts, r, norm: np.concatenate([pts, pts]))
+    verdict = lemma_consistency_trials(trials=5, seed=3)
+    assert not verdict.ok
+    assert verdict.trials_run == 1
+    example = verdict.counterexample
+    assert example["trial"] == 0 and example["check"] == "greedy(r) <= packing(r)"
+    assert example["lhs"] == 2 * len(example["points"]) > example["rhs"]
+    assert set(example) == {"trial", "check", "lhs", "rhs", "points", "norm", "radius", "radii"}

@@ -14,6 +14,7 @@ from lipcert import (
     Box,
     Norm,
     bisection_setup,
+    get_function,
     verify_assumptions,
 )
 
@@ -409,6 +410,15 @@ class WideButFirst(WideCells):
     spare_first = True
 
 
+class CenterReps(BisectionPartition):
+    """Cell centers as representatives even under a ball restriction,
+    where a feasible cell's center can lie outside the ball."""
+
+    def _cells(self, pos, depth):
+        lower, upper, _, feas = super()._cells(pos, depth)
+        return lower, upper, (lower + upper) * 0.5, feas
+
+
 class PassThrough(BisectionPartition):
     def _cells(self, pos, depth):
         return super()._cells(pos, depth)
@@ -488,3 +498,43 @@ def test_verify_assumptions_refuses_depths_it_cannot_enumerate(monkeypatch, unit
     assert verify_assumptions(unit2, max_depth=3).cells_checked == 85
     with pytest.raises(ValueError, match=r"max_depth must be in 0\.\.30, got 31"):
         verify_assumptions(unit2, max_depth=31)
+
+
+def test_verify_assumptions_flags_reps_outside_the_ball():
+    part, _ = bisection_setup(get_function("cone-d2"))
+    result = verify_assumptions(CenterReps(part.box, part.restrict_to), max_depth=3)
+    # the depth-2 cell [-1, -0.5]^2 meets the disk, but its center does not
+    assert result.violation == {"kind": "representative-outside-domain", "depth": 2, "cell": 0}
+
+
+def _near_a_million(seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 3
+    lower = 1e6 + rng.uniform(0, 1000, size=d)
+    return Box(lower, lower + rng.uniform(0.5, 1.5, size=d)), {1: 8, 2: 4, 3: 3}[d]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_verify_assumptions_passes_far_from_zero(seed):
+    # bounds and centers round relative to the coordinates, so a slack
+    # relative to the cells reported 7 of these 8 boxes, as it did
+    # Box([1e6], [1e6 + 0.7]) (separation 0.1749999999301508 against
+    # 0.17499999998835847 between cells (0, 0) and (1, 0))
+    box, depth = _near_a_million(seed)
+    for part in (BisectionPartition(box), BisectionPartition(Box(-box.upper, -box.lower))):
+        result = verify_assumptions(part, max_depth=depth)
+        assert result.ok, result.violation
+    repro = verify_assumptions(BisectionPartition(Box([1e6], [1e6 + 0.7])), max_depth=3)
+    assert repro.ok, repro.violation
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_assumptions_still_flags_broken_partitions_far_from_zero(seed):
+    box, _ = _near_a_million(seed)
+    shared = verify_assumptions(CornerReps(box), max_depth=3)
+    assert shared.violation["kind"] == "separation"
+    assert (shared.violation["cell_a"], shared.violation["cell_b"]) == ((0, 0), (1, 0))
+    assert shared.violation["measured"] == 0.0
+    wide = verify_assumptions(WideCells(box), max_depth=3)
+    assert wide.violation["kind"] == "diameter" and wide.violation["depth"] == 2
+    assert wide.violation["measured"] > 1.9 * wide.violation["required"]

@@ -498,3 +498,43 @@ def test_grid_exhausts_candidates_then_stops():
     assert not trace.warnings
     assert trace.certificates[-1] > 0.25
     assert trace.certificates[-1] == pytest.approx(fn.lip_bound * cand.cover_radius)
+
+
+def test_envelope_needs_an_interval_and_an_observation():
+    with pytest.raises(ValueError, match="empty interval"):
+        Envelope1D(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="no observations"):
+        Envelope1D(0.0, 1.0, 1.0).max_and_argmax()
+
+
+@pytest.mark.parametrize(
+    "points, radius, fragment",
+    [
+        (np.array([0.1, 0.5]), 0.1, r"\(n, d\) array, n >= 1, got \(2,\)"),
+        (np.zeros((2, 2, 1)), 0.1, r"\(n, d\) array, n >= 1, got \(2, 2, 1\)"),
+        (np.zeros((0, 2)), 0.1, r"n >= 1, got \(0, 2\)"),
+        (np.zeros((1, 2)), 0.0, "cover radius must be positive"),
+        (np.zeros((1, 2)), math.nan, "cover radius must be positive"),
+    ],
+    ids=["flat", "3-d", "empty", "zero radius", "nan radius"],
+)
+def test_candidate_set_refuses_bad_points_and_radii(points, radius, fragment):
+    # a flat array used to become one point of dimension len(points)
+    with pytest.raises(ValueError, match=fragment):
+        CandidateSet(points, radius)
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [Ball(np.zeros(2), 1.0, SUP), Ball(np.zeros(3), 1.0, EUCLIDEAN)],
+    ids=["sup disk", "euclidean 3-ball"],
+)
+def test_candidates_for_has_no_rule_for_other_balls(ball):
+    with pytest.raises(ValueError, match="no rigorous candidate builder"):
+        candidates_for(ball, 1.0, 0.1, ball.norm)
+
+
+def test_grid_run_rejects_candidates_of_another_dimension():
+    cone = lc.get_function("cone-d2")
+    with pytest.raises(ValueError, match="candidate dimension"):
+        ps_run_grid(cone, 0.5, 10, candidates=CandidateSet(np.zeros((4, 3)), 0.1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,7 +223,7 @@ def test_evaluator_output_shape_checked():
         evaluator=lambda x: tent.evaluator(x)[:, None],
     )
     with pytest.raises(ValueError, match=r"shape \(3, 1\) for 3 points"):
-        column(np.array([0.1, 0.2, 0.3]))
+        column(np.array([[0.1], [0.2], [0.3]]))
     with pytest.raises(ValueError, match="shape"):
         column(np.array([0.1]))
 
@@ -240,3 +242,34 @@ def test_default_algorithm_choice():
     for fn in registry():
         expected = "psgrid" if fn.label == "cone-d2" else "cdoo"
         assert default_algorithm(fn) == expected
+
+
+@pytest.mark.parametrize(
+    "label, x",
+    [
+        ("tent-d1", np.float64(0.3)),
+        ("tent-d1", np.array([0.3, 0.4])),
+        ("tent-d1", np.zeros((2, 2))),
+        ("tent-d1", np.zeros((1, 1, 1))),
+        ("cone-d2", np.zeros(3)),
+        ("cone-d2", np.zeros((4, 3))),
+    ],
+    ids=["scalar", "flat batch", "wide batch", "3-d array", "long point", "long rows"],
+)
+def test_objective_takes_only_a_point_or_a_batch(label, x):
+    # a scalar and a flat batch used to be read as one-dimensional
+    # points, with a return type that depended on the array's length
+    fn = get_function(label)
+    with pytest.raises(ValueError, match=r"expected shape \(\d,\) or \(n, \d\)"):
+        fn(x)
+
+
+def test_objective_refuses_a_bad_domain_or_exact_constant():
+    tent = get_function("tent-d1")
+    with pytest.raises(TypeError, match="unsupported domain type"):
+        lc.TestFunction(
+            label="t", domain="unit interval", norm=tent.norm, lip_bound=1.0,
+            evaluator=tent.evaluator,
+        )
+    with pytest.raises(ValueError, match="exceeds the declared bound"):
+        replace(tent, exact_lip=2.0)

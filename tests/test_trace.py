@@ -492,3 +492,39 @@ def test_reader_rejects_headers_no_run_produces(key, value, fragment):
     doc["header"][key] = value
     with pytest.raises(ValueError, match=fragment):
         trace_from_json(json.dumps(doc))
+
+
+def test_trace_needs_records_and_one_certificate_per_record():
+    empty = dict(
+        algorithm="stub", function="f", lip_bound=1.0, eps=None, budget=1,
+        queries=np.zeros((0, 1)), values=np.zeros(0), rec_points=np.zeros((0, 1)),
+        rec_values=np.zeros(0), certificates=None,
+    )
+    with pytest.raises(ValueError, match="at least one query"):
+        RunTrace(**empty)
+    with pytest.raises(ValueError, match="one entry per record"):
+        make_trace([0.0, 1.0, 0.5], certs=[1.0, 0.5], eps=0.5)
+
+
+@pytest.mark.parametrize(
+    "check, certified, known_max, fragment",
+    [
+        (certificate_validity, False, 1.0, "carries no certificates"),
+        (lambda tr, m: zeta_from_trace(tr, m), True, None, "finite known maximum"),
+        (lambda tr, m: zeta_from_trace(tr, m), True, math.inf, "finite known maximum"),
+        (certificate_validity, True, None, "finite known maximum"),
+    ],
+    ids=["validity-uncertified", "zeta-no-max", "zeta-inf-max", "validity-no-max"],
+)
+def test_trace_statistics_refuse_what_they_cannot_measure(check, certified, known_max, fragment):
+    certs = [1.0, 0.5] if certified else None
+    tr = make_trace([0.0, 1.0], certs=certs, eps=0.5)
+    with pytest.raises(ValueError, match=fragment):
+        check(tr, known_max)
+
+
+def test_reader_rejects_a_document_without_records():
+    doc = json.loads(trace_to_json(make_trace([0.0, 1.0])))
+    doc["records"] = []
+    with pytest.raises(ValueError, match="contains no records"):
+        trace_from_json(json.dumps(doc))
