@@ -30,7 +30,7 @@ from .core import (
     midpoint_grid,
     sigma_from_trace,
 )
-from .core._buckets import Buckets, covering_side
+from .core._buckets import Buckets, covering_side, max_magnitude
 from .core.geometry import _grid_counts
 from .optimizers import ALGORITHMS, CERTIFIED
 
@@ -81,7 +81,7 @@ class AuditReport:
 
 def _free_mask(queries: np.ndarray, sites: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
     """Whether no query lies within ``radius`` of each site."""
-    side = covering_side(radius, max(float(np.abs(queries).max()), float(np.abs(sites).max())))
+    side = covering_side(radius, max_magnitude(queries, sites))
     site, query = Buckets(queries, side).join(sites)
     dists = np.atleast_1d(norm.length(sites[site] - queries[query]))
     free = np.ones(len(sites), dtype=bool)

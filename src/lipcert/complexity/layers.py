@@ -25,13 +25,14 @@ from ..core import (
     TestFunction,
     convert_lip_bound,
     diameter,
-    midpoint_grid,
 )
-from ..core.geometry import _check_accuracy
+from ..core.geometry import _check_accuracy, _grid_axes, _grid_rows
 from .packing import greedy_packing
 
 # Largest decomposition grid; past it the call fails instead of allocating.
 _MAX_GRID_POINTS = 2_000_000
+# Grid points built, filtered and evaluated at a time.
+_GRID_BLOCK = 1 << 16
 # Factor the lower sandwich side allows, because the greedy packing can
 # undercount the true packing number.
 _SANDWICH_SLACK = 2.0
@@ -86,6 +87,14 @@ def layer_decomposition(
         smallest packing radius.  Defaults to exactly that.  A grid of
         more than ``_MAX_GRID_POINTS`` points fails with advice instead
         of allocating.
+
+    The result holds ``8 * (d + 3)`` bytes per grid point in the domain,
+    40 at d = 2: the points, values, gaps and labels.  The grid is built,
+    filtered to the domain and evaluated ``_GRID_BLOCK`` points at a
+    time, in lexicographic order, so the other temporaries are bounded
+    by the block.  A ball's points and values are sized to its box and
+    shrunk in place to the points inside.  Evaluating in blocks relies
+    on the evaluator being pointwise, as :class:`TestFunction` requires.
     """
     _check_accuracy(eps)
     if norm is None:
@@ -100,13 +109,29 @@ def layer_decomposition(
             "packing counts would not be trustworthy"
         )
     box = fn.domain.enclosing_box()
-    points, steps = midpoint_grid(box, grid_step, max_points=_MAX_GRID_POINTS)
-    if fn.domain is not box:
-        inside = np.asarray(fn.domain.contains(points))
-        points = points[inside]
-    if len(points) == 0:
+    axes, steps = _grid_axes(box, grid_step, max_points=_MAX_GRID_POINTS)
+    total = math.prod(len(axis) for axis in axes)
+    points = np.empty((total, fn.dim))
+    values = np.empty(total)
+    kept = 0
+    for start in range(0, total, _GRID_BLOCK):
+        stop = min(start + _GRID_BLOCK, total)
+        if fn.domain is box:
+            block = _grid_rows(axes, start, stop, out=points[start:stop])
+        else:
+            block = _grid_rows(axes, start, stop)
+            block = block[np.asarray(fn.domain.contains(block))]
+            points[kept : kept + len(block)] = block
+        if len(block):
+            values[kept : kept + len(block)] = fn(block)
+            kept += len(block)
+    if kept == 0:
         raise ValueError("no grid points fall inside the domain")
-    values = np.asarray(fn(points), dtype=float)
+    if kept < total:
+        # A ball keeps part of its box.  No view of either array is
+        # alive, so both shrink in place and free their tails.
+        points.resize((kept, fn.dim), refcheck=False)
+        values.resize(kept, refcheck=False)
     if fn.known_max is not None:
         max_used = float(fn.known_max)
         max_is_exact = True
@@ -116,7 +141,8 @@ def layer_decomposition(
         # point, estimated here by a full cell diagonal.
         max_used = float(values.max()) + lip * float(norm.length(steps))
         max_is_exact = False
-    gaps = np.maximum(max_used - values, 0.0)
+    gaps = np.subtract(max_used, values)
+    np.maximum(gaps, 0.0, out=gaps)
     eps0 = lip * diameter(fn.domain, norm)
     scale = ComplexityScale.from_accuracy(eps0, eps)
     labels = scale.classify(gaps)
@@ -217,7 +243,9 @@ def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
 
 def _grid_integral(decomposition: LayerDecomposition, eps: float) -> float:
     """Midpoint quadrature of ``1 / (gap + eps)^d`` on the grid."""
-    integrand = 1.0 / (decomposition.gaps + eps) ** decomposition.points.shape[1]
+    integrand = np.add(decomposition.gaps, eps)
+    integrand **= decomposition.points.shape[1]
+    np.divide(1.0, integrand, out=integrand)
     return float(integrand.sum() * decomposition.cell_volume)
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import Norm
-from ..core._buckets import Buckets, covering_side
+from ..core._buckets import Buckets, covering_side, max_magnitude
 
 _EXACT_LIMIT = 24
 # Up to this many points, greedy packing measures every later point
@@ -67,7 +67,7 @@ def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
     if n <= max(_SCAN_LIMIT, 3 ** points.shape[1]):
         buckets = None
     else:
-        buckets = Buckets(points, covering_side(radius, float(np.abs(points).max())))
+        buckets = Buckets(points, covering_side(radius, max_magnitude(points)))
         order = buckets.order
     alive = np.ones(n, dtype=bool)
     chosen: list[int] = []

@@ -65,6 +65,19 @@ def covering_side(radius: float, magnitude: float) -> float:
     return radius * (1.0 + 2.0**-20) + magnitude * 2.0**-40 + 2.0**-500
 
 
+def max_magnitude(*point_sets: np.ndarray) -> float:
+    """Largest absolute coordinate in nonempty point sets: the ``M`` of
+    :func:`covering_side`.  Negation is exact, so the extremes give
+    ``np.abs(points).max()`` without an absolute copy of each set."""
+    return max(max(float(p.max()), -float(p.min())) for p in point_sets)
+
+
+def _bucket_keys(points: np.ndarray, side: float) -> np.ndarray:
+    """``floor(points / side)`` as int64, floored in the quotient's buffer."""
+    quotient = np.divide(points, side)
+    return np.floor(quotient, out=quotient).astype(np.int64)
+
+
 class Buckets:
     """Points ``(n, d)`` hashed into buckets of side at least ``side``.
 
@@ -75,7 +88,7 @@ class Buckets:
     def __init__(self, points: np.ndarray, side: float) -> None:
         d = points.shape[1]
         while True:
-            keys = np.floor(points / side).astype(np.int64)
+            keys = _bucket_keys(points, side)
             # Column by column: numpy reduces a short axis 0 slowly.
             origin = np.array([keys[:, j].min() for j in range(d)]) - 1
             keys -= origin
@@ -111,7 +124,8 @@ class Buckets:
         lie in the same or adjacent buckets.  Pairs come run-major: by
         run in the order of :meth:`runs`, then by ``i``, then by ``j``'s
         position in ``order``."""
-        keys = np.floor(others / self.side).astype(np.int64) - self.origin
+        keys = _bucket_keys(others, self.side)
+        keys -= self.origin
         # A point more than one bucket outside the hashed range on some
         # axis has no neighbours; the rest, shifted by one bucket, keep
         # every coordinate in [-1, span], which never packs onto a

@@ -29,7 +29,11 @@ class TestFunction:
       lip_bound: bound the algorithms are allowed to use; must dominate
         the true constant for certificates to be meaningful.
       evaluator: vectorized callable mapping ``(n, d)`` to ``(n,)``.
-        Evaluations must be deterministic and side-effect free.
+        Evaluations must be deterministic, side-effect free and
+        pointwise: each row's value depends only on that row, not on
+        the other rows of the batch.  The layer decomposition evaluates
+        its grid block by block, and the tree search reuses a point's
+        value from an earlier batch.
       exact_lip: true Lipschitz constant when known, else None.  Audits
         require it to sit strictly below ``lip_bound``.
       known_max: exact maximum value when known, else None.

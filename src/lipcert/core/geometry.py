@@ -293,6 +293,62 @@ def _grid_counts(box: Box, step: float) -> np.ndarray:
     return np.maximum(1.0, np.ceil(box.edges / step - 1e-12))
 
 
+def _grid_axes(
+    box: Box, step: float, max_points: Union[int, None] = None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The midpoints along each axis of :func:`midpoint_grid`'s grid and
+    its per-dimension spacings.  A grid of more than ``max_points``
+    points raises before anything grid-sized is allocated."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    counts = _grid_counts(box, step)
+    total = int(np.prod(counts))
+    if max_points is not None and total > max_points:
+        raise ValueError(
+            f"grid of {total} points exceeds the cap of {max_points}; "
+            "use a coarser step or a larger accuracy target"
+        )
+    counts = counts.astype(int)
+    steps = box.edges / counts
+    axes = [
+        box.lower[j] + (np.arange(counts[j]) + 0.5) * steps[j]
+        for j in range(box.dim)
+    ]
+    return axes, steps
+
+
+def _grid_rows(
+    axes: list[np.ndarray], start: int, stop: int, out: Union[np.ndarray, None] = None
+) -> np.ndarray:
+    """Rows ``start`` to ``stop - 1`` of the product grid of ``axes`` in
+    lexicographic order (first coordinate slowest), as an ``(n, d)``
+    array whose coordinates are copies of the axis entries; written to
+    ``out`` if given, else to a new array.
+
+    Row ``i`` holds entry ``(i // stride) % len(axis)`` of each axis,
+    ``stride`` being the product of the later axis lengths.  Along one
+    axis the rows therefore run through its entries from index
+    ``start // stride`` on, cyclically, each repeated ``stride`` times
+    except the first and the last, which the range may cut.
+    """
+    rows = np.empty((stop - start, len(axes))) if out is None else out
+    stride = 1
+    for j in range(len(axes) - 1, -1, -1):
+        axis = axes[j]
+        first, last = start // stride, (stop - 1) // stride
+        k, m = first % len(axis), last - first + 1
+        cycle = axis[k : k + m] if k + m <= len(axis) else np.resize(np.roll(axis, -k), m)
+        if stride == 1:
+            rows[:, j] = cycle
+        else:
+            reps = np.full(m, stride)
+            reps[0] -= start - first * stride
+            reps[-1] -= (last + 1) * stride - stop
+            rows[:, j] = np.repeat(cycle, reps)
+        stride *= len(axis)
+    return rows
+
+
 def midpoint_grid(
     box: Box, step: float, max_points: Union[int, None] = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,21 +370,5 @@ def midpoint_grid(
       holds the actual per-dimension spacings.  Every box point is within
       ``steps / 2`` of a grid point coordinate-wise.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    counts = _grid_counts(box, step)
-    total = int(np.prod(counts))
-    if max_points is not None and total > max_points:
-        raise ValueError(
-            f"grid of {total} points exceeds the cap of {max_points}; "
-            "use a coarser step or a larger accuracy target"
-        )
-    counts = counts.astype(int)
-    steps = box.edges / counts
-    axes = [
-        box.lower[j] + (np.arange(counts[j]) + 0.5) * steps[j]
-        for j in range(box.dim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    return points, steps
+    axes, steps = _grid_axes(box, step, max_points)
+    return _grid_rows(axes, 0, math.prod(len(axis) for axis in axes)), steps

@@ -64,10 +64,15 @@ class ComplexityScale:
             )
         if self.m_eps == 0:
             return np.zeros(gaps.shape, dtype=int)
+        # Position p among the ascending thresholds, capped at m_eps, is
+        # class m_eps + 1 - p, except that p = 0 is class 0; the labels
+        # are computed in the buffer searchsorted returns.
         thresholds = np.asarray(self.schedule[::-1])
-        pos = np.searchsorted(thresholds, gaps, side="left")
-        pos = np.minimum(pos, self.m_eps)
-        return np.where(pos == 0, 0, self.m_eps - pos + 1)
+        labels = np.searchsorted(thresholds, gaps, side="left")
+        np.minimum(labels, self.m_eps, out=labels)
+        np.subtract(self.m_eps + 1, labels, out=labels)
+        labels[labels > self.m_eps] = 0
+        return labels
 
     def accuracy_for_class(self, label: int) -> float:
         """Accuracy at which a class is packed: the target for class 0,

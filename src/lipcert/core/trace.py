@@ -61,9 +61,12 @@ class RunTrace:
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        queries = np.atleast_2d(np.asarray(self.queries, dtype=float))
+        queries = np.asarray(self.queries, dtype=float)
         values = np.asarray(self.values, dtype=float).reshape(-1)
-        recs = np.atleast_2d(np.asarray(self.rec_points, dtype=float))
+        recs = np.asarray(self.rec_points, dtype=float)
+        for name, column in (("queries", queries), ("rec_points", recs)):
+            if column.ndim != 2:
+                raise ValueError(f"trace {name} must have shape (n, d), got shape {column.shape}")
         rec_values = np.asarray(self.rec_values, dtype=float).reshape(-1)
         n = len(values)
         if n == 0:

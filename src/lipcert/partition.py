@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound
-from .core._buckets import Buckets, covering_side
+from .core._buckets import Buckets, covering_side, max_magnitude
 from .core.geometry import _all_columns
 
 
@@ -488,7 +488,7 @@ def verify_assumptions(
             all_pts = np.concatenate(seen_pts + [cur_pts])
             all_keys = np.concatenate(seen_keys + [cur_keys])
             bound_sep = partition.separation * partition.shrink**depth
-            side = covering_side(bound_sep, float(np.abs(all_pts).max()))
+            side = covering_side(bound_sep, max_magnitude(all_pts))
             ai, bi = Buckets(cur_pts, side).join(all_pts)
             if len(ai):
                 dists = np.atleast_1d(norm.length(all_pts[ai] - cur_pts[bi]))

@@ -16,7 +16,7 @@ import lipcert as lc
 from lipcert import EUCLIDEAN, L1, SUP, adversary, greedy_packing
 from lipcert import partition as partition_module
 from lipcert.complexity import packing
-from lipcert.core._buckets import Buckets, covering_side
+from lipcert.core._buckets import Buckets, covering_side, max_magnitude
 
 NORMS = (SUP, EUCLIDEAN, L1)
 
@@ -425,3 +425,15 @@ def test_verify_assumptions_finds_every_close_pair_far_from_zero(case):
         assert check.violation["kind"] == "separation"
         assert check.violation["cell_b"][0] == found
         assert check.violation["measured"] < check.violation["required"]
+
+
+@given(
+    st.lists(
+        st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2), min_size=1, max_size=6
+    ),
+    st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2),
+)
+def test_max_magnitude_is_the_largest_absolute_coordinate(rows, extra):
+    pts, more = np.array(rows), np.array([extra])
+    assert max_magnitude(pts) == float(np.abs(pts).max())
+    assert max_magnitude(pts, more) == max(float(np.abs(pts).max()), float(np.abs(more).max()))

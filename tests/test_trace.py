@@ -82,6 +82,23 @@ def test_shape_validation():
         )
 
 
+@pytest.mark.parametrize("column", ["queries", "rec_points"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_point_columns_must_be_n_by_d(column, n):
+    # A flat column once read as one record of dimension n.
+    fields = dict(
+        algorithm="stub", function="f", lip_bound=1.0, eps=None, budget=n,
+        queries=np.full((n, 1), 0.3), values=np.zeros(n),
+        rec_points=np.full((n, 1), 0.3), rec_values=np.zeros(n), certificates=None,
+    )
+    fields[column] = np.array([0.3, 0.4][:n])
+    with pytest.raises(ValueError, match=rf"{column} must have shape \(n, d\), got shape \({n},\)"):
+        RunTrace(**fields)
+    fields[column] = np.zeros((n, 1, 1))
+    with pytest.raises(ValueError, match=rf"got shape \({n}, 1, 1\)"):
+        RunTrace(**fields)
+
+
 def test_negative_certificates_rejected():
     with pytest.raises(ValueError):
         make_trace([0.0, 1.0], certs=[1.0, -0.001])
