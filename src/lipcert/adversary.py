@@ -31,7 +31,7 @@ from .core import (
     sigma_from_trace,
 )
 from .core._buckets import Buckets, covering_side, max_magnitude
-from .core.geometry import _grid_counts
+from .core.geometry import _grid_counts, _pair_lengths
 from .optimizers import ALGORITHMS, CERTIFIED
 
 # How far the audit's accuracy ladder descends below the target.
@@ -83,7 +83,7 @@ def _free_mask(queries: np.ndarray, sites: np.ndarray, radius: float, norm: Norm
     """Whether no query lies within ``radius`` of each site."""
     side = covering_side(radius, max_magnitude(queries, sites))
     site, query = Buckets(queries, side).join(sites)
-    dists = np.atleast_1d(norm.length(sites[site] - queries[query]))
+    dists = _pair_lengths(norm, np.ascontiguousarray(sites.T), site, queries.T, query)
     free = np.ones(len(sites), dtype=bool)
     free[site[dists <= radius]] = False
     return free
@@ -176,15 +176,16 @@ def audit_certified_run(
         while float(np.prod(_grid_counts(box, step))) > _GRID_CAP:
             step *= 1.5
         grid, _ = midpoint_grid(box, step, max_points=_GRID_CAP)
-        inside = np.asarray(fn.domain.contains(grid))
-        grid = grid[inside]
+        grid = np.compress(fn.domain.contains(grid), grid, axis=0)
         if len(grid) == 0:
             continue
         gaps = fn.known_max - np.asarray(fn(grid), dtype=float)
-        near_optimal = grid[gaps <= eps_tilde]
+        near_optimal = np.compress(gaps <= eps_tilde, grid, axis=0)
         if len(near_optimal) < 2:
             continue
-        free = near_optimal[_free_mask(queries, near_optimal, ball_radius, norm)]
+        free = np.compress(
+            _free_mask(queries, near_optimal, ball_radius, norm), near_optimal, axis=0
+        )
         if len(free) < 2:
             continue
         packed = greedy_packing(free, separation, norm)

@@ -120,7 +120,7 @@ def layer_decomposition(
             block = _grid_rows(axes, start, stop, out=points[start:stop])
         else:
             block = _grid_rows(axes, start, stop)
-            block = block[np.asarray(fn.domain.contains(block))]
+            block = np.compress(fn.domain.contains(block), block, axis=0)
             points[kept : kept + len(block)] = block
         if len(block):
             values[kept : kept + len(block)] = fn(block)
@@ -164,7 +164,7 @@ def _packing_counts(decomposition: LayerDecomposition) -> list[int]:
     scale = decomposition.scale
     counts = []
     for label in range(scale.m_eps + 1):
-        pts = decomposition.points[decomposition.labels == label]
+        pts = np.compress(decomposition.labels == label, decomposition.points, axis=0)
         if len(pts) == 0:
             counts.append(0)
             continue

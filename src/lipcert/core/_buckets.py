@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -72,46 +73,66 @@ def max_magnitude(*point_sets: np.ndarray) -> float:
     return max(max(float(p.max()), -float(p.min())) for p in point_sets)
 
 
-def _bucket_keys(points: np.ndarray, side: float) -> np.ndarray:
-    """``floor(points / side)`` as int64, floored in the quotient's buffer."""
-    quotient = np.divide(points, side)
-    return np.floor(quotient, out=quotient).astype(np.int64)
-
-
 class Buckets:
     """Points ``(n, d)`` hashed into buckets of side at least ``side``.
 
     ``order`` lists point indices by packed bucket key, stable within a
-    bucket; ``sorted_keys`` is the packed key along that order.
+    bucket; ``sorted_keys`` is the packed key along that order.  Keys are
+    computed and packed one coordinate column at a time, so the build
+    holds a few ``(n,)`` arrays and no ``(n, d)`` one.  It reads the
+    columns fastest when ``points`` is laid out by column
+    (``points.T`` C-contiguous).
     """
 
     def __init__(self, points: np.ndarray, side: float) -> None:
         d = points.shape[1]
+        # Division by a positive side and floor are both monotone, so the
+        # extreme keys of a column are the keys of its extreme values.
+        lows = [float(points[:, j].min()) for j in range(d)]
+        highs = [float(points[:, j].max()) for j in range(d)]
         while True:
-            keys = _bucket_keys(points, side)
-            # Column by column: numpy reduces a short axis 0 slowly.
-            origin = np.array([keys[:, j].min() for j in range(d)]) - 1
-            keys -= origin
-            span = np.array([keys[:, j].max() for j in range(d)]) + 2
-            if math.prod(span.tolist()) < _KEY_LIMIT:
+            origin = [math.floor(low / side) - 1 for low in lows]
+            span = [math.floor(high / side) - o + 2 for high, o in zip(highs, origin)]
+            if math.prod(span) < _KEY_LIMIT:
                 break
             side *= 2.0
         self.side = side
         self.origin = origin
         self.span = span
-        self.strides = np.ones(d, dtype=np.int64)
-        for j in range(d - 2, -1, -1):
-            self.strides[j] = self.strides[j + 1] * span[j + 1]
-        self.keys = keys @ self.strides
+        self.strides = [math.prod(span[j + 1 :]) for j in range(d)]
+        self.keys = self._packed(points)
         self.order = np.argsort(self.keys, kind="stable")
         self.sorted_keys = self.keys[self.order]
         # Packed shift of each run's middle bucket, one per offset of the
         # first d - 1 axes; a run spans shifts -1..1 along the last axis.
         # Keys are integers, so a run that ends at key k stops where key
         # k + 1 would start: one left search finds both run ends.
-        offsets = list(itertools.product((-1, 0, 1), repeat=d - 1))
-        heads = np.array(offsets, dtype=np.int64) @ self.strides[:-1]
+        heads = np.array(
+            [
+                sum(o * s for o, s in zip(offset, self.strides))
+                for offset in itertools.product((-1, 0, 1), repeat=d - 1)
+            ],
+            dtype=np.int64,
+        )
         self._run_ends = np.stack([heads - 1, heads + 2], axis=1).ravel()
+
+    def _packed(self, points: np.ndarray, reach: Optional[np.ndarray] = None) -> np.ndarray:
+        """Packed keys ``floor(x_j / side) - origin_j`` of ``points``,
+        summed column by column in int64.  With ``reach`` given, it is
+        cleared where a key falls outside ``[0, span - 1]``, and such keys
+        are clipped into that range, which keeps the sum in int64 but
+        packs them meaninglessly."""
+        packed = np.zeros(len(points), dtype=np.int64)
+        for j, (origin, span, stride) in enumerate(zip(self.origin, self.span, self.strides)):
+            quotient = np.divide(points[:, j], self.side)
+            keys = np.floor(quotient, out=quotient).astype(np.int64)
+            keys -= origin
+            if reach is not None:
+                reach &= (keys >= 0) & (keys < span)
+                np.clip(keys, 0, span - 1, out=keys)
+            keys *= stride
+            packed += keys
+        return packed
 
     def runs(self, i: int) -> list[int]:
         """The ``3**(d-1)`` runs of ``order`` that hold the buckets adjacent
@@ -124,21 +145,17 @@ class Buckets:
         lie in the same or adjacent buckets.  Pairs come run-major: by
         run in the order of :meth:`runs`, then by ``i``, then by ``j``'s
         position in ``order``."""
-        keys = _bucket_keys(others, self.side)
-        keys -= self.origin
         # A point more than one bucket outside the hashed range on some
         # axis has no neighbours; the rest, shifted by one bucket, keep
         # every coordinate in [-1, span], which never packs onto a
         # hashed key (those lie in [1, span - 2]).
-        reach = np.ones(len(keys), dtype=bool)
-        for j, span in enumerate(self.span.tolist()):
-            reach &= (keys[:, j] >= 0) & (keys[:, j] < span)
+        reach = np.ones(len(others), dtype=bool)
+        packed = self._packed(others, reach)
         if reach.all():
             rows = np.arange(len(others))
         else:
             rows = np.flatnonzero(reach)
-            keys = keys[rows]
-        packed = keys @ self.strides
+            packed = packed[rows]
         o_parts: list[np.ndarray] = []
         h_parts: list[np.ndarray] = []
         ends = self._run_ends.tolist()

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import SUP, Ball, Box, Norm, TestFunction, convert_lip_bound
 from .core._buckets import Buckets, covering_side, max_magnitude
-from .core.geometry import _all_columns
+from .core.geometry import _all_columns, _pair_lengths
 
 
 # int64 cell indices and exact dyadic arithmetic both need d * depth to
@@ -491,7 +491,9 @@ def verify_assumptions(
             side = covering_side(bound_sep, max_magnitude(all_pts))
             ai, bi = Buckets(cur_pts, side).join(all_pts)
             if len(ai):
-                dists = np.atleast_1d(norm.length(all_pts[ai] - cur_pts[bi]))
+                dists = _pair_lengths(
+                    norm, np.ascontiguousarray(all_pts.T), ai, np.ascontiguousarray(cur_pts.T), bi
+                )
                 same = np.logical_and(
                     all_keys[ai, 0] == depth, all_keys[ai, 1] == cur_keys[bi, 1]
                 )

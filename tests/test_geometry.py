@@ -302,6 +302,38 @@ def test_ball_contains_rejects_wrongly_shaped_points():
     assert np.array_equal(ball.contains([[0.5, 0.5], [1.0, 0.5]]), [True, False])
 
 
+@pytest.mark.parametrize("dim", range(1, 10))
+@pytest.mark.parametrize("norm", [SUP, EUCLIDEAN, L1], ids=lambda n: n.kind)
+def test_ball_contains_batches_match_the_row_test(norm, dim):
+    # a batch is measured by column; each verdict must be the per-row
+    # norm.length(x - center) <= radius, bit for bit, on the sphere and
+    # one float step either side of it included
+    unit = Ball(np.zeros(dim), 1.0, norm)
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    on = np.concatenate([axes, np.nextafter(axes, 0.0 * axes)])
+    off = np.nextafter(axes, 2.0 * axes)
+    assert unit.contains(on).all() and not unit.contains(off).any()
+    assert unit.contains(np.eye(dim)[0]) is True
+    assert unit.contains(off[0]) is False
+
+    rng = np.random.default_rng(dim)
+    ball = Ball(rng.uniform(-3.0, 3.0, size=dim), float(rng.uniform(0.5, 2.0)), norm)
+    u = rng.standard_normal((900, dim))
+    # scaled onto the sphere and a few float steps either side of it
+    steps = 1.0 + rng.integers(-3, 4, size=(900, 1)) * 2.0**-52
+    pts = ball.center + u * (ball.radius / norm.length(u))[:, None] * steps
+    pts[:300] = ball.center + rng.uniform(-1.5, 1.5, size=(300, dim)) * ball.radius
+    pts = np.concatenate([pts, ball.center + ball.radius * axes, unit.center + axes])
+    want = np.array([norm.length(p - ball.center) <= ball.radius for p in pts])
+    assert 0 < want[300:900].sum() < 600
+    assert np.array_equal(ball.contains(pts), want)
+    assert np.array_equal(ball.contains(np.asfortranarray(pts)), want)
+    assert np.array_equal(ball.contains(pts[:, None, :]), want[:, None])
+    assert ball.contains(pts[:0]).shape == (0,)
+    for p, w in zip(pts[::37], want[::37]):
+        assert ball.contains(p) is bool(w)
+
+
 def test_diameter_closed_forms():
     box = Box(np.zeros(2), np.array([3.0, 4.0]))
     assert diameter(box, SUP) == 4.0

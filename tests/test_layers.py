@@ -420,3 +420,26 @@ def test_decomposition_memory_is_its_output():
         tracemalloc.stop()
     assert len(dec.points) == 1 << 20
     assert peak / len(dec.points) < 56.0
+
+
+def test_greedy_packing_memory_is_the_row_loop_plus_one_column_copy():
+    # On this 302,592-point layer the loop that gathered candidate rows
+    # peaked at 40.01 bytes per point under tracemalloc, on the (n, 2)
+    # quotient and int64 keys of its bucket build.  Gathering by column
+    # adds one contiguous copy of the coordinates, 8 * d bytes per point,
+    # and builds the keys one column at a time; it peaks at 48.01.
+    fn = lc.get_function("multibump-d2")
+    eps = fn.lip_bound * lc.diameter(fn.domain, fn.norm) * 2.0**-7
+    dec = layer_decomposition(fn, eps)
+    pts = dec.points[dec.labels == 4]
+    radius = dec.scale.accuracy_for_class(4) / dec.lip
+    del dec
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lc.greedy_packing(pts, radius, fn.norm)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 302_592
+    assert peak / len(pts) < 40.02 + 8 * pts.shape[1]

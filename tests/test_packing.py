@@ -15,6 +15,7 @@ from lipcert import (
 )
 from lipcert.complexity import packing
 from lipcert.complexity.packing import _exact_covering_bruteforce, _exact_packing_bruteforce
+from lipcert.core._buckets import Buckets, covering_side, max_magnitude
 
 
 NORMS = (SUP, EUCLIDEAN, L1)
@@ -40,6 +41,110 @@ def pairwise_ok(points, radius, norm):
             if not norm.length(points[i] - points[j]) > radius:
                 return False
     return True
+
+
+def _ref_greedy(points, radius, norm):
+    """Greedy packing as it gathered candidate rows, ``points[idx]``,
+    before it gathered by column: the oracle of the bucket loop."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    if n <= max(packing._SCAN_LIMIT, 3 ** points.shape[1]):
+        buckets = None
+    else:
+        buckets = Buckets(points, covering_side(radius, max_magnitude(points)))
+        order = buckets.order
+    alive = np.ones(n, dtype=bool)
+    chosen = []
+    i = 0
+    while i < n:
+        chosen.append(i)
+        alive[i] = False
+        if buckets is None:
+            if i + 1 < n:
+                dists = norm.length(points[i + 1 :] - points[i])
+                alive[i + 1 :] &= dists > radius
+        else:
+            ends = buckets.runs(i)
+            idx = np.concatenate([order[a:b] for a, b in zip(ends[0::2], ends[1::2])])
+            idx = idx[alive[idx]]
+            if len(idx):
+                dists = norm.length(points[idx] - points[i])
+                alive[idx[dists <= radius]] = False
+        i = packing._next_alive(alive, i + 1)
+    return points[chosen].copy()
+
+
+def _same(got, want):
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+LAYOUTS = {
+    "C": lambda p: p,
+    "F": np.asfortranarray,
+    "reversed columns": lambda p: p[:, ::-1],
+}
+
+
+@st.composite
+def bucketed_sets(draw, dims=(1, 2, 3, 4), max_points=900):
+    """Sets past the scan limit, so greedy packing hashes them: dyadic
+    lattices, on which many pairs lie exactly at the radius, or uniform
+    random points, near 0 or near 1e6, with a radius from below the
+    spacing up to the diameter, in one of three memory layouts.  Random
+    sets also hold, for each norm, 30 points on the sphere of that
+    radius around the first point, which is always kept: rounding puts
+    some just inside and some just outside, so a last-bit change in how
+    a distance is measured changes the packing."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(max(packing._SCAN_LIMIT, 3**d) + 1, max_points))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    lattice = draw(st.booleans())
+    if lattice:
+        spacing = 2.0 ** -draw(st.integers(0, 8))
+        cells = draw(st.integers(2, 12))
+        pts = offset + rng.integers(0, cells, size=(n, d)) * spacing
+        extent = (cells - 1) * spacing
+    else:
+        extent = 10.0 ** draw(st.integers(-3, 2))
+        pts = offset + extent * rng.random((n, d))
+        spacing = extent / n ** (1 / d)
+    if draw(st.booleans()):
+        radius = spacing * draw(st.integers(1, 4))
+    else:
+        low = spacing / 2
+        radius = low * (max(extent * d, spacing) / low) ** draw(st.floats(0.0, 1.0))
+    if not lattice:
+        u = rng.standard_normal((len(NORMS), 30, d))
+        shells = [pts[0] + u_k * (radius / nm.length(u_k))[:, None] for nm, u_k in zip(NORMS, u)]
+        pts = np.concatenate([pts] + shells)
+    pts = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](pts)
+    return pts, radius
+
+
+@given(bucketed_sets())
+@settings(deadline=None, max_examples=40)
+def test_greedy_matches_the_row_gather_loop_bitwise(case):
+    pts, radius = case
+    assert len(pts) > packing._SCAN_LIMIT
+    for norm in NORMS:
+        assert _same(greedy_packing(pts, radius, norm), _ref_greedy(pts, radius, norm))
+
+
+def test_greedy_matches_the_row_gather_loop_in_eight_dimensions():
+    # past 3**8 points, so the bucket path runs; euclidean and l1 sum
+    # eight terms, where a different order of the coordinates would
+    # move points on the sphere around the first one across the radius
+    rng = np.random.default_rng(8)
+    for norm, radius in ((SUP, 0.6), (EUCLIDEAN, 1.0), (L1, 2.5)):
+        pts = rng.random((3**8 + 40, 8))
+        u = rng.standard_normal((60, 8))
+        pts = np.concatenate([pts, pts[0] + u * (radius / norm.length(u))[:, None]])
+        for layout in LAYOUTS.values():
+            view = layout(pts)
+            want = _ref_greedy(view, radius, norm)
+            assert 1 < len(want) < len(pts)
+            assert _same(greedy_packing(view, radius, norm), want)
 
 
 def test_greedy_keeps_first_point_and_input_order():
