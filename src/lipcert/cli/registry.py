@@ -181,5 +181,9 @@ def get_function(label: str, lip: float = 1.0) -> TestFunction:
 
 def default_algorithm(fn: TestFunction) -> str:
     """Certified algorithm used when none is requested: candidate-set
-    sawtooth on ball domains, certified tree search elsewhere."""
-    return "psgrid" if isinstance(fn.domain, Ball) else "cdoo"
+    sawtooth on planar euclidean balls, the one ball shape
+    :func:`~lipcert.candidates_for` builds a set for, and certified tree
+    search elsewhere."""
+    domain = fn.domain
+    planar_disc = isinstance(domain, Ball) and domain.dim == 2 and domain.norm.kind == "euclidean"
+    return "psgrid" if planar_disc else "cdoo"

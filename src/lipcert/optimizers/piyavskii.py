@@ -32,7 +32,14 @@ from ..core import (
     build_trace,
     midpoint_grid,
 )
-from ..core.geometry import _check_accuracy, _check_lip_bound, _column_length, _grid_counts
+from ..core._buckets import covering_side, max_magnitude
+from ..core.geometry import (
+    _all_columns,
+    _check_accuracy,
+    _check_lip_bound,
+    _column_length,
+    _grid_counts,
+)
 
 # Largest candidate set candidates_for builds; past it the set coarsens.
 _MAX_CANDIDATES = 40000
@@ -212,7 +219,8 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
 
     When the target would need more than ``_MAX_CANDIDATES`` candidates
     the set is coarsened to fit and the honest, larger covering radius is
-    reported; certificates stay valid but may never reach ``eps``.
+    reported; certificates stay valid but may never reach ``eps``.  Every
+    candidate lies in the domain.
     """
     _check_lip_bound(lip)
     _check_accuracy(eps)
@@ -234,19 +242,38 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
         # center + (radius, 0) in the set bitwise.  Any ball point is
         # within half a ring spacing of some ring radially and within an
         # arc of pi * radius / n_angles along it, so the sum of the two is
-        # a valid covering radius.
+        # a valid covering radius.  A ring some of whose points round
+        # outside the ball is pulled in one float at a time until all of
+        # them lie inside, and the largest pull is added to the radius.
         angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
-        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        rings = [domain.center[None, :]]
-        for j in range(1, n_rings + 1):
-            rings.append(domain.center + (j * rho / n_rings) * directions)
-        cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles
-        return CandidateSet(points=np.concatenate(rings), cover_radius=cover)
+        directions = np.stack([np.cos(angles), np.sin(angles)])
+        radii = [j * rho / n_rings for j in range(1, n_rings + 1)]
+        # one row per coordinate, one column per candidate, so that the
+        # ball test and ps_run_grid read contiguous coordinate rows
+        cols = np.empty((2, 1 + n_rings * n_angles))
+        cols[:, 0] = domain.center
+        rings = cols[:, 1:].reshape(2, n_rings, n_angles)
+        np.multiply(np.array(radii)[:, None], directions[:, None, :], out=rings)
+        rings += domain.center[:, None, None]
+        inside = domain.contains(cols[:, 1:].T).reshape(n_rings, n_angles)
+        pull = 0.0
+        for j in np.flatnonzero(~inside.all(axis=1)):
+            radius = radii[j]
+            while not domain.contains(rings[:, j].T).all():
+                radius = math.nextafter(radius, 0.0)
+                rings[:, j] = domain.center[:, None] + radius * directions
+            pull = max(pull, radii[j] - radius)
+        cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles + pull
+        return CandidateSet(points=cols.T, cover_radius=cover)
     step = eps / (lip * float(norm.length(np.ones(domain.dim))))
     while (total := float(np.prod(_grid_counts(domain, step)))) > _MAX_CANDIDATES:
         step *= (total / _MAX_CANDIDATES) ** (1.0 / domain.dim)
     # Every box point is within half a grid step per coordinate of some
     # candidate, so the covering radius is the norm of the half-step vector.
+    # The candidates lie in the box.  On an axis [a, b] of n intervals the
+    # offset from a is positive and at most (n - 1/2)(b - a)(1 + 2**-53)**3,
+    # after rounding the edge, the step and the product; that is at most
+    # b - a, so rounding a plus the offset cannot pass the float b.
     points, steps = midpoint_grid(domain, step)
     return CandidateSet(points=points, cover_radius=float(norm.length(steps * 0.5)))
 
@@ -274,20 +301,25 @@ def ps_run_grid(
     warning in the trace.
 
     The envelope is one array updated in place, with queried candidates
-    set to ``-inf``, so a query costs one distance pass and one
-    ``argmax`` over the n candidates: O(n d) time.  The candidates are
-    stored once per run as one row per coordinate, and the O(n d)
-    scratch memory for differences, distances and cone values is
-    allocated once per run, not per query.  The distances combine the
-    d coordinate terms in order, as :meth:`Norm.length` does, and match
-    it bitwise.
+    set to ``-inf``.  A query updates only the candidates whose envelope
+    its cone can lower.  When the candidates' first coordinates are
+    nondecreasing, as in every midpoint grid, these lie in one slice
+    found by bisection on the first coordinate (its completeness is
+    proved in ``_psgrid_rounds``); otherwise, and on the first query,
+    the slice is the whole set.  So a query costs one ``argmax`` over the
+    n candidates plus a distance pass over its slice of k: O(n + k d)
+    time.  The candidates are stored once per run as one row per
+    coordinate, and the O(n d) scratch memory for differences, distances
+    and cone values is allocated once per run, not per query.  The
+    distances combine the d coordinate terms in order, as
+    :meth:`Norm.length` does, and match it bitwise.
 
     Args:
       fn: objective in dimension at least two.
       eps: accuracy to certify; refused before any query unless positive and finite.
       budget: maximum number of queries.
-      candidates: candidate set; defaults to :func:`candidates_for` on
-        the objective's domain.
+      candidates: candidate set, refused unless it lies in the objective's
+        domain; defaults to :func:`candidates_for` on that domain.
     """
     _check_accuracy(eps)
     if fn.dim < 2:
@@ -295,10 +327,9 @@ def ps_run_grid(
     lip = fn.lip_bound
     if candidates is None:
         candidates = candidates_for(fn.domain, lip, eps, fn.norm)
-    if candidates.points.shape[1] != fn.dim:
+    elif candidates.points.shape[1] != fn.dim:
         raise ValueError("candidate dimension does not match the objective")
-    inside = np.asarray(fn.domain.contains(candidates.points))
-    if not inside.all():
+    elif not np.asarray(fn.domain.contains(candidates.points)).all():
         raise ValueError("candidate set contains points outside the domain")
     hopeless = candidates.cover_radius > eps / lip
     warnings: tuple[str, ...] = ()
@@ -312,7 +343,45 @@ def ps_run_grid(
 
 
 def _psgrid_rounds(fn: TestFunction, candidates: CandidateSet, hopeless: bool):
+    """The rounds of :func:`ps_run_grid`, one query each.
+
+    A query at ``x`` with value ``fx`` updates the envelope only on a
+    slice ``[lo, hi)`` of the candidates, and leaves it bitwise as a pass
+    over all of them would.  Every query after the first is at the
+    argmax candidate, so beforehand every envelope value is at most
+    ``top = env(x)``.  Let ``R`` be ``max(0, top - fx)`` rounded up to a
+    float, divided by ``lip`` and rounded up again, so that ``R >= max(0,
+    top - fx) / lip`` exactly; let ``M`` be the largest absolute
+    candidate coordinate, ``u = 2**-53`` and ``s = covering_side(R, M)``.
+    The slice holds the candidates whose first coordinate lies in
+    ``[fl(x_0 - s), fl(x_0 + s)]``.
+
+    **Completeness.**  Let ``p`` be a candidate, ``d`` its computed
+    distance to ``x`` and ``c = fl(fx + fl(lip * d))`` its cone value.
+
+    1. If ``d >= R``, then ``lip * d >= G`` for the float ``G >= top -
+       fx`` that ``R`` was divided from.  Rounding is monotone, so
+       ``fl(lip * d) >= G``, then ``fx + fl(lip * d) >= top`` and ``c >=
+       top``.  The envelope value at ``p`` is at most ``top``, so
+       ``min(env, c)`` leaves it as it is.  Only candidates with ``d <
+       R`` can change.
+    2. By step 1 of the completeness proof in ``core._buckets``, ``d <=
+       R`` gives ``|p_0 - x_0| <= R (1 + 5u) + 2**-510``.  ``x`` is a
+       candidate, so the bounds ``fl(x_0 -+ s)`` are within ``u (M + s)``
+       of ``x_0 -+ s``, and ``s`` exceeds ``R (1 + 5u) + 2**-510 + u (M +
+       s)``, since :func:`covering_side` adds ``R 2**-20``, ``M 2**-40``
+       and ``2**-500`` to ``R``.  So ``p`` lies in the slice.
+    3. Rows equal to ``x`` have first coordinate ``x_0`` and ``s > 0``,
+       so they lie in the slice and are set to ``-inf`` as in a full
+       pass.  This holds also when ``fx > top`` refutes the bound, where
+       the clamp at 0 keeps ``R`` from going negative.
+
+    The slice is contiguous when the first coordinates are nondecreasing,
+    which the run checks once.  Otherwise, and on the first query, where
+    ``top`` is ``inf``, the slice is every candidate.
+    """
     lip = fn.lip_bound
+    kind = fn.norm.kind
     cand = candidates.points
     x = np.array(fn.domain.center)
     # envelope on the candidates, -inf on those already queried
@@ -322,21 +391,36 @@ def _psgrid_rounds(fn: TestFunction, candidates: CandidateSet, hopeless: bool):
     dist = np.empty(len(cand))
     cone = np.empty(len(cand))
     hit = np.empty(len(cand), dtype=bool)
+    # the first coordinates, when they are nondecreasing
+    lead = None
+    if bool(np.all(cols[0, 1:] >= cols[0, :-1])):
+        lead = cols[0].tolist()
+        magnitude = max_magnitude(cand)
+    top = math.inf
     best_v = -math.inf
     slack = lip * candidates.cover_radius
     while True:
         fx = float(fn(x))
-        np.subtract(cols, x[:, None], out=diff)
-        _column_length(fn.norm.kind, diff, diff, dist)
-        np.multiply(lip, dist, out=cone)
-        np.add(fx, cone, out=cone)
-        np.minimum(env, cone, out=env)
+        lo, hi = 0, len(cand)
+        if lead is not None and top < math.inf:
+            # the reach R of the docstring, rounded up at each step
+            rise = math.nextafter(max(0.0, top - fx), math.inf)
+            side = covering_side(math.nextafter(rise / lip, math.inf), magnitude)
+            x0 = float(x[0])
+            lo = bisect.bisect_left(lead, x0 - side)
+            hi = bisect.bisect_right(lead, x0 + side)
+        part = diff[:, lo:hi]
+        np.subtract(cols[:, lo:hi], x[:, None], out=part)
+        near = _column_length(kind, part, part, dist[lo:hi])
+        lowered = np.multiply(lip, near, out=cone[lo:hi])
+        np.add(fx, lowered, out=lowered)
+        np.minimum(env[lo:hi], lowered, out=env[lo:hi])
         # only rows at distance 0 can equal x, but a nonzero difference
         # can underflow to distance 0, so compare those rows
-        zero = np.flatnonzero(np.equal(dist, 0.0, out=hit))
-        env[zero[np.all(cand[zero] == x, axis=1)]] = -math.inf
+        zero = lo + np.equal(near, 0.0, out=hit[lo:hi]).nonzero()[0]
+        env[zero[_all_columns(cand[zero] == x)]] = -math.inf
         best_v = max(best_v, fx)
-        pick = int(np.argmax(env))
+        pick = int(env.argmax())
         top = float(env[pick])
         # A queried candidate's envelope is at most its own observation,
         # so at most best_v: leaving it out of top does not change

@@ -257,6 +257,27 @@ def test_ring_candidates_cover_the_disk():
         assert dists.min() <= cand.cover_radius + 1e-9
 
 
+@pytest.mark.parametrize("j", range(2, 8))
+def test_ring_candidates_stay_inside_a_moved_disc(j):
+    # Off the origin some outer-ring points used to round outside the
+    # disc (3 of 25,793 at 2^-5), and ps_run_grid refused the set.
+    disc = Ball(np.array([0.5, 0.5]), 1.0, EUCLIDEAN)
+    fn = lc.TestFunction(
+        "cone-moved",
+        disc,
+        EUCLIDEAN,
+        1.0,
+        lambda x: EUCLIDEAN.length(x - 0.5),
+        exact_lip=1.0,
+        known_max=1.0,
+    )
+    eps = fn.lip_bound * 2.0**-j
+    cand = candidates_for(disc, fn.lip_bound, eps, EUCLIDEAN)
+    assert disc.contains(cand.points).all()
+    trace = ps_run_grid(fn, eps, 3000, candidates=cand)
+    assert certificate_validity(trace, fn.known_max).ok
+
+
 def test_candidates_for_meets_accuracy_target():
     ball = Ball(np.zeros(2), 1.0, EUCLIDEAN)
     cand = candidates_for(ball, lip=1.0, eps=0.1, norm=EUCLIDEAN)
@@ -387,6 +408,12 @@ def test_grid_run_matches_full_scan(norm, dim):
     grid, _ = midpoint_grid(fn.domain, 1.0 / round(400 ** (1.0 / dim)))
     trace = assert_grid_run_matches_scan(fn, 1e-6, 300, CandidateSet(grid, 1e-8))
     assert len(trace) > 100
+    # sorted by first coordinate, in five long runs of equal values
+    runs = points.copy()
+    runs[:, 0] = np.random.default_rng(dim).integers(0, 5, size=len(runs)) / 4.0
+    runs = runs[np.argsort(runs[:, 0], kind="stable")]
+    trace = assert_grid_run_matches_scan(fn, 1e-6, 400, CandidateSet(runs, 1e-8))
+    assert len(trace) > 100
 
 
 def column_order_length(kind):
@@ -413,6 +440,73 @@ def test_grid_run_sums_long_rows_in_column_order(norm, dim):
     cand = CandidateSet(points, cover_radius=1e-8)
     trace = assert_grid_run_matches_scan(fn, 1e-6, 200, cand, length=column_order_length(norm.kind))
     assert len(trace) == 200
+    # a product grid of two coordinates per axis, sorted by first coordinate
+    axes = np.sort(rng.uniform(size=(dim, 2)) ** rng.integers(1, 4, size=(dim, 1)), axis=1)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    cand = CandidateSet(grid, cover_radius=1e-8)
+    trace = assert_grid_run_matches_scan(fn, 1e-6, 200, cand, length=column_order_length(norm.kind))
+    assert len(trace) > 50
+
+
+def wavy_box_function(box, norm, lip, seed=0):
+    """A rippled cone on ``box`` at a random centre, ``(lip / 4)(0.2 s
+    sin(7 r / s) - r)`` for ``r`` the distance to the centre and ``s`` the
+    box diameter.  Its constant in ``norm`` is at most ``0.6 lip``."""
+    centre = box.lower + box.edges * np.random.default_rng(seed).uniform(size=box.dim)
+    size = float(norm.length(box.edges))
+
+    def evaluator(points):
+        r = norm.length(points - centre)
+        return (lip / 4.0) * (0.2 * size * np.sin(7.0 * r / size) - r)
+
+    return lc.TestFunction(f"wavy-{norm.kind}-d{box.dim}", box, norm, lip, evaluator)
+
+
+@pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1), ids=lambda n: n.kind)
+@pytest.mark.parametrize("offset", (0.0, -37.5, 1e6))
+@pytest.mark.parametrize("scale", (1e-3, 7.5))
+def test_grid_run_matches_full_scan_on_moved_grids(norm, offset, scale):
+    # A query updates only the slice of a sorted set that its cone can
+    # reach; far from the origin and at small scales rounding decides the
+    # reach, and the slice must allow for it.
+    lower = np.array([offset, 0.5 * offset])
+    box = Box(lower, lower + scale * np.array([1.0, 0.75]))
+    fn = wavy_box_function(box, norm, 1.0 / scale, seed=3)
+    grid, _ = midpoint_grid(box, scale / 24.0)
+    trace = assert_grid_run_matches_scan(fn, 1e-9, 300, CandidateSet(grid, 1e-12 * scale))
+    assert len(trace) > 100
+
+
+@pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1), ids=lambda n: n.kind)
+@pytest.mark.parametrize("lip", (0.1, 1.0 / 3.0, 3.7))
+def test_grid_run_matches_full_scan_at_non_dyadic_bounds(norm, lip):
+    box = Box(np.zeros(2), np.ones(2))
+    fn = wavy_box_function(box, norm, lip, seed=4)
+    grid, _ = midpoint_grid(box, 1.0 / 20.0)
+    trace = assert_grid_run_matches_scan(fn, 1e-9, 300, CandidateSet(grid, 1e-12))
+    assert len(trace) > 100
+
+
+@pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1), ids=lambda n: n.kind)
+def test_grid_run_matches_full_scan_under_a_refuted_bound(norm):
+    # At a quarter of its bound the objective outruns the cones, and some
+    # query observes more than the envelope allowed there (fx > top).
+    # The slice must still hold the queried row.  The run goes on past
+    # it: the cover slack is eps, and adding it to the best value and
+    # taking it off again often rounds above eps.
+    box = Box(np.zeros(2), np.ones(2))
+    fn = wavy_box_function(box, norm, 3.7, seed=5)
+    fn = replace(fn, lip_bound=fn.lip_bound / 4, exact_lip=None)
+    grid, _ = midpoint_grid(box, 1.0 / 12.0)
+    eps = 0.01
+    trace = assert_grid_run_matches_scan(fn, eps, 300, CandidateSet(grid, eps / fn.lip_bound))
+    q, v = trace.queries, trace.values
+    refuted = [
+        k
+        for k in range(1, len(q))
+        if v[k] > np.min(v[:k] + fn.lip_bound * norm.length(q[:k] - q[k]))
+    ]
+    assert refuted and refuted[0] < len(q) - 1
 
 
 def test_grid_run_matches_full_scan_on_registry_sets():

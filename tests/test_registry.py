@@ -238,10 +238,37 @@ def test_domains():
             assert fn.domain.radius == 1.0
 
 
+def peak_on_unit_ball(dim, norm):
+    """``-|x|`` on the unit ball of ``norm`` at the origin: maximum 0."""
+    return lc.TestFunction(
+        f"peak-{norm.kind}-d{dim}",
+        Ball(np.zeros(dim), 1.0, norm),
+        norm,
+        1.0,
+        lambda x: -norm.length(x),
+        exact_lip=1.0,
+        known_max=0.0,
+    )
+
+
 def test_default_algorithm_choice():
     for fn in registry():
         expected = "psgrid" if fn.label == "cone-d2" else "cdoo"
         assert default_algorithm(fn) == expected
+    # psgrid has no candidate set for these balls and used to be chosen
+    # anyway, so the default run raised; the tree search certifies them
+    for dim, norm, queries in (
+        (1, lc.EUCLIDEAN, 17),
+        (2, lc.SUP, 57),
+        (2, lc.L1, 69),
+        (3, lc.EUCLIDEAN, 373),
+    ):
+        fn = peak_on_unit_ball(dim, norm)
+        assert default_algorithm(fn) == "cdoo"
+        trace = lc.optimizers.ALGORITHMS[default_algorithm(fn)](fn, 2.0**-4, 1000)
+        assert len(trace) == queries
+        assert lc.sigma_from_trace(trace) <= queries
+        assert lc.certificate_validity(trace, fn.known_max).ok
 
 
 @pytest.mark.parametrize(
