@@ -175,7 +175,7 @@ def audit_certified_run(
         step = ball_radius / 2.0
         while float(np.prod(_grid_counts(box, step))) > _GRID_CAP:
             step *= 1.5
-        grid, _ = midpoint_grid(box, step, max_points=_GRID_CAP)
+        grid, _ = midpoint_grid(box, step)
         grid = np.compress(fn.domain.contains(grid), grid, axis=0)
         if len(grid) == 0:
             continue

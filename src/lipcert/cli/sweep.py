@@ -80,6 +80,8 @@ class SweepConfig:
         _check_lip_bound(self.lip)
         if self.eps_count < 1:
             raise ValueError("eps-count must be at least 1")
+        if not 0 <= self.eps_floor < math.inf:
+            raise ValueError("eps-floor must be finite and non-negative")
         if self.budget < 1 or any(b < 1 for b in self.budgets.values()):
             raise ValueError("budgets must be positive")
         if not 8 * (1 - 1e-12) <= self.grid_step_divisor < math.inf:

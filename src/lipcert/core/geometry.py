@@ -206,6 +206,9 @@ class Box:
             raise ValueError("lower and upper must be nonempty 1-D arrays of equal length")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(upper - lower).all():
+                raise ValueError("every bound and edge of a box must be finite")
         lower.flags.writeable = False
         upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
@@ -252,8 +255,14 @@ class Ball:
         center = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
         if center.ndim != 1 or center.size == 0:
             raise ValueError("center must be a nonempty 1-D array")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        # the edges of enclosing_box(), finite and positive only when its
+        # bounds are finite and apart
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = (center + self.radius) - (center - self.radius)
+        if not np.all((0 < edges) & (edges < math.inf)):
+            raise ValueError("a ball's enclosing box must have finite, positive edges")
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
 
@@ -316,8 +325,10 @@ def diameter(domain: Domain, norm: Norm) -> float:
 
 def _grid_counts(box: Box, step: float) -> np.ndarray:
     """Intervals per dimension of :func:`midpoint_grid`'s grid, as floats
-    so that a product of huge counts cannot overflow."""
-    return np.maximum(1.0, np.ceil(box.edges / step - 1e-12))
+    so that a product of huge counts cannot overflow; a count too large
+    for a float is inf."""
+    with np.errstate(over="ignore"):
+        return np.maximum(1.0, np.ceil(box.edges / step - 1e-12))
 
 
 def _grid_axes(
@@ -325,14 +336,15 @@ def _grid_axes(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The midpoints along each axis of :func:`midpoint_grid`'s grid and
     its per-dimension spacings.  A grid of more than ``max_points``
-    points raises before anything grid-sized is allocated."""
+    points raises before anything grid-sized is allocated, even one
+    whose count is too large for a float."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     counts = _grid_counts(box, step)
-    total = int(np.prod(counts))
+    total = float(np.prod(counts))
     if max_points is not None and total > max_points:
         raise ValueError(
-            f"grid of {total} points exceeds the cap of {max_points}; "
+            f"grid of {total:.6g} points exceeds the cap of {max_points}; "
             "use a coarser step or a larger accuracy target"
         )
     counts = counts.astype(int)
@@ -376,9 +388,7 @@ def _grid_rows(
     return rows
 
 
-def midpoint_grid(
-    box: Box, step: float, max_points: Union[int, None] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def midpoint_grid(box: Box, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Regular midpoint grid over a box.
 
     Each dimension j is split into ``ceil(edge_j / step)`` equal intervals
@@ -388,8 +398,6 @@ def midpoint_grid(
       box: the box to discretise.
       step: upper bound on the per-dimension spacing; actual spacings are
         ``edge_j / ceil(edge_j / step) <= step``.
-      max_points: optional cap on the total number of grid points; exceeding
-        it raises instead of allocating.
 
     Returns:
       A pair ``(points, steps)`` where ``points`` has shape ``(n, d)`` in
@@ -397,5 +405,5 @@ def midpoint_grid(
       holds the actual per-dimension spacings.  Every box point is within
       ``steps / 2`` of a grid point coordinate-wise.
     """
-    axes, steps = _grid_axes(box, step, max_points)
+    axes, steps = _grid_axes(box, step)
     return _grid_rows(axes, 0, math.prod(len(axis) for axis in axes)), steps

@@ -19,9 +19,9 @@ flat cell indices.
 
 No point is queried twice, by two rules.  A cell that float64 cannot
 split, because some child's center would not lie strictly inside that
-child's bounds, is frozen exactly like a cell at ``max_depth``: when
-the search pops it, its optimistic value joins the certificate's
-envelope, and the round ends with no split and no query.  The test is
+child's bounds, is frozen exactly like a cell at ``max_depth``: split
+returns None, its optimistic value joins the certificate's envelope,
+and the round ends with no split and no query.  The test is
 local, so a run keeps splitting wherever float64 still resolves its
 cells, such as near zero.  And once a child can land on a point queried
 before, the run keeps the value of every point it queries: on a ball
@@ -128,10 +128,10 @@ def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget:
     while leaves:
         neg_b, depth, index, pos = heapq.heappop(leaves)
         optimistic = -neg_b
-        if partition._frozen(depth, pos):
+        if (kids := partition.split(depth, pos)) is None:
             frozen_b = max(frozen_b, optimistic)
             continue
-        codes, kid_pos, kid_reps = partition.split(depth, pos)
+        codes, kid_pos, kid_reps = kids
         if not codes:
             continue
         room = budget - n

@@ -230,6 +230,11 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
                 "no rigorous candidate builder for this ball; supply one explicitly"
             )
         rho = domain.radius
+        # Past the cap the counts depend on the target only through the
+        # ratio of the two ceilings, which no longer moves them below
+        # rho * lip * 2**-20 (79 rings of 501 angles under a cap of
+        # 40,000); a finer target is raised to that, so they stay finite.
+        eps = max(eps, rho * lip * 2.0**-20)
         n_rings = max(1, math.ceil(2.0 * rho * lip / eps))
         n_angles = max(8, math.ceil(4.0 * math.pi * rho * lip / eps))
         if n_rings * n_angles + 1 > _MAX_CANDIDATES:

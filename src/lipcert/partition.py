@@ -114,7 +114,7 @@ class BisectionPartition:
 
     def split(
         self, depth: int, pos: tuple[int, ...]
-    ) -> tuple[list[int], list[tuple[int, ...]], np.ndarray]:
+    ) -> Optional[tuple[list[int], list[tuple[int, ...]], np.ndarray]]:
         """Feasible children of the depth-``depth`` cell at integer
         position ``pos`` (a tuple of d ints), in child-code order.
 
@@ -126,9 +126,11 @@ class BisectionPartition:
         so the code's most significant bit selects the upper half along
         dimension 0.  No children (``n = 0``) means that none meets the
         ball restriction, so the cell holds no domain point left to
-        search and can be dropped.  Whether a child can be split again is
-        :meth:`_frozen`'s to say.  Raises ``ValueError`` for a negative
-        depth or one at :attr:`max_depth`.
+        search and can be dropped.  None is the one rule for a cell that
+        cannot be split: one at :attr:`max_depth`, or one that float64
+        cannot halve, where some child's center would not lie strictly
+        inside that child's bounds and would repeat a point already seen.
+        Raises ``ValueError`` for a depth outside ``0..max_depth``.
 
         The children are computed in Python floats, with the operations
         of :meth:`_cells` in its order, so that every value equals the
@@ -138,19 +140,22 @@ class BisectionPartition:
         halves in code order, through :func:`itertools.product`.  A ball
         restriction then goes through :meth:`_ball_children`.
         """
-        if not 0 <= depth < self.max_depth:
-            raise ValueError(
-                f"cannot split a depth-{depth} cell; depths 0..{self.max_depth - 1} split"
-            )
+        if not 0 <= depth <= self.max_depth:
+            raise ValueError(f"depth {depth} is outside 0..{self.max_depth}")
+        if depth == self.max_depth:
+            return None
         scale = 0.5 ** (depth + 1)
         lows, edges = self._box_floats
         axis_pos, axis_bounds, axis_centers = [], [], []
         for p, low, edge in zip(pos, lows, edges):
             q, s = 2 * p, edge * scale
             a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
+            center_a, center_b = a + (m - a) * 0.5, m + (b - m) * 0.5
+            if not a < center_a < m < center_b < b:
+                return None
             axis_pos.append((q, q + 1))
             axis_bounds.append((a, m, b))
-            axis_centers += (a + (m - a) * 0.5, m + (b - m) * 0.5)
+            axis_centers += (center_a, center_b)
         positions = list(product(*axis_pos))
         reps = np.array(axis_centers)[self._center_index]
         if self.restrict_to is None:
@@ -220,35 +225,9 @@ class BisectionPartition:
         ball = self.restrict_to
         return ball.norm.kind, float(ball.radius), ball.center.tolist()
 
-    def _frozen(self, depth: int, pos: tuple[int, ...]) -> bool:
-        """Whether the depth-``depth`` cell at integer position ``pos`` (a
-        tuple of d ints) cannot be split.
-
-        A cell at :attr:`max_depth` cannot, and neither can a cell that
-        float64 cannot halve along some axis: there, the center of one of
-        its children, computed from that child's bounds as :meth:`_cells`
-        computes them (Python floats round as numpy does), would not lie
-        strictly inside them, and the child would repeat a point already
-        seen.  Cells shallower than :attr:`_exact_depth` always pass, so
-        they skip the test.  The tree search applies this rule to each
-        leaf it pops.
-        """
-        if depth >= self.max_depth:
-            return True
-        if depth < self._exact_depth:
-            return False
-        scale = 0.5 ** (depth + 1)
-        lows, edges = self._box_floats
-        for p, low, edge in zip(pos, lows, edges):
-            q, s = 2 * p, edge * scale
-            a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
-            if not a < a + (m - a) * 0.5 < m < m + (b - m) * 0.5 < b:
-                return True
-        return False
-
     @cached_property
     def _exact_depth(self) -> int:
-        """Shallowest depth whose cells :meth:`_frozen` must test.
+        """Split depth from which the tree search keeps a memo of box points.
 
         A depth-k cell has edges ``s_j = edge_j / 2**k``, and its bounds
         ``lower + q * s`` each carry a rounding error below ``5 u M``,
@@ -259,10 +238,9 @@ class BisectionPartition:
         within ``7 u M`` of a depth-k bound: centers are strictly inside
         their cells and no two cells share one.  With ``min_edge >=
         2**(e1 - 1)`` and ``M < 2**e2`` (``math.frexp`` exponents), that
-        holds for every child depth ``k <= e1 - e2 + 46``, so shallower
-        cells skip the test, and the tree search keeps no memo of box
-        points above it.  M is floored at ``2**-960`` so that every
-        step stays a normal float.
+        holds for every child depth ``k <= e1 - e2 + 46``, so splits
+        above it need no memo.  M is floored at ``2**-960`` so that
+        every step stays a normal float.
         """
         e1 = math.frexp(float(self.box.edges.min()))[1]
         e2 = math.frexp(max(self._magnitude, 2.0**-960))[1]

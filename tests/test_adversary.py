@@ -146,9 +146,9 @@ def test_audit_coarsens_grids_past_the_cap(monkeypatch):
     monkeypatch.setattr(adversary, "_GRID_CAP", 100)
     steps = []
 
-    def recording(box, step, max_points=None):
+    def recording(box, step):
         steps.append(step)
-        return lc.midpoint_grid(box, step, max_points=max_points)
+        return lc.midpoint_grid(box, step)
 
     monkeypatch.setattr(adversary, "midpoint_grid", recording)
     rep = audit_certified_run(lc.get_function("halftent-d1"), 1 / 16)

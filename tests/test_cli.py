@@ -63,6 +63,26 @@ def test_run_candidate_sawtooth_two_query_stop(capsys):
     assert "sigma=2" in out and "best=1.0" in out
 
 
+@pytest.mark.parametrize("label", ["slope-d1", "multibump-d2"])
+def test_complexity_past_float_range_exits_one(label, capsys):
+    # the grid count is inf; the cap's one-line error, not a traceback
+    assert main(["complexity", "--function", label, "--eps", "1e-320"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lipcert complexity: grid of inf points exceeds the cap")
+    assert err.count("\n") == 1
+
+
+def test_run_psgrid_past_float_range_warns_and_stops(capsys):
+    code = main([
+        "run", "--function", "cone-d2", "--algo", "psgrid", "--eps", "1e-320",
+        "--budget", "3",
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: covering radius 0.0125998 exceeds eps/lip")
+    assert captured.out.startswith("algorithm=psgrid function=cone-d2 eps=1e-320 n=1 ")
+
+
 def test_run_domain_error_exits_one(capsys):
     code = main([
         "run", "--function", "tent-d1", "--algo", "ps1d", "--eps", "0.25",

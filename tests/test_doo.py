@@ -431,11 +431,11 @@ def test_search_matches_reference_at_depth_sixty():
     frozen = []
 
     class Recording(BisectionPartition):
-        def _frozen(self, depth, pos):
-            if super()._frozen(depth, pos):
+        def split(self, depth, pos):
+            kids = super().split(depth, pos)
+            if kids is None:
                 frozen.append(depth)
-                return True
-            return False
+            return kids
 
     fn = lc.get_function("tent-d1")
     plain, _ = bisection_setup(fn)
@@ -536,23 +536,28 @@ def test_split_matches_the_keyed_methods(part):
     for depth, pos in cells:
         key = (depth, _index(pos, depth, part.dim))
         assert np.array_equal(_ref_positions(part, key), pos)
-        assert part._frozen(depth, pos) == _ref_frozen(part, key)
-        codes, kid_pos, reps = part.split(depth, pos)
+        split = part.split(depth, pos)
+        assert (split is None) == _ref_frozen(part, key)
+        if split is None:
+            continue
+        codes, kid_pos, reps = split
         kids = _ref_children(part, key)
-        # each child's _frozen is the reference rule for that child (of an
-        # 8-d cell's children, about every 32nd: the rule is slow there)
+        # each child's split is None where the reference rule freezes that
+        # child (of an 8-d cell's children, about every 32nd: the rule is
+        # slow there)
         every = max(1, len(codes) // 8)
         for code, kid in zip(codes[::every], kid_pos[::every]):
             want = depth + 1 >= part.max_depth or _ref_frozen(part, kids[code])
-            assert part._frozen(depth + 1, kid) == want
+            assert (part.split(depth + 1, kid) is None) == want
         mask = [_ref_feasible(part, k) for k in kids]
         assert codes == [c for c in range(part.arity) if mask[c]]
         for code, row_pos, rep in zip(codes, kid_pos, reps):
             kid = kids[code]
             assert kid[1] == _index(row_pos, depth + 1, part.dim)
             assert np.array_equal(rep, _ref_representative(part, kid))
+    assert part.split(part.max_depth, (0,) * part.dim) is None
     with pytest.raises(ValueError):
-        part.split(part.max_depth, (0,) * part.dim)
+        part.split(part.max_depth + 1, (0,) * part.dim)
 
 
 # --- no point is queried twice -------------------------------------------

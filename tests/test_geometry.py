@@ -24,7 +24,7 @@ from lipcert import (
 import lipcert as lc
 from lipcert.cli.sweep import SweepConfig
 from lipcert.core import check_run_args
-from lipcert.core.geometry import _norm_ratio
+from lipcert.core.geometry import _grid_axes, _norm_ratio
 from lipcert.optimizers.piyavskii import Envelope1D, candidates_for
 
 
@@ -262,6 +262,32 @@ def test_box_rejects_inverted_bounds():
         Box(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Box([0.0], [math.inf]),
+        lambda: Box([-math.inf, 0.0], [1.0, 1.0]),
+        # each bound is finite, but the edge overflows to inf
+        lambda: Box([-1e308], [1e308]),
+        lambda: Ball([math.nan, 0.0], 1.0, EUCLIDEAN),
+        lambda: Ball([0.0, math.inf], 1.0, SUP),
+        lambda: Ball([0.0, 0.0], math.inf, EUCLIDEAN),
+        # a finite center and radius whose enclosing box overflows
+        lambda: Ball([0.0, 0.0], 1e308, EUCLIDEAN),
+        lambda: Ball([1.7e308, 0.0], 1e307, EUCLIDEAN),
+        # a radius below the float spacing at the center: a flat box
+        lambda: Ball([1e16, 0.0], 0.5, EUCLIDEAN),
+    ],
+    ids=[
+        "inf-upper", "inf-lower", "inf-edge", "nan-center", "inf-center", "inf-radius",
+        "wide-ball", "ball-past-the-floats", "ball-below-the-spacing",
+    ],
+)
+def test_domains_must_be_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_domains_reject_zero_dimensions():
     with pytest.raises(ValueError, match="nonempty"):
         Box([], [])
@@ -386,9 +412,14 @@ def test_midpoint_grid_is_lexicographic_in_2d():
 
 
 def test_midpoint_grid_cap():
+    # the cap layer_decomposition sets raises before anything grid-sized
+    # is allocated, also when the count is too large for a float
     box = Box(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        midpoint_grid(box, 1e-4, max_points=1000)
+    with pytest.raises(ValueError, match="grid of 1e\\+08 points exceeds the cap of 1000"):
+        _grid_axes(box, 1e-4, max_points=1000)
+    with pytest.raises(ValueError, match="grid of inf points exceeds the cap of 1000"):
+        _grid_axes(box, 1e-320, max_points=1000)
+    assert len(_grid_axes(box, 1e-4)[0][0]) == 10_000
 
 
 @given(st.floats(min_value=0.01, max_value=0.9), st.integers(min_value=1, max_value=3))

@@ -50,7 +50,7 @@ def test_root_cell(unit2):
 def test_children_are_dimension_major(unit2):
     codes, kid_pos, reps = unit2.split(0, (0, 0))
     assert codes == [0, 1, 2, 3]
-    assert not any(unit2._frozen(1, kid) for kid in kid_pos)
+    assert not any(unit2.split(1, kid) is None for kid in kid_pos)
     # child code's most significant bit moves along dimension 0
     assert kid_pos == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert np.array_equal(reps, [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
@@ -83,6 +83,8 @@ def test_index_bounds_checked(unit2):
     with pytest.raises(ValueError):
         unit2.split(-1, (0, 0))
     with pytest.raises(ValueError):
+        unit2.split(unit2.max_depth + 1, (0, 0))
+    with pytest.raises(ValueError):
         unit2._depth_summary(-1)
 
 
@@ -91,16 +93,16 @@ def test_depth_cap():
     assert part.max_depth == 60
     codes, kid_pos, _ = part.split(59, (0,))
     # children at the cap are frozen whatever their geometry
-    assert codes == [0, 1] and [part._frozen(60, kid) for kid in kid_pos] == [True, True]
+    assert codes == [0, 1] and [part.split(60, kid) for kid in kid_pos] == [None, None]
     with pytest.raises(ValueError):
-        part.split(60, (0,))
+        part.split(61, (0,))
     # in 2-D the cap comes before float64 runs out at depth 46
     part2 = BisectionPartition(Box(np.zeros(2), np.ones(2)))
     assert part2.max_depth == 30 and part2._exact_depth == 46
     codes, kid_pos, _ = part2.split(29, (0, 0))
-    assert codes == [0, 1, 2, 3] and [part2._frozen(30, kid) for kid in kid_pos] == [True] * 4
+    assert codes == [0, 1, 2, 3] and [part2.split(30, kid) for kid in kid_pos] == [None] * 4
     with pytest.raises(ValueError):
-        part2.split(30, (0, 0))
+        part2.split(31, (0, 0))
     part3 = BisectionPartition(Box(np.zeros(3), np.ones(3)))
     assert part3.max_depth == 20
 
@@ -109,20 +111,20 @@ def test_frozen_marks_children_float64_cannot_split():
     part = BisectionPartition(Box(np.zeros(1), np.ones(1)))
     # [1 - 2**-52, 1) holds one float between its bounds; its children's
     # centers would sit on their bounds
-    assert part._frozen(52, (2**52 - 1,))
+    assert part.split(52, (2**52 - 1,)) is None
     # so does its sibling, [1 - 2**-51, 1 - 2**-52)
     codes, kid_pos, _ = part.split(51, (2**51 - 1,))
-    assert codes == [0, 1] and [part._frozen(52, kid) for kid in kid_pos] == [True, True]
+    assert codes == [0, 1] and [part.split(52, kid) for kid in kid_pos] == [None, None]
     # near zero float64 still resolves depth-59 cells: no child is frozen
     codes, kid_pos, reps = part.split(58, (0,))
     assert reps.ravel().tolist() == [2.0**-60, 3 * 2.0**-60]
-    assert [part._frozen(59, kid) for kid in kid_pos] == [False, False]
+    assert [part.split(59, kid) is None for kid in kid_pos] == [False, False]
     # floats are twice as far apart just above 0.5 as just below it, so
     # of these two siblings on [0.1, 1.73] only the one below 0.5 splits
     wide = BisectionPartition(Box([0.1], [1.73]))
     codes, kid_pos, reps = wide.split(51, (552588911333803,))
     assert reps.ravel().tolist() == [0.5, 0.5000000000000004]
-    assert [wide._frozen(52, kid) for kid in kid_pos] == [False, True]
+    assert [wide.split(52, kid) is None for kid in kid_pos] == [False, True]
 
 
 def _ref_frozen(part, depth, pos):
@@ -209,7 +211,11 @@ _ROW_SUMS = BisectionPartition(
 @settings(deadline=None, max_examples=300)
 def test_split_equals_the_batched_geometry_bit_for_bit(case):
     part, depth, pos = case
-    codes, positions, reps = part.split(depth, pos)
+    kids = part.split(depth, pos)
+    assert (kids is None) == _ref_frozen(part, depth, pos)
+    if kids is None:
+        return
+    codes, positions, reps = kids
     want_codes, want_positions, want_reps, want_frozen = _reference_split(part, depth, pos)
     assert codes == want_codes
     assert positions == [tuple(p) for p in want_positions]
@@ -218,8 +224,7 @@ def test_split_equals_the_batched_geometry_bit_for_bit(case):
     assert reps.shape == want_reps.shape == (len(codes), part.dim)
     # bytes, so that -0.0 and 0.0 differ
     assert reps.tobytes() == want_reps.tobytes()
-    assert [part._frozen(depth + 1, p) for p in positions] == want_frozen
-    assert part._frozen(depth, pos) == _ref_frozen(part, depth, pos)
+    assert [part.split(depth + 1, p) is None for p in positions] == want_frozen
 
 
 def test_exact_depth_of_common_boxes():

@@ -322,6 +322,18 @@ def test_candidates_for_stays_within_the_cap(domain, norm, lip, eps):
     assert len(cand) <= piyavskii._MAX_CANDIDATES
 
 
+def test_ring_counts_stay_finite_past_float_range():
+    # every target past the cap gets the same 79 rings of 501 angles,
+    # also one at which 2 * rho * lip / eps overflows
+    disc = lc.get_function("cone-d2").domain
+    capped = candidates_for(disc, 1.0, 2.0**-10, EUCLIDEAN)
+    assert len(capped) == 79 * 501 + 1
+    for eps in (1e-100, 1e-320):
+        cand = candidates_for(disc, 1.0, eps, EUCLIDEAN)
+        assert cand.points.tobytes() == capped.points.tobytes()
+        assert cand.cover_radius == capped.cover_radius
+
+
 def test_two_query_certification_on_cone():
     fn = lc.get_function("cone-d2")
     cand = candidates_for(fn.domain, fn.lip_bound, 0.1, EUCLIDEAN)
@@ -418,13 +430,25 @@ def test_grid_run_matches_full_scan(norm, dim):
 
 def column_order_length(kind):
     """Row lengths with the coordinate terms combined left to right, one
-    column at a time; ``Norm.length`` sums rows of 8 or more pairwise."""
+    column at a time, the order ``Norm.length`` takes at every d, written
+    out so that the oracle does not call the code it checks."""
 
     def length(v):
         terms = v * v if kind == "euclidean" else np.abs(v)
         acc = terms[:, 0]
         for j in range(1, v.shape[1]):
             acc = np.maximum(acc, terms[:, j]) if kind == "sup" else acc + terms[:, j]
+        return np.sqrt(acc) if kind == "euclidean" else acc
+
+    return length
+
+
+def row_pairwise_length(kind):
+    """Euclidean or l1 row lengths as numpy sums C-contiguous rows,
+    pairwise from 8 terms on."""
+
+    def length(v):
+        acc = np.ascontiguousarray(v * v if kind == "euclidean" else np.abs(v)).sum(axis=1)
         return np.sqrt(acc) if kind == "euclidean" else acc
 
     return length
@@ -440,6 +464,12 @@ def test_grid_run_sums_long_rows_in_column_order(norm, dim):
     cand = CandidateSet(points, cover_radius=1e-8)
     trace = assert_grid_run_matches_scan(fn, 1e-6, 200, cand, length=column_order_length(norm.kind))
     assert len(trace) == 200
+    if norm.kind != "sup":
+        # rows summed pairwise give other certificates on these points, so
+        # a run that summed that way would fail the match above (a maximum
+        # does not depend on the order)
+        pairwise = scan_grid_run(fn, 1e-6, 200, cand, length=row_pairwise_length(norm.kind))
+        assert not np.array_equal(pairwise[2], trace.certificates)
     # a product grid of two coordinates per axis, sorted by first coordinate
     axes = np.sort(rng.uniform(size=(dim, 2)) ** rng.integers(1, 4, size=(dim, 1)), axis=1)
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)

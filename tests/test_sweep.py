@@ -81,6 +81,9 @@ def test_full_config_round_trip():
         ("budget.warp-d9 = 10", "unknown function"),
         ("algorithm.tent-d1 = sgd", "unknown algorithm"),
         ("eps-count = 0", "at least 1"),
+        ("eps-floor = nan", "eps-floor must be finite and non-negative"),
+        ("eps-floor = inf", "eps-floor must be finite and non-negative"),
+        ("eps-floor = -1e-3", "eps-floor must be finite and non-negative"),
         ("L = 0", "positive"),
         ("L = inf", "Lipschitz bound must be positive and finite"),
         ("L = nan", "Lipschitz bound must be positive and finite"),
