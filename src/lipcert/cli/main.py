@@ -267,10 +267,13 @@ def _unit_box(dim: int):
 def _verify_traces() -> bool:
     ok = True
     runs = [(fn, default_algorithm(fn)) for fn in registry(1.0) if fn.known_max is not None]
-    # The runs that would repeat points without the tree search's memo
-    # and freeze rules: clamped ball representatives, and cells that
-    # float64 cannot split.
-    runs += [(get_function("cone-d2"), "cdoo"), (get_function("tent-d1"), "ncdoo")]
+    # The runs that would repeat points if the tree search broke its
+    # rules: clamped ball representatives, which the memo catches, and
+    # cells that float64 cannot split, on the unit box and off its grid,
+    # where boxes rely on each center being its children's split point.
+    tent = get_function("tent-d1")
+    moved = replace(tent, label="tent-d1 on [0.1, 1.73]", domain=Box([0.1], [1.73]))
+    runs += [(get_function("cone-d2"), "cdoo"), (tent, "ncdoo"), (moved, "ncdoo")]
     for fn, algo in runs:
         trace = ALGORITHMS[algo](fn, fn.lip_bound * 0.125, 4000)
         consistent = recommendations_consistent(trace)

@@ -338,7 +338,7 @@ def _grid_axes(
     its per-dimension spacings.  A grid of more than ``max_points``
     points raises before anything grid-sized is allocated, even one
     whose count is too large for a float."""
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     counts = _grid_counts(box, step)
     total = float(np.prod(counts))

@@ -17,20 +17,18 @@ floats, one axis at a time), one evaluation of the array of its fresh
 representatives, and one heap push per child.  Nothing is decoded from
 flat cell indices.
 
-No point is queried twice, by two rules.  A cell that float64 cannot
-split, because some child's center would not lie strictly inside that
-child's bounds, is frozen exactly like a cell at ``max_depth``: split
-returns None, its optimistic value joins the certificate's envelope,
-and the round ends with no split and no query.  The test is
-local, so a run keeps splitting wherever float64 still resolves its
-cells, such as near zero.  And once a child can land on a point queried
-before, the run keeps the value of every point it queries: on a ball
-from the first split, since clamped representatives meet, and on a box
-from the first split at :attr:`BisectionPartition._exact_depth`.  A
-child whose point is already kept takes the stored value and goes on the
-heap like any other, but it is not a query: the trace does not record it
-and it spends no budget.  Both variants apply both rules, so they still
-share their sequence.
+No point is queried twice.  A cell that float64 cannot split, because
+some child's center would not lie strictly inside that child's bounds,
+is frozen exactly like a cell at ``max_depth``: split returns None, its
+optimistic value joins the certificate's envelope, and the round ends
+with no split and no query.  The test is local, so a run keeps
+splitting wherever float64 still resolves its cells, such as near zero.
+On a box that rule is enough, as :attr:`BisectionPartition.max_depth`
+proves.  On a ball, whose clamped representatives meet, the run also
+keeps the value of every point it queries: a child whose point is kept
+takes the stored value and goes on the heap like any other, but it is
+not a query, so the trace does not record it and it spends no budget.
+Both variants apply both rules, so they still share their sequence.
 """
 
 from __future__ import annotations
@@ -105,16 +103,9 @@ def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget:
     yield rep0[None], [v0], [max(0.0, lip * diam)]
     n = 1
     best_val = v0
-    # Value of every queried point, keyed by its coordinates (a tuple
-    # compare reads -0.0 as 0.0), from the first split whose children
-    # can land on a point queried before: at once on a ball, whose
-    # clamped representatives meet, and on a box from
-    # BisectionPartition._exact_depth on, down to which no two cells
-    # share a center.  Box runs that stay above it key nothing.  Until
-    # the memo starts, the queried points are kept to fill it.
-    memo = None
-    memo_depth = 0 if partition.restrict_to is not None else partition._exact_depth
-    blocks, values = [rep0[None]], [v0]
+    # On a ball, the value of every queried point by its coordinates (a
+    # tuple compare reads -0.0 as 0.0); box runs key nothing.
+    memo = None if partition.restrict_to is None else {tuple(rep0.tolist()): v0}
 
     # Active leaves as (-optimistic, depth, index, position): ties go to
     # smaller depth, then smaller index, and (depth, index) is unique, so
@@ -135,16 +126,11 @@ def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget:
         if not codes:
             continue
         room = budget - n
-        if memo is None and depth >= memo_depth:
-            memo = dict(zip(map(tuple, np.concatenate(blocks).tolist()), values))
-            blocks = values = None
         if memo is None:
             # Only the children the budget lets the trace record are
             # evaluated.
             fresh = kid_reps if len(kid_reps) <= room else kid_reps[:room]
             kid_vals = fresh_vals = fn(fresh).tolist()
-            blocks.append(fresh)
-            values += fresh_vals
         else:
             # A child whose point was queried before, by an earlier split
             # or a sibling, takes the stored value and spends no budget.

@@ -271,8 +271,14 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
         cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles + pull
         return CandidateSet(points=cols.T, cover_radius=cover)
     step = eps / (lip * float(norm.length(np.ones(domain.dim))))
-    while (total := float(np.prod(_grid_counts(domain, step)))) > _MAX_CANDIDATES:
-        step *= (total / _MAX_CANDIDATES) ** (1.0 / domain.dim)
+    with np.errstate(over="ignore"):
+        while (total := float(np.prod(_grid_counts(domain, step)))) > _MAX_CANDIDATES:
+            if total == math.inf:
+                # no factor to rescale by: the cap's d-th root of cells
+                # along the longest edge fits the cap
+                step = float(domain.edges.max()) / int(_MAX_CANDIDATES ** (1.0 / domain.dim))
+            else:
+                step *= (total / _MAX_CANDIDATES) ** (1.0 / domain.dim)
     # Every box point is within half a grid step per coordinate of some
     # candidate, so the covering radius is the norm of the half-step vector.
     # The candidates lie in the box.  On an axis [a, b] of n intervals the

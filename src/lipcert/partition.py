@@ -98,19 +98,14 @@ class BisectionPartition:
     def separation(self) -> float:
         """Representative-separation constant, half the shortest edge.
 
-        Representatives are cell centers, whose coordinates are odd
-        multiples of ``edge_j / 2**(h+1)``.  Two distinct cells at depths
-        h <= h' disagree in some coordinate at resolution h', and odd
+        Representatives are cell centers, computed as odd multiples of
+        ``edge_j / 2**(h+1)`` past the lower corner.  Two distinct cells
+        at depths h <= h' disagree in some coordinate at resolution h', and odd
         multiples of a dyadic step are at least one step apart, giving
         distance at least ``min_edge / 2**(h'+1)``.  The bound is attained
         by a cell and its first child, so no larger constant is valid.
         """
         return float(self.box.edges.min()) / 2.0
-
-    @cached_property
-    def max_depth(self) -> int:
-        """Deepest addressable level; cells there cannot be split again."""
-        return _MAX_BITS // self.dim
 
     def split(
         self, depth: int, pos: tuple[int, ...]
@@ -135,10 +130,11 @@ class BisectionPartition:
         The children are computed in Python floats, with the operations
         of :meth:`_cells` in its order, so that every value equals the
         batched one bit for bit.  Each axis has two halves, whose bounds
-        ``q*s + l``, ``(q+1)*s + l``, ``(q+2)*s + l`` and centers ``a +
-        (m - a)*0.5`` are computed once, and the children take the
-        halves in code order, through :func:`itertools.product`.  A ball
-        restriction then goes through :meth:`_ball_children`.
+        ``q*s + l``, ``(q+1)*s + l``, ``(q+2)*s + l`` and centers
+        ``(2q+1)*(s/2) + l``, ``(2q+3)*(s/2) + l`` are computed once, and
+        the children take the halves in code order, through
+        :func:`itertools.product`.  A ball restriction then goes through
+        :meth:`_ball_children`.
         """
         if not 0 <= depth <= self.max_depth:
             raise ValueError(f"depth {depth} is outside 0..{self.max_depth}")
@@ -148,9 +144,9 @@ class BisectionPartition:
         lows, edges = self._box_floats
         axis_pos, axis_bounds, axis_centers = [], [], []
         for p, low, edge in zip(pos, lows, edges):
-            q, s = 2 * p, edge * scale
+            q, s, t = 2 * p, edge * scale, edge * scale * 0.5
             a, m, b = q * s + low, (q + 1) * s + low, (q + 2) * s + low
-            center_a, center_b = a + (m - a) * 0.5, m + (b - m) * 0.5
+            center_a, center_b = (2 * q + 1) * t + low, (2 * q + 3) * t + low
             if not a < center_a < m < center_b < b:
                 return None
             axis_pos.append((q, q + 1))
@@ -226,30 +222,27 @@ class BisectionPartition:
         return ball.norm.kind, float(ball.radius), ball.center.tolist()
 
     @cached_property
-    def _exact_depth(self) -> int:
-        """Split depth from which the tree search keeps a memo of box points.
+    def max_depth(self) -> int:
+        """Deepest addressable level; cells there cannot be split again.
 
-        A depth-k cell has edges ``s_j = edge_j / 2**k``, and its bounds
-        ``lower + q * s`` each carry a rounding error below ``5 u M``,
-        where ``u = 2**-53`` and M bounds the box's coordinate
-        magnitudes; its computed center lies within ``7 u M`` of the true
-        one.  While ``s_j >= 2**-47 M``, the center is therefore more than
-        ``20 u M`` inside both bounds, while every shallower center lies
-        within ``7 u M`` of a depth-k bound: centers are strictly inside
-        their cells and no two cells share one.  With ``min_edge >=
-        2**(e1 - 1)`` and ``M < 2**e2`` (``math.frexp`` exponents), that
-        holds for every child depth ``k <= e1 - e2 + 46``, so splits
-        above it need no memo.  M is floored at ``2**-960`` so that
-        every step stays a normal float.
+        It also stops where a half-step ``edge * 2**-(h+1)`` would be
+        subnormal, which binds only on edges below ``2**-960``, so that
+        no two cells share a box representative.  On an axis, with each
+        step rounded to nearest, a depth-h cell at position p has bounds
+        ``p*s_h + l`` and ``(p+1)*s_h + l``, and its center
+        ``(2p+1)*s_(h+1) + l`` is its children's split point (``s_h =
+        edge * 2**-h`` is exact while normal).  As ``2k*s_(h+1)`` and
+        ``k*s_h`` round alike, a child's bounds are its parent's and the
+        parent's center, bit for bit; rounding is monotone, so a cell
+        lies within each ancestor's child that holds it.
+        :meth:`split` makes children only when each child's center lies
+        strictly inside its own bounds on every axis.  So a center never
+        equals an ancestor's, an endpoint of those intervals, nor one in
+        another branch: the two lie in open intervals that are disjoint
+        on some axis.
         """
-        e1 = math.frexp(float(self.box.edges.min()))[1]
-        e2 = math.frexp(max(self._magnitude, 2.0**-960))[1]
-        return e1 - e2 + 46
-
-    @cached_property
-    def _magnitude(self) -> float:
-        """M, the largest absolute coordinate of the box."""
-        return float(np.abs([self.box.lower, self.box.upper]).max())
+        edge_exp = math.frexp(float(self.box.edges.min()))[1]
+        return max(0, min(_MAX_BITS // self.dim, edge_exp + 1020))
 
     @cached_property
     def _bits(self) -> np.ndarray:
@@ -292,14 +285,15 @@ class BisectionPartition:
         positions ``(pos, pos + 1)``, and both ball tests from one
         :meth:`Norm.length` call.
         """
-        lower, upper = (pos + _CORNERS) * (self.box.edges * 0.5**depth) + self.box.lower
-        half = (upper - lower) * 0.5
+        step = self.box.edges * 0.5**depth
+        lower, upper = (pos + _CORNERS) * step + self.box.lower
+        center = (2 * pos + 1) * (step * 0.5) + self.box.lower
         ball = self.restrict_to
         if ball is None:
-            return lower, upper, lower + half, None
+            return lower, upper, center, None
         # row 0: the centers, row 1: the points nearest the ball's center
         points = np.empty((2,) + lower.shape)
-        center = np.add(lower, half, out=points[0])
+        points[0] = center
         # np.clip's value, without its Python-level argument handling
         np.minimum(np.maximum(ball.center, lower, out=points[1]), upper, out=points[1])
         inside = ball.norm.length(points - ball.center) <= ball.radius
@@ -375,8 +369,8 @@ def verify_assumptions(
 
     Bounds and centers round relative to the coordinates, so those checks
     allow ``_COORD_SLACK * M = 32 u M`` (``u = 2**-53``, M the largest box
-    coordinate in absolute value) beyond a relative 1e-12: by
-    ``_exact_depth``'s bounds, a measured length is off by under ``17 u M``.
+    coordinate in absolute value) beyond a relative 1e-12: a bound or center
+    ``k*s + lower`` rounds by under ``8 u M``, a length by under ``18 u M``.
 
     Args:
       partition: a :class:`BisectionPartition`.  A subclass is verified
@@ -406,7 +400,7 @@ def verify_assumptions(
         )
     rng = np.random.default_rng(seed)
     norm = partition.norm
-    slack = _COORD_SLACK * partition._magnitude
+    slack = _COORD_SLACK * max_magnitude(partition.box.lower, partition.box.upper)
     cells_checked = 0
     pairs_checked = 0
     seen_pts: list[np.ndarray] = []

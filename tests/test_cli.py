@@ -72,6 +72,13 @@ def test_complexity_past_float_range_exits_one(label, capsys):
     assert err.count("\n") == 1
 
 
+def test_complexity_refuses_a_nan_grid_step(capsys):
+    # it used to report that no grid points fall inside the domain
+    args = ["complexity", "--function", "slope-d1", "--eps", "0.1", "--grid-step", "nan"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "lipcert complexity: step must be positive, got nan\n"
+
+
 def test_run_psgrid_past_float_range_warns_and_stops(capsys):
     code = main([
         "run", "--function", "cone-d2", "--algo", "psgrid", "--eps", "1e-320",
@@ -252,10 +259,14 @@ def test_verify_suites_pass(capsys):
     assert main(["verify", "--suite", "traces"]) == 0
     lines = capsys.readouterr().out.splitlines()
     # the registry's default algorithms, then cdoo on the cone and ncdoo
-    # on the tent, each with every point queried once
-    assert len(lines) == 10 and all(l.startswith("PASS traces") for l in lines)
-    assert lines[-2].startswith("PASS traces (cone-d2, cdoo): ")
-    assert lines[-1] == "PASS traces (tent-d1, ncdoo): consistent=True distinct=4000/4000"
+    # on the tent, also moved off the unit box, each with every point
+    # queried once
+    assert len(lines) == 11 and all(l.startswith("PASS traces") for l in lines)
+    assert lines[-3].startswith("PASS traces (cone-d2, cdoo): ")
+    assert lines[-2] == "PASS traces (tent-d1, ncdoo): consistent=True distinct=4000/4000"
+    assert lines[-1] == (
+        "PASS traces (tent-d1 on [0.1, 1.73], ncdoo): consistent=True distinct=4000/4000"
+    )
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
@@ -274,8 +285,9 @@ def test_verify_traces_fails_on_a_repeated_point(capsys, monkeypatch):
     monkeypatch.setitem(ALGORITHMS, "ncdoo", repeating)
     assert main(["verify", "--suite", "traces"]) == 2
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "FAIL traces (tent-d1, ncdoo): consistent=True distinct=2/3"
-    assert all(l.startswith("PASS traces") for l in lines[:-1])
+    assert lines[-2] == "FAIL traces (tent-d1, ncdoo): consistent=True distinct=2/3"
+    assert lines[-1].startswith("FAIL traces (tent-d1 on [0.1, 1.73], ncdoo): ")
+    assert all(l.startswith("PASS traces") for l in lines[:-2])
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -314,9 +314,16 @@ def _ref_bounds(part, key):
     return part.box.lower + pos * step, part.box.lower + (pos + 1) * step
 
 
+def _ref_center(part, key):
+    # the split point of the cell's children, the odd multiple of the
+    # half-step that the separation constant assumes
+    pos = _ref_positions(part, key)
+    return part.box.lower + (2 * pos + 1) * (part.box.edges * 0.5 ** (key[0] + 1))
+
+
 def _ref_representative(part, key):
     lower, upper = _ref_bounds(part, key)
-    center = lower + (upper - lower) * 0.5
+    center = _ref_center(part, key)
     ball = part.restrict_to
     if ball is None or ball.contains(center):
         return center
@@ -339,11 +346,11 @@ def _ref_children(part, key):
 
 
 def _ref_frozen(part, key):
-    # float64 cannot split the cell when some child's center, computed
-    # from the child's own bounds, is not strictly inside them
+    # float64 cannot split the cell when some child's center is not
+    # strictly inside the child's bounds
     for kid in _ref_children(part, key):
         lower, upper = _ref_bounds(part, kid)
-        center = lower + (upper - lower) * 0.5
+        center = _ref_center(part, kid)
         if not (np.all(lower < center) and np.all(center < upper)):
             return True
     return False
@@ -661,3 +668,55 @@ def test_a_certified_run_refuses_a_non_finite_eps_before_evaluating(run, label, 
     with pytest.raises(ValueError, match=f"accuracy target must be positive and finite, got {eps}"):
         run(fn, eps, 50)
     assert calls == []
+
+
+# --- seeded soundness off the registry ------------------------------------
+
+
+def _peaks(seed, kind, d):
+    # f(x) = max_i (a_i - L_i ||x - c_i||) with every c_i in the domain and
+    # L_i <= L, so the maximum is exactly max_i a_i, on a domain moved by
+    # up to 1e6 and scaled by 1e-3 to 7.5, with L from 1e-4 to 3.7
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(-1e6, 1e6, d) * rng.choice([0.0, 1e-6, 1e-3, 1.0])
+    scale = float(np.exp(rng.uniform(math.log(1e-3), math.log(7.5))))
+    if kind == "box":
+        domain = Box(offset, offset + scale * rng.uniform(0.3, 1.0, d))
+    else:
+        domain = Ball(offset, scale, _NORMS[kind])
+    norm = _NORMS[rng.choice(sorted(_NORMS))]
+    lip = float(np.exp(rng.uniform(math.log(1e-4), math.log(3.7))))
+    sites = domain.uniform_sample(rng, 6)
+    sites = sites[domain.contains(sites)]
+    heights = rng.uniform(-1.0, 1.0, len(sites)) * lip * scale
+    slopes = lip * rng.uniform(0.2, 1.0, len(sites))
+    fn = lc.TestFunction(
+        label=f"peaks-{kind}-d{d}",
+        domain=domain,
+        norm=norm,
+        lip_bound=lip,
+        evaluator=lambda x: np.max(
+            [h - s * norm.length(x - c) for h, s, c in zip(heights, slopes, sites)], axis=0
+        ),
+        known_max=float(heights.max()),
+    )
+    return fn, lip * lc.diameter(domain, norm)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["box", "sup", "euclidean", "l1"])
+def test_tree_search_is_sound_on_seeded_objectives(kind, d, seed):
+    fn, eps0 = _peaks([seed, d, len(kind)], kind, d)
+    eps = eps0 * 2.0**-10
+    coarse, fine = cdoo_run(fn, eps, 800), cdoo_run(fn, eps / 2, 800)
+    plain = ncdoo_run(fn, 1000)
+    for trace in (coarse, fine, plain):
+        assert recommendations_consistent(trace)
+        assert len(np.unique(trace.queries, axis=0)) == len(trace)
+    for trace in (coarse, fine):
+        assert certificate_validity(trace, fn.known_max).ok
+    # the run at eps / 2 repeats the run at eps, then continues
+    n = len(coarse)
+    assert np.array_equal(fine.queries[:n], coarse.queries)
+    assert np.array_equal(fine.certificates[:n], coarse.certificates)

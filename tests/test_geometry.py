@@ -402,6 +402,13 @@ def test_midpoint_grid_counts_and_placement():
     assert steps[0] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.25, math.nan, -math.inf])
+def test_midpoint_grid_refuses_a_step_that_is_not_positive(step):
+    # nan passed a `step <= 0` test and ended in a ZeroDivisionError
+    with pytest.raises(ValueError, match="step must be positive"):
+        midpoint_grid(Box(np.zeros(2), np.ones(2)), step)
+
+
 def test_midpoint_grid_is_lexicographic_in_2d():
     box = Box(np.zeros(2), np.ones(2))
     pts, _ = midpoint_grid(box, 0.5)

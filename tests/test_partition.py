@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -96,15 +98,25 @@ def test_depth_cap():
     assert codes == [0, 1] and [part.split(60, kid) for kid in kid_pos] == [None, None]
     with pytest.raises(ValueError):
         part.split(61, (0,))
-    # in 2-D the cap comes before float64 runs out at depth 46
     part2 = BisectionPartition(Box(np.zeros(2), np.ones(2)))
-    assert part2.max_depth == 30 and part2._exact_depth == 46
+    assert part2.max_depth == 30
     codes, kid_pos, _ = part2.split(29, (0, 0))
     assert codes == [0, 1, 2, 3] and [part2.split(30, kid) for kid in kid_pos] == [None] * 4
     with pytest.raises(ValueError):
         part2.split(31, (0, 0))
     part3 = BisectionPartition(Box(np.zeros(3), np.ones(3)))
     assert part3.max_depth == 20
+    # a tiny edge caps the depth where the deepest children's half-step
+    # 1e-300 * 2**-(h+1) would be subnormal
+    tiny = BisectionPartition(Box([0.0], [1e-300]))
+    assert tiny.max_depth == 24
+    assert 1e-300 * 2.0**-25 >= sys.float_info.min > 1e-300 * 2.0**-26
+    codes, kid_pos, reps = tiny.split(23, (2**23 - 1,))
+    assert codes == [0, 1] and [tiny.split(24, kid) for kid in kid_pos] == [None, None]
+    half_step = 1e-300 * 2.0**-25
+    assert reps.ravel().tolist() == [(2**25 - 3) * half_step, (2**25 - 1) * half_step]
+    assert BisectionPartition(Box([0.0], [5e-324])).max_depth == 0
+    assert BisectionPartition(Box([0.0], [2.0**-960])).max_depth == 60
 
 
 def test_frozen_marks_children_float64_cannot_split():
@@ -120,22 +132,27 @@ def test_frozen_marks_children_float64_cannot_split():
     assert reps.ravel().tolist() == [2.0**-60, 3 * 2.0**-60]
     assert [part.split(59, kid) is None for kid in kid_pos] == [False, False]
     # floats are twice as far apart just above 0.5 as just below it, so
-    # of these two siblings on [0.1, 1.73] only the one below 0.5 splits
+    # of these two siblings on [0.45, 0.6] only the one below 0.5 splits
+    wide = BisectionPartition(Box([0.45], [0.6]))
+    codes, kid_pos, reps = wide.split(48, (93824992236885,))
+    assert reps.ravel().tolist() == [0.49999999999999994, 0.5000000000000002]
+    assert [wide.split(49, kid) is None for kid in kid_pos] == [False, True]
+    # on [0.1, 1.73] both siblings beside 0.5 are frozen
     wide = BisectionPartition(Box([0.1], [1.73]))
     codes, kid_pos, reps = wide.split(51, (552588911333803,))
-    assert reps.ravel().tolist() == [0.5, 0.5000000000000004]
-    assert [wide.split(52, kid) is None for kid in kid_pos] == [False, True]
+    assert reps.ravel().tolist() == [0.5, 0.5000000000000003]
+    assert [wide.split(52, kid) is None for kid in kid_pos] == [True, True]
 
 
 def _ref_frozen(part, depth, pos):
     # a cell cannot be split at max_depth, nor when float64 puts one of
-    # its children's centers, computed from that child's bounds, on or
-    # outside them
+    # its children's centers, the odd multiple of the half-step past the
+    # box's lower corner, on or outside that child's bounds
     if depth >= part.max_depth:
         return True
     kid_pos = 2 * np.asarray(pos, dtype=np.int64) + part._bits
     lower, upper, _, _ = part._cells(kid_pos, depth + 1)
-    center = lower + (upper - lower) * 0.5
+    center = part.box.lower + (2 * kid_pos + 1) * (part.box.edges * 0.5 ** (depth + 2))
     return not (np.all(lower < center) and np.all(center < upper))
 
 
@@ -227,42 +244,34 @@ def test_split_equals_the_batched_geometry_bit_for_bit(case):
     assert [part.split(depth + 1, p) is None for p in positions] == want_frozen
 
 
-def test_exact_depth_of_common_boxes():
-    assert BisectionPartition(Box(np.zeros(1), np.ones(1)))._exact_depth == 46
-    assert BisectionPartition(Box(np.full(2, -1.0), np.ones(2)))._exact_depth == 47
-    assert BisectionPartition(Box([1e6], [1e6 + 1]))._exact_depth == 27
-
-
 @given(
     d=st.integers(1, 3),
-    offset=st.floats(-1e12, 1e12) | st.just(0.0),
-    scale=st.floats(1e-3, 1e6),
-    frac=st.floats(0.0, 1.0),
+    offset=st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1000.0]),
+    scale=st.floats(1e-3, 7.5) | st.just(0.7),
+    edges=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+    target=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
 )
-@settings(deadline=None)
-def test_splits_above_the_exact_depth_need_no_center_check(d, offset, scale, frac):
-    part = BisectionPartition(
-        Box(np.full(d, offset - scale), offset + scale * np.linspace(1.0, 3.0, d))
-    )
-    depth = part._exact_depth
-    # the deepest split that skips the check makes children at this depth
-    if depth < 1:
-        return
-    last = 2**depth - 1
-    pos = np.array(
-        [[0] * d, [last] * d, [min(int(frac * 2.0**depth), last)] * d], dtype=np.int64
-    )
-    lower, upper, reps, _ = part._cells(pos, depth)
-    assert np.all(lower < reps) and np.all(reps < upper)
-    # no two cells down to this depth share a center: neither these
-    # cells and their ancestors, where rounding could land a deep center
-    # on a shallow one, nor their neighbours at this depth
-    cells = set()
-    for row in pos:
-        cells.update((k, tuple(row >> (depth - k))) for k in range(depth + 1))
-        cells.update((depth, tuple(np.clip(row + step, 0, last))) for step in (-1, 1))
-    centers = np.concatenate([part._cells(np.array([q]), k)[2] for k, q in cells])
-    assert len(np.unique(centers, axis=0)) == len(cells)
+@example(d=1, offset=1000.0, scale=0.7, edges=[1.0] * 3, target=[0.01] * 3)
+@settings(deadline=None, max_examples=150)
+def test_no_split_repeats_an_ancestor_or_a_sibling(d, offset, scale, edges, target):
+    # Walk from the root toward a target point until split returns None.
+    # No child's representative equals an ancestor's or a sibling's, so
+    # a box run needs no memo.  The example used to repeat
+    # 1000.0069999999996 from depth 39 at depth 41.
+    part = BisectionPartition(Box(np.full(d, offset), offset + scale * np.array(edges[:d])))
+    goal = part.box.lower + np.array(target[:d]) * part.box.edges
+    pos, depth = (0,) * d, 0
+    seen = {tuple(part._cells(np.array([pos]), 0)[2][0].tolist())}
+    while (kids := part.split(depth, pos)) is not None:
+        _, kid_pos, reps = kids
+        rows = list(map(tuple, reps.tolist()))
+        assert len(set(rows)) == len(rows), ("sibling", depth + 1, rows)
+        assert seen.isdisjoint(rows), ("ancestor", depth + 1, seen.intersection(rows))
+        nearest = int(np.argmin(np.abs(reps - goal).max(axis=1)))
+        pos = kid_pos[nearest]
+        seen.add(rows[nearest])
+        depth += 1
+    assert depth >= 1
 
 
 @given(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +335,29 @@ def test_ring_counts_stay_finite_past_float_range():
         cand = candidates_for(disc, 1.0, eps, EUCLIDEAN)
         assert cand.points.tobytes() == capped.points.tobytes()
         assert cand.cover_radius == capped.cover_radius
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-300, 1e-310, 1e-320])
+def test_grid_counts_stay_finite_past_float_range(eps):
+    # a grid count past float range used to make the step infinite and
+    # the set one point with cover radius 0.5
+    box = lc.get_function("constant-d2").domain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cand = candidates_for(box, 1.0, eps, SUP)
+    assert len(cand) == 200 * 200 and cand.cover_radius == 0.0025
+
+
+@pytest.mark.parametrize("label", ["constant-d2", "multibump-d2"])
+def test_grid_candidates_keep_their_bytes(label):
+    # the sets of finite grid counts, which the overflow rule must not touch
+    fn = lc.get_function(label)
+    digest = hashlib.sha256()
+    for j in range(1, 13):
+        cand = candidates_for(fn.domain, fn.lip_bound, fn.lip_bound * 2.0**-j, fn.norm)
+        digest.update(cand.points.tobytes())
+        digest.update(struct.pack("<d", cand.cover_radius))
+    assert digest.hexdigest()[:16] == "f5483106eae801ef"
 
 
 def test_two_query_certification_on_cone():
