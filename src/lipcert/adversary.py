@@ -31,7 +31,7 @@ from .core import (
     sigma_from_trace,
 )
 from .core._buckets import Buckets, covering_side, max_magnitude
-from .core.geometry import _grid_counts, _pair_lengths
+from .core.geometry import _grid_total, _pair_lengths
 from .optimizers import ALGORITHMS, CERTIFIED
 
 # How far the audit's accuracy ladder descends below the target.
@@ -173,7 +173,7 @@ def audit_certified_run(
         ball_radius = peak / slope
         separation = headroom * eps_tilde / fn.lip_bound
         step = ball_radius / 2.0
-        while float(np.prod(_grid_counts(box, step))) > _GRID_CAP:
+        while _grid_total(box, step) > _GRID_CAP:
             step *= 1.5
         grid, _ = midpoint_grid(box, step)
         grid = np.compress(fn.domain.contains(grid), grid, axis=0)

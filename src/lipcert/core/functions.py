@@ -17,6 +17,8 @@ import numpy as np
 
 from .geometry import Ball, Box, Domain, Norm, _check_lip_bound
 
+_FLOAT64 = np.dtype(float)
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -40,6 +42,12 @@ class TestFunction:
 
     Runs and estimates read ``lip_bound`` and take no bound of their own;
     for a looser one, pass ``dataclasses.replace(fn, lip_bound=...)``.
+
+    Every output is checked before it is used.  The runners evaluate a
+    few points per round, at most ``2**d`` children of a split, and read
+    them through :meth:`_values`, which checks a list of Python floats;
+    a batch passed to :meth:`__call__`, such as a grid block of the layer
+    decomposition, is checked in numpy.
     """
 
     label: str
@@ -77,20 +85,39 @@ class TestFunction:
         ``(n, d)``, giving ``(n,)`` values; any other shape raises.
 
         The evaluator must return ``n`` finite values; anything else
-        raises, so a broken evaluation never reaches a certificate.
+        raises, so a broken evaluation never reaches a certificate.  A
+        point is checked by :meth:`_values`, the path the runners take; a
+        batch, such as a block of a layer decomposition's grid, is checked
+        in numpy.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(f"expected shape ({self.dim},) or (n, {self.dim}), got {x.shape}")
-        points = x.reshape(-1, self.dim)
-        out = np.asarray(self.evaluator(points), dtype=float)
+        if x.ndim == 1:
+            return self._values(x[None])[0]
+        out = np.asarray(self.evaluator(x), dtype=float)
+        if out.shape == (len(x),) and np.count_nonzero(np.isfinite(out)) == len(out):
+            return out
+        raise ValueError(self._bad_output(x, out))
+
+    def _values(self, points: np.ndarray) -> list[float]:
+        """The values at ``points``, an ``(n, d)`` float array, as Python
+        floats: how the runners evaluate their few points per round.
+
+        A float64 array of shape ``(n,)`` is read with ``tolist`` and each
+        value checked with :func:`math.isfinite`; any other output is
+        first converted with ``np.asarray(out, dtype=float)``, so it reads
+        the same values as :meth:`__call__` does.  An output of another
+        shape, or a non-finite value, raises with :meth:`_bad_output`'s
+        message.
+        """
+        out = self.evaluator(points)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT64:
+            out = np.asarray(out, dtype=float)
         if out.shape == (len(points),):
-            if x.ndim == 1:
-                value = float(out[0])
-                if math.isfinite(value):
-                    return value
-            elif np.count_nonzero(np.isfinite(out)) == len(out):
-                return out
+            values = out.tolist()
+            if all(map(math.isfinite, values)):
+                return values
         raise ValueError(self._bad_output(points, out))
 
     def _bad_output(self, points: np.ndarray, out: np.ndarray) -> str:

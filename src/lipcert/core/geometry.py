@@ -331,6 +331,13 @@ def _grid_counts(box: Box, step: float) -> np.ndarray:
         return np.maximum(1.0, np.ceil(box.edges / step - 1e-12))
 
 
+def _grid_total(box: Box, step: float) -> float:
+    """Points in :func:`midpoint_grid`'s grid, as a float: inf when the
+    count is too large for one, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(np.prod(_grid_counts(box, step)))
+
+
 def _grid_axes(
     box: Box, step: float, max_points: Union[int, None] = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -340,14 +347,13 @@ def _grid_axes(
     whose count is too large for a float."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    counts = _grid_counts(box, step)
-    total = float(np.prod(counts))
+    total = _grid_total(box, step)
     if max_points is not None and total > max_points:
         raise ValueError(
             f"grid of {total:.6g} points exceeds the cap of {max_points}; "
             "use a coarser step or a larger accuracy target"
         )
-    counts = counts.astype(int)
+    counts = _grid_counts(box, step).astype(int)
     steps = box.edges / counts
     axes = [
         box.lower[j] + (np.arange(counts[j]) + 0.5) * steps[j]

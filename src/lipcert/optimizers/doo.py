@@ -13,9 +13,12 @@ its budget and keeps no bounds.
 
 Each leaf carries its integer cell position as a tuple of ints, so
 expanding a cell costs one :meth:`BisectionPartition.split` (in Python
-floats, one axis at a time), one evaluation of the array of its fresh
-representatives, and one heap push per child.  Nothing is decoded from
-flat cell indices.
+floats, one axis at a time), one evaluator call on the array of its
+fresh representatives, whose values come back as Python floats checked
+one by one (``TestFunction._values``), and one heap push per child.
+The rest of a round is Python float arithmetic: the children's slack
+comes from a table built one depth at a time, and the certificates
+from plain compares.  Nothing is decoded from flat cell indices.
 
 No point is queried twice.  A cell that float64 cannot split, because
 some child's center would not lie strictly inside that child's bounds,
@@ -34,6 +37,7 @@ Both variants apply both rules, so they still share their sequence.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Optional
 
 import numpy as np
@@ -96,16 +100,23 @@ def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget:
     diam = partition.diam_bound
     arity = partition.arity
     shrink = partition.shrink
+    split = partition.split
+    push, pop = heapq.heappush, heapq.heappop
+    values = fn._values
     root = (0,) * partition.dim
     _, _, root_reps, _ = partition._cells(np.array([root]), 0)
-    rep0 = root_reps[0]
-    v0 = float(fn(rep0))
-    yield rep0[None], [v0], [max(0.0, lip * diam)]
+    rep0 = root_reps[:1]
+    v0 = values(rep0)[0]
+    yield rep0, [v0], [max(0.0, lip * diam)]
     n = 1
     best_val = v0
     # On a ball, the value of every queried point by its coordinates (a
     # tuple compare reads -0.0 as 0.0); box runs key nothing.
-    memo = None if partition.restrict_to is None else {tuple(rep0.tolist()): v0}
+    memo = None if partition.restrict_to is None else {tuple(rep0[0].tolist()): v0}
+    # slacks[h] is the optimistic slack of a depth-(h + 1) cell, built as
+    # deep as the run splits: a depth-h leaf is popped only after its
+    # parent's split built slacks[h - 1].
+    slacks: list[float] = []
 
     # Active leaves as (-optimistic, depth, index, position): ties go to
     # smaller depth, then smaller index, and (depth, index) is unique, so
@@ -114,13 +125,16 @@ def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget:
     # of optimistic values that stays in the certificate.  While it waits
     # on the heap, every leaf popped has an optimistic value at least its
     # own, so the certificates cover its cell from the round that pushed it.
+    # Values are finite, so the compares below give max's results: its
+    # first argument unless a later one is strictly larger.
     leaves = [(-(v0 + lip * diam), 0, 0, root)]
-    frozen_b = -np.inf
+    frozen_b = -math.inf
     while leaves:
-        neg_b, depth, index, pos = heapq.heappop(leaves)
+        neg_b, depth, index, pos = pop(leaves)
         optimistic = -neg_b
-        if (kids := partition.split(depth, pos)) is None:
-            frozen_b = max(frozen_b, optimistic)
+        if (kids := split(depth, pos)) is None:
+            if optimistic > frozen_b:
+                frozen_b = optimistic
             continue
         codes, kid_pos, kid_reps = kids
         if not codes:
@@ -130,7 +144,7 @@ def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget:
             # Only the children the budget lets the trace record are
             # evaluated.
             fresh = kid_reps if len(kid_reps) <= room else kid_reps[:room]
-            kid_vals = fresh_vals = fn(fresh).tolist()
+            kid_vals = fresh_vals = values(fresh)
         else:
             # A child whose point was queried before, by an earlier split
             # or a sibling, takes the stored value and spends no budget.
@@ -144,22 +158,26 @@ def _rounds(fn: TestFunction, partition: BisectionPartition, lip: float, budget:
                 fresh = kid_reps[: len(new)]
             else:
                 fresh = kid_reps[[keys.index(key) for key in new]]
-            fresh_vals = fn(fresh).tolist() if new else []
+            fresh_vals = values(fresh) if new else []
             memo.update(zip(new, fresh_vals))
             kid_vals = [memo[key] for key in keys]
-        slack = lip * diam * shrink ** (depth + 1)
+        if depth == len(slacks):
+            slacks.append(lip * diam * shrink ** (depth + 1))
+        slack = slacks[depth]
         base = index * arity
         for code, kid, val in zip(codes, kid_pos, kid_vals):
-            heapq.heappush(leaves, (-(val + slack), depth + 1, base + code, kid))
+            push(leaves, (-(val + slack), depth + 1, base + code, kid))
         if fresh_vals:
             # The popped leaf had the largest optimistic value among the
             # leaves; together with the frozen cells' envelope this
             # bounds the maximum over the domain.
-            top = max(optimistic, frozen_b)
+            top = frozen_b if frozen_b > optimistic else optimistic
             certs = []
             for val in fresh_vals:
-                best_val = max(best_val, val)
-                certs.append(max(0.0, top - best_val))
+                if val > best_val:
+                    best_val = val
+                gap = top - best_val
+                certs.append(gap if gap > 0.0 else 0.0)
             n += len(fresh_vals)
             yield fresh, fresh_vals, certs
 

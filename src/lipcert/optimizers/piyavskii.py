@@ -38,7 +38,7 @@ from ..core.geometry import (
     _check_accuracy,
     _check_lip_bound,
     _column_length,
-    _grid_counts,
+    _grid_total,
 )
 
 # Largest candidate set candidates_for builds; past it the set coarsens.
@@ -182,12 +182,12 @@ def ps_run_1d(
 def _ps1d_rounds(fn: TestFunction, env: Envelope1D, x: float):
     best_v = -math.inf
     while True:
-        point = np.array([x])
-        fx = float(fn(point))
+        point = np.array([[x]])
+        fx = fn._values(point)[0]
         env.insert(x, fx)
         best_v = max(best_v, fx)
         env_max, x = env.max_and_argmax()
-        yield point[None], [fx], [max(0.0, env_max - best_v)]
+        yield point, [fx], [max(0.0, env_max - best_v)]
 
 
 @dataclass(frozen=True)
@@ -271,14 +271,13 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
         cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles + pull
         return CandidateSet(points=cols.T, cover_radius=cover)
     step = eps / (lip * float(norm.length(np.ones(domain.dim))))
-    with np.errstate(over="ignore"):
-        while (total := float(np.prod(_grid_counts(domain, step)))) > _MAX_CANDIDATES:
-            if total == math.inf:
-                # no factor to rescale by: the cap's d-th root of cells
-                # along the longest edge fits the cap
-                step = float(domain.edges.max()) / int(_MAX_CANDIDATES ** (1.0 / domain.dim))
-            else:
-                step *= (total / _MAX_CANDIDATES) ** (1.0 / domain.dim)
+    while (total := _grid_total(domain, step)) > _MAX_CANDIDATES:
+        if total == math.inf:
+            # no factor to rescale by: the cap's d-th root of cells
+            # along the longest edge fits the cap
+            step = float(domain.edges.max()) / int(_MAX_CANDIDATES ** (1.0 / domain.dim))
+        else:
+            step *= (total / _MAX_CANDIDATES) ** (1.0 / domain.dim)
     # Every box point is within half a grid step per coordinate of some
     # candidate, so the covering radius is the norm of the half-step vector.
     # The candidates lie in the box.  On an axis [a, b] of n intervals the
@@ -411,7 +410,8 @@ def _psgrid_rounds(fn: TestFunction, candidates: CandidateSet, hopeless: bool):
     best_v = -math.inf
     slack = lip * candidates.cover_radius
     while True:
-        fx = float(fn(x))
+        point = x[None]
+        fx = fn._values(point)[0]
         lo, hi = 0, len(cand)
         if lead is not None and top < math.inf:
             # the reach R of the docstring, rounded up at each step
@@ -437,7 +437,7 @@ def _psgrid_rounds(fn: TestFunction, candidates: CandidateSet, hopeless: bool):
         # so at most best_v: leaving it out of top does not change
         # max(top, best_v).  The covering correction bridges from the
         # candidates to the whole domain.
-        yield x[None], [fx], [max(0.0, max(top, best_v) + slack - best_v)]
+        yield point, [fx], [max(0.0, max(top, best_v) + slack - best_v)]
         if hopeless or top == -math.inf:
             return
         x = cand[pick]

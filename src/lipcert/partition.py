@@ -155,7 +155,7 @@ class BisectionPartition:
         positions = list(product(*axis_pos))
         reps = np.array(axis_centers)[self._center_index]
         if self.restrict_to is None:
-            return list(range(len(positions))), positions, reps
+            return self._codes.copy(), positions, reps
         return self._ball_children(axis_bounds, axis_centers, positions, reps)
 
     def _ball_children(
@@ -210,7 +210,7 @@ class BisectionPartition:
                 if dist > radius:
                     reps[code] = nearest[code]
         if max(near_dists) <= radius:
-            return list(range(len(positions))), positions, reps
+            return self._codes.copy(), positions, reps
         codes = [code for code, dist in enumerate(near_dists) if dist <= radius]
         return codes, [positions[code] for code in codes], reps[codes]
 
@@ -250,6 +250,12 @@ class BisectionPartition:
         child ``c`` takes the upper half along dimension j."""
         codes = np.arange(self.arity, dtype=np.int64)
         return (codes[:, None] >> np.arange(self.dim - 1, -1, -1)) & 1
+
+    @cached_property
+    def _codes(self) -> list[int]:
+        """Every child code, ``[0, 1, ..., arity - 1]``; :meth:`split`
+        returns copies."""
+        return list(range(self.arity))
 
     @cached_property
     def _center_index(self) -> np.ndarray:

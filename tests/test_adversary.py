@@ -161,3 +161,22 @@ def test_audit_coarsens_grids_past_the_cap(monkeypatch):
     assert all(math.ceil(1.0 / step - 1e-12) <= 100 for step in steps)
     assert any(step > first for step, first in zip(steps, firsts))
     assert all(step == first or step / 1.5 < 1 / 100 for step, first in zip(steps, firsts))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_audit_sizes_grids_past_float_range_without_a_warning(monkeypatch):
+    # 600 halvings below 1/8 give axis counts near 1e180, finite, whose
+    # product is not; with no cap the sizing runs once per scale, and
+    # empty grids make every scale inconclusive
+    monkeypatch.setattr(adversary, "_EXTRA_HALVINGS", 600)
+    monkeypatch.setattr(adversary, "_GRID_CAP", math.inf)
+    steps = []
+
+    def empty(box, step):
+        steps.append(step)
+        return np.empty((0, box.dim)), np.full(box.dim, step)
+
+    monkeypatch.setattr(adversary, "midpoint_grid", empty)
+    rep = audit_certified_run(lc.get_function("multibump-d2"), 1 / 8)
+    assert rep.case_fired == "inconclusive"
+    assert len(steps) == len(rep.scales_tried) and steps[-1] < 1e-154

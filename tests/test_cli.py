@@ -72,6 +72,17 @@ def test_complexity_past_float_range_exits_one(label, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_complexity_prints_only_its_error_when_the_grid_count_overflows(capsys):
+    # each axis count is finite but their product is not; numpy's
+    # overflow warning used to print before the error
+    assert main(["complexity", "--function", "multibump-d2", "--eps", "1e-200"]) == 1
+    assert capsys.readouterr().err == (
+        "lipcert complexity: grid of inf points exceeds the cap of 2000000; "
+        "use a coarser step or a larger accuracy target\n"
+    )
+
+
 def test_complexity_refuses_a_nan_grid_step(capsys):
     # it used to report that no grid points fall inside the domain
     args = ["complexity", "--function", "slope-d1", "--eps", "0.1", "--grid-step", "nan"]

@@ -24,7 +24,7 @@ from lipcert import (
 import lipcert as lc
 from lipcert.cli.sweep import SweepConfig
 from lipcert.core import check_run_args
-from lipcert.core.geometry import _grid_axes, _norm_ratio
+from lipcert.core.geometry import _grid_axes, _grid_total, _norm_ratio
 from lipcert.optimizers.piyavskii import Envelope1D, candidates_for
 
 
@@ -427,6 +427,17 @@ def test_midpoint_grid_cap():
     with pytest.raises(ValueError, match="grid of inf points exceeds the cap of 1000"):
         _grid_axes(box, 1e-320, max_points=1000)
     assert len(_grid_axes(box, 1e-4)[0][0]) == 10_000
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grid_total_past_float_range_is_inf_without_a_warning():
+    # each count is finite, 1e200, but their product is not; numpy's
+    # product used to warn of the overflow
+    box = Box(np.zeros(2), np.ones(2))
+    assert _grid_total(box, 1e-200) == math.inf
+    assert _grid_total(box, 1e-4) == 1e8
+    with pytest.raises(ValueError, match="grid of inf points exceeds the cap of 1000"):
+        _grid_axes(box, 1e-200, max_points=1000)
 
 
 @given(st.floats(min_value=0.01, max_value=0.9), st.integers(min_value=1, max_value=3))
