@@ -267,6 +267,9 @@ def _unit_box(dim: int):
 def _verify_traces() -> bool:
     ok = True
     runs = [(fn, default_algorithm(fn)) for fn in registry(1.0) if fn.known_max is not None]
+    # Both sawtooth runners; psgrid on this sup-norm grid marks each
+    # queried candidate by its distance 0 to the query.
+    runs += [(get_function("multibump-d1"), "ps1d"), (get_function("multibump-d2"), "psgrid")]
     # The runs that would repeat points if the tree search broke its
     # rules: clamped ball representatives, which the memo catches, and
     # cells that float64 cannot split, on the unit box and off its grid,

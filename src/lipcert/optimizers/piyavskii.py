@@ -105,11 +105,16 @@ class Envelope1D:
 
     def _push_peak(self, j: int) -> None:
         """Push the peak of the gap between observations ``j`` and
-        ``j + 1`` if the two cones cross strictly inside it."""
+        ``j + 1`` if the two cones cross strictly inside it.  The
+        midpoint is taken as the sum of halves, which cannot overflow; a
+        position that is still not finite, from values whose difference
+        overflows, raises instead of dropping the gap."""
         xl, xr = self._xs[j], self._xs[j + 1]
         fl, fr = self._fs[j], self._fs[j + 1]
         lip = self.lip
-        peak_x = 0.5 * (xl + xr) + (fr - fl) / (2.0 * lip)
+        peak_x = 0.5 * xl + 0.5 * xr + (fr - fl) / (2.0 * lip)
+        if not math.isfinite(peak_x):
+            raise ValueError(f"peak of the gap [{xl}, {xr}] is not finite")
         if xl < peak_x < xr:
             peak_v = 0.5 * (fl + fr) + 0.5 * lip * (xr - xl)
             heapq.heappush(self._peaks, (-peak_v, peak_x, xl, xr))
@@ -165,14 +170,15 @@ def ps_run_1d(
       fn: one-dimensional objective on a box domain.
       eps: accuracy to certify; refused before any query unless positive and finite.
       budget: maximum number of queries.
-      x1: first query; defaults to the interval midpoint.
+      x1: first query; defaults to the interval midpoint, taken as
+        ``0.5 * a + 0.5 * b`` so that it stays finite near float range.
     """
     _check_accuracy(eps)
     if fn.dim != 1 or not isinstance(fn.domain, Box):
         raise ValueError("exact sawtooth certification needs a 1-D box domain")
     lip = fn.lip_bound
     a, b = float(fn.domain.lower[0]), float(fn.domain.upper[0])
-    x = 0.5 * (a + b) if x1 is None else float(x1)
+    x = 0.5 * a + 0.5 * b if x1 is None else float(x1)
     if not a <= x <= b:
         raise ValueError(f"first query {x} outside [{a}, {b}]")
     env = Envelope1D(a, b, lip)
@@ -248,8 +254,11 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
         # within half a ring spacing of some ring radially and within an
         # arc of pi * radius / n_angles along it, so the sum of the two is
         # a valid covering radius.  A ring some of whose points round
-        # outside the ball is pulled in one float at a time until all of
-        # them lie inside, and the largest pull is added to the radius.
+        # outside the ball is pulled in by one ulp of its radius, then by
+        # twice as much at each try, until all of them lie inside, and the
+        # largest pull is added to the radius.  Far from the origin the
+        # coordinates' rounding outweighs millions of the radius's ulps,
+        # which a float-by-float pull would step through one by one.
         angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
         directions = np.stack([np.cos(angles), np.sin(angles)])
         radii = [j * rho / n_rings for j in range(1, n_rings + 1)]
@@ -263,9 +272,10 @@ def candidates_for(domain: Domain, lip: float, eps: float, norm: Norm) -> Candid
         inside = domain.contains(cols[:, 1:].T).reshape(n_rings, n_angles)
         pull = 0.0
         for j in np.flatnonzero(~inside.all(axis=1)):
-            radius = radii[j]
+            radius, step = radii[j], math.ulp(radii[j])
             while not domain.contains(rings[:, j].T).all():
-                radius = math.nextafter(radius, 0.0)
+                radius = radii[j] - step
+                step *= 2.0
                 rings[:, j] = domain.center[:, None] + radius * directions
             pull = max(pull, radii[j] - radius)
         cover = rho / (2.0 * n_rings) + math.pi * rho / n_angles + pull
@@ -311,7 +321,11 @@ def ps_run_grid(
     warning in the trace.
 
     The envelope is one array updated in place, with queried candidates
-    set to ``-inf``.  A query updates only the candidates whose envelope
+    set to ``-inf``: under sup and l1 these are the candidates at
+    computed distance 0 from the query, marked by one boolean store;
+    under the euclidean norm, whose squares can underflow, the
+    candidates at distance 0 are compared with the query coordinate by
+    coordinate.  A query updates only the candidates whose envelope
     its cone can lower.  When the candidates' first coordinates are
     nondecreasing, as in every midpoint grid, these lie in one slice
     found by bisection on the first coordinate (its completeness is
@@ -384,7 +398,14 @@ def _psgrid_rounds(fn: TestFunction, candidates: CandidateSet, hopeless: bool):
     3. Rows equal to ``x`` have first coordinate ``x_0`` and ``s > 0``,
        so they lie in the slice and are set to ``-inf`` as in a full
        pass.  This holds also when ``fx > top`` refutes the bound, where
-       the clamp at 0 keeps ``R`` from going negative.
+       the clamp at 0 keeps ``R`` from going negative.  Under sup and
+       l1 they are the rows of the slice at computed distance 0:
+       ``fl(p_j - x_j)`` is 0 exactly when ``p_j == x_j``, thanks to
+       gradual underflow, ``abs`` keeps a nonzero difference nonzero,
+       and a maximum, or a float sum of nonnegative terms, is 0 only
+       when every term is.  Under the euclidean norm a nonzero
+       difference can square to 0, so its rows at distance 0 are
+       compared with ``x``.
 
     The slice is contiguous when the first coordinates are nondecreasing,
     which the run checks once.  Otherwise, and on the first query, where
@@ -392,52 +413,69 @@ def _psgrid_rounds(fn: TestFunction, candidates: CandidateSet, hopeless: bool):
     """
     lip = fn.lip_bound
     kind = fn.norm.kind
+    # under sup and l1 distance 0 marks exactly the rows equal to x
+    exact_zero = kind != "euclidean"
+    values = fn._values
+    subtract, multiply, add, minimum, equal = np.subtract, np.multiply, np.add, np.minimum, np.equal
+    left, right, up = bisect.bisect_left, bisect.bisect_right, math.nextafter
+    inf = math.inf
     cand = candidates.points
-    x = np.array(fn.domain.center)
+    n = len(cand)
     # envelope on the candidates, -inf on those already queried
-    env = np.full(len(cand), math.inf)
+    env = np.full(n, inf)
     cols = np.ascontiguousarray(cand.T)
     diff = np.empty_like(cols)
-    dist = np.empty(len(cand))
-    cone = np.empty(len(cand))
-    hit = np.empty(len(cand), dtype=bool)
+    dist = np.empty(n)
+    cone = np.empty(n)
+    hit = np.empty(n, dtype=bool)
     # the first coordinates, when they are nondecreasing
     lead = None
     if bool(np.all(cols[0, 1:] >= cols[0, :-1])):
         lead = cols[0].tolist()
         magnitude = max_magnitude(cand)
-    top = math.inf
-    best_v = -math.inf
+    # the query as a (1, d) row, evaluated and yielded, and as a (d, 1)
+    # column that the subtraction broadcasts
+    point = np.array(fn.domain.center)[None]
+    column = point.T
+    top = inf
+    best_v = -inf
     slack = lip * candidates.cover_radius
     while True:
-        point = x[None]
-        fx = fn._values(point)[0]
-        lo, hi = 0, len(cand)
-        if lead is not None and top < math.inf:
-            # the reach R of the docstring, rounded up at each step
-            rise = math.nextafter(max(0.0, top - fx), math.inf)
-            side = covering_side(math.nextafter(rise / lip, math.inf), magnitude)
-            x0 = float(x[0])
-            lo = bisect.bisect_left(lead, x0 - side)
-            hi = bisect.bisect_right(lead, x0 + side)
+        fx = values(point)[0]
+        lo, hi = 0, n
+        if lead is not None and top < inf:
+            # the reach R of the docstring, rounded up at each step; the
+            # compare gives max(0.0, top - fx)
+            rise = top - fx
+            rise = up(rise if rise > 0.0 else 0.0, inf)
+            side = covering_side(up(rise / lip, inf), magnitude)
+            x0 = lead[pick]
+            lo = left(lead, x0 - side)
+            hi = right(lead, x0 + side)
         part = diff[:, lo:hi]
-        np.subtract(cols[:, lo:hi], x[:, None], out=part)
+        subtract(cols[:, lo:hi], column, out=part)
         near = _column_length(kind, part, part, dist[lo:hi])
-        lowered = np.multiply(lip, near, out=cone[lo:hi])
-        np.add(fx, lowered, out=lowered)
-        np.minimum(env[lo:hi], lowered, out=env[lo:hi])
-        # only rows at distance 0 can equal x, but a nonzero difference
-        # can underflow to distance 0, so compare those rows
-        zero = lo + np.equal(near, 0.0, out=hit[lo:hi]).nonzero()[0]
-        env[zero[_all_columns(cand[zero] == x)]] = -math.inf
-        best_v = max(best_v, fx)
+        lowered = multiply(lip, near, out=cone[lo:hi])
+        add(fx, lowered, out=lowered)
+        minimum(env[lo:hi], lowered, out=env[lo:hi])
+        if exact_zero:
+            env[lo:hi][equal(near, 0.0, out=hit[lo:hi])] = -inf
+        else:
+            # a nonzero difference can square to distance 0, so compare
+            # the rows at distance 0
+            zero = lo + equal(near, 0.0, out=hit[lo:hi]).nonzero()[0]
+            env[zero[_all_columns(cand[zero] == point)]] = -inf
+        if fx > best_v:
+            best_v = fx
         pick = int(env.argmax())
         top = float(env[pick])
         # A queried candidate's envelope is at most its own observation,
         # so at most best_v: leaving it out of top does not change
         # max(top, best_v).  The covering correction bridges from the
-        # candidates to the whole domain.
-        yield point, [fx], [max(0.0, max(top, best_v) + slack - best_v)]
-        if hopeless or top == -math.inf:
+        # candidates to the whole domain.  The compares give max's results.
+        cert = (best_v if best_v > top else top) + slack - best_v
+        yield point, [fx], [cert if cert > 0.0 else 0.0]
+        if hopeless or top == -inf:
             return
-        x = cand[pick]
+        point = cand[pick : pick + 1]
+        column = cols[:, pick : pick + 1]

@@ -269,10 +269,12 @@ def test_verify_suites_pass(capsys):
 
     assert main(["verify", "--suite", "traces"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # the registry's default algorithms, then cdoo on the cone and ncdoo
-    # on the tent, also moved off the unit box, each with every point
-    # queried once
-    assert len(lines) == 11 and all(l.startswith("PASS traces") for l in lines)
+    # the registry's default algorithms, both sawtooth runners, then cdoo
+    # on the cone and ncdoo on the tent, also moved off the unit box, each
+    # with every point queried once
+    assert len(lines) == 13 and all(l.startswith("PASS traces") for l in lines)
+    assert lines[-5].startswith("PASS traces (multibump-d1, ps1d): ")
+    assert lines[-4].startswith("PASS traces (multibump-d2, psgrid): ")
     assert lines[-3].startswith("PASS traces (cone-d2, cdoo): ")
     assert lines[-2] == "PASS traces (tent-d1, ncdoo): consistent=True distinct=4000/4000"
     assert lines[-1] == (

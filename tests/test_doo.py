@@ -27,6 +27,8 @@ from lipcert import (
 )
 from lipcert.core import build_trace, check_run_args
 
+from seeded_objectives import NORMS, peaks
+
 
 def test_hand_traced_tent_instance():
     # Worked by hand: root center first; each round splits the leaf with
@@ -632,20 +634,17 @@ def test_no_point_is_queried_twice_off_the_registry(domain, norm):
     _assert_each_point_once(_tent_at(domain, norm, peak), 1e-12, 3000)
 
 
-_NORMS = {"sup": lc.SUP, "euclidean": EUCLIDEAN, "l1": Norm("l1")}
-
-
 @given(
     d=st.integers(1, 5),
     ball=st.booleans(),
-    kind=st.sampled_from(sorted(_NORMS)),
+    kind=st.sampled_from(sorted(NORMS)),
     offset=st.floats(-1e9, 1e9) | st.just(0.0),
     scale=st.floats(1e-3, 1e3),
     unit=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
 )
 @settings(max_examples=25, deadline=None)
 def test_no_point_is_queried_twice_on_drawn_domains(d, ball, kind, offset, scale, unit):
-    norm = _NORMS[kind]
+    norm = NORMS[kind]
     center = np.full(d, offset)
     # a peak at most 0.3 * scale from the center in every norm
     peak = center + 0.3 * scale * np.asarray(unit[:d]) / d
@@ -673,41 +672,11 @@ def test_a_certified_run_refuses_a_non_finite_eps_before_evaluating(run, label, 
 # --- seeded soundness off the registry ------------------------------------
 
 
-def _peaks(seed, kind, d):
-    # f(x) = max_i (a_i - L_i ||x - c_i||) with every c_i in the domain and
-    # L_i <= L, so the maximum is exactly max_i a_i, on a domain moved by
-    # up to 1e6 and scaled by 1e-3 to 7.5, with L from 1e-4 to 3.7
-    rng = np.random.default_rng(seed)
-    offset = rng.uniform(-1e6, 1e6, d) * rng.choice([0.0, 1e-6, 1e-3, 1.0])
-    scale = float(np.exp(rng.uniform(math.log(1e-3), math.log(7.5))))
-    if kind == "box":
-        domain = Box(offset, offset + scale * rng.uniform(0.3, 1.0, d))
-    else:
-        domain = Ball(offset, scale, _NORMS[kind])
-    norm = _NORMS[rng.choice(sorted(_NORMS))]
-    lip = float(np.exp(rng.uniform(math.log(1e-4), math.log(3.7))))
-    sites = domain.uniform_sample(rng, 6)
-    sites = sites[domain.contains(sites)]
-    heights = rng.uniform(-1.0, 1.0, len(sites)) * lip * scale
-    slopes = lip * rng.uniform(0.2, 1.0, len(sites))
-    fn = lc.TestFunction(
-        label=f"peaks-{kind}-d{d}",
-        domain=domain,
-        norm=norm,
-        lip_bound=lip,
-        evaluator=lambda x: np.max(
-            [h - s * norm.length(x - c) for h, s, c in zip(heights, slopes, sites)], axis=0
-        ),
-        known_max=float(heights.max()),
-    )
-    return fn, lip * lc.diameter(domain, norm)
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["box", "sup", "euclidean", "l1"])
 def test_tree_search_is_sound_on_seeded_objectives(kind, d, seed):
-    fn, eps0 = _peaks([seed, d, len(kind)], kind, d)
+    fn, eps0 = peaks([seed, d, len(kind)], kind, d)
     eps = eps0 * 2.0**-10
     coarse, fine = cdoo_run(fn, eps, 800), cdoo_run(fn, eps / 2, 800)
     plain = ncdoo_run(fn, 1000)

@@ -26,9 +26,12 @@ from lipcert import (
     midpoint_grid,
     ps_run_1d,
     ps_run_grid,
+    recommendations_consistent,
     sigma_from_trace,
 )
 from lipcert.optimizers import piyavskii
+
+from seeded_objectives import NORMS, peaks
 
 
 def envelope_values(lip, xs, fs, grid):
@@ -188,6 +191,46 @@ def test_envelope_rejects_non_finite_values(bad):
     assert env.max_and_argmax() == (0.5, 0.0)
 
 
+def far_tent():
+    """A tent of height 3e307 at 1.3e308 on [1e308, 1.6e308], where the
+    sum of two points of the interval overflows."""
+    return lc.TestFunction(
+        "far-tent",
+        Box([1e308], [1.6e308]),
+        SUP,
+        1.0,
+        lambda x: 3e307 - np.abs(x[:, 0] - 1.3e308),
+        known_max=3e307,
+    )
+
+
+def test_ps1d_finds_the_peak_of_a_gap_whose_ends_sum_past_float_range():
+    # the gap [1e308, 1.6e308] used to be dropped, and 0 certified at
+    # the second query
+    fn = far_tent()
+    trace = ps_run_1d(fn, 1e300, 10, x1=1e308)
+    assert trace.queries.ravel().tolist() == [1e308, 1.6e308, 1.3e308]
+    assert certificate_validity(trace, fn.known_max).ok
+    assert trace.certificates[-1] == 0.0
+
+
+def test_ps1d_default_first_query_is_the_midpoint_near_float_range():
+    # the midpoint used to be computed as inf and refused
+    fn = far_tent()
+    trace = ps_run_1d(fn, 1e300, 10)
+    assert trace.queries[0, 0] == 1.3e308
+    assert certificate_validity(trace, fn.known_max).ok
+
+
+def test_envelope_refuses_a_peak_position_that_is_not_finite():
+    # the values differ by more than float range, so the cones' crossing
+    # cannot be placed; the gap used to be dropped without a word
+    env = Envelope1D(0.0, 1.0, 1.0)
+    env.insert(0.0, -1e308)
+    with pytest.raises(ValueError, match=r"peak of the gap \[0.0, 1.0\] is not finite"):
+        env.insert(1.0, 1e308)
+
+
 def test_hand_traced_tent_run():
     # First query at the midpoint; the envelope then peaks at both ends
     # with value 1/2, left end first; after both ends the envelope max
@@ -279,6 +322,30 @@ def test_ring_candidates_stay_inside_a_moved_disc(j):
     assert disc.contains(cand.points).all()
     trace = ps_run_grid(fn, eps, 3000, candidates=cand)
     assert certificate_validity(trace, fn.known_max).ok
+
+
+def test_ring_pull_far_from_the_origin_takes_few_tries(monkeypatch):
+    # At a centre near 1e6 some ring points round outside the disc by
+    # about an ulp of the centre, millions of floats of a radius near 0.2;
+    # the pull used to step through them one at a time, 20 s per set.
+    disc = peaks([1, 2, 9], "euclidean", 2)[0].domain
+    assert np.abs(disc.center).max() > 1e5
+    contains, calls = Ball.contains, []
+
+    def counted(ball, x):
+        calls.append(None)
+        assert len(calls) < 1000, "the rings took 1,000 containment tests"
+        return contains(ball, x)
+
+    monkeypatch.setattr(Ball, "contains", counted)
+    eps = disc.radius * 2.0**-5
+    cand = candidates_for(disc, 1.0, eps, EUCLIDEAN)
+    monkeypatch.undo()
+    assert disc.contains(cand.points).all()
+    # the pulls are a few ulps of the centre, added to the radius
+    plain = candidates_for(Ball(np.zeros(2), disc.radius, EUCLIDEAN), 1.0, eps, EUCLIDEAN)
+    assert len(cand) == len(plain)
+    assert plain.cover_radius < cand.cover_radius < plain.cover_radius + 1e-8
 
 
 def test_candidates_for_meets_accuracy_target():
@@ -577,6 +644,36 @@ def test_grid_run_matches_full_scan_on_registry_sets():
     assert_grid_run_matches_scan(fn, 0.05, 300, twice)
 
 
+@pytest.mark.parametrize("order", ("sorted", "unsorted"))
+@pytest.mark.parametrize("norm", (SUP, EUCLIDEAN, L1), ids=lambda n: n.kind)
+def test_grid_run_marks_exactly_the_queried_rows(norm, order):
+    # Values lie in [1, 1.5]: adding a cover slack of 0.75 ulp(1) to the
+    # best value rounds up a whole ulp, so no certificate reaches eps =
+    # 0.75 ulp(1), and the run queries every distinct row.
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    fn = lc.TestFunction(
+        f"dome-{norm.kind}", box, norm, 1.0, lambda x: 1.5 - 0.125 * norm.length(x - 0.1)
+    )
+    points = np.concatenate(
+        [
+            np.random.default_rng(7).uniform(-1.0, 1.0, size=(12, 2)),
+            # a signed-zero pair and an exact duplicate: equal rows, to be
+            # marked together whichever is queried
+            [[-0.0, 0.5], [0.0, 0.5], [0.3, -0.7], [0.3, -0.7]],
+            # distinct rows whose euclidean distance squares to 0
+            [[2.0**-600, 0.25], [2.0**-599, 0.25]],
+        ]
+    )
+    if order == "sorted":
+        # the first coordinates ascend: each query updates a slice
+        points = points[np.argsort(points[:, 0], kind="stable")]
+    eps = 0.75 * 2.0**-52
+    trace = assert_grid_run_matches_scan(fn, eps, 100, CandidateSet(points, eps))
+    # the centre, then the 16 distinct rows
+    assert len(trace) == 17
+    assert len(np.unique(trace.queries, axis=0)) == 17
+
+
 def test_grid_run_warns_on_coarse_candidates():
     fn = lc.get_function("multibump-d2")
     coarse = candidates_for(fn.domain, 1.0, 0.5, SUP)  # cover 0.25
@@ -688,3 +785,42 @@ def test_grid_run_rejects_candidates_of_another_dimension():
     cone = lc.get_function("cone-d2")
     with pytest.raises(ValueError, match="candidate dimension"):
         ps_run_grid(cone, 0.5, 10, candidates=CandidateSet(np.zeros((4, 3)), 0.1))
+
+
+# --- seeded soundness off the registry ------------------------------------
+
+
+def assert_sound(trace, fn):
+    assert certificate_validity(trace, fn.known_max).ok
+    assert recommendations_consistent(trace)
+    assert len(np.unique(trace.queries, axis=0)) == len(trace)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ps1d_is_sound_on_seeded_objectives(seed):
+    # the d = 1 boxes of the tree search's seeded suite (tests/test_doo.py)
+    fn, eps0 = peaks([seed, 1, 3], "box", 1)
+    eps = eps0 * 2.0**-9
+    coarse, fine = ps_run_1d(fn, eps, 2000), ps_run_1d(fn, eps / 2, 2000)
+    for trace in (coarse, fine):
+        assert_sound(trace, fn)
+    # the run at eps / 2 repeats the run at eps, then continues
+    n = len(coarse)
+    assert len(fine) > n
+    assert np.array_equal(fine.queries[:n], coarse.queries)
+    assert np.array_equal(fine.certificates[:n], coarse.certificates)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("norm", sorted(NORMS))
+@pytest.mark.parametrize("kind, d", [("box", 2), ("box", 3), ("euclidean", 2)])
+def test_psgrid_is_sound_on_seeded_objectives(kind, d, norm, seed):
+    # boxes in d = 2 and 3 and the planar euclidean disc, each with the
+    # objective stated in every norm; far from the origin the disc's
+    # rings are pulled in (tests/test_doo.py draws the same domains)
+    fn, eps0 = peaks([seed, d, len(kind)], kind, d, norm=norm)
+    eps = eps0 * 2.0**-5
+    trace = ps_run_grid(fn, eps, 2000)
+    assert_sound(trace, fn)
+    assert not trace.warnings
+    assert trace.certificates[-1] <= eps
