@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .complexity import greedy_packing
 from .core import (
     ComplexityScale,
     Norm,
@@ -188,10 +187,12 @@ def audit_certified_run(
         )
         if len(free) < 2:
             continue
-        packed = greedy_packing(free, separation, norm)
-        if len(packed) < 2:
+        # The two sites are the first two points a greedy packing of
+        # free at separation keeps: free[0], and a second one exactly
+        # when some later point lies farther than separation from it.
+        if not (norm.length(free[1:] - free[0]) > separation).any():
             continue
-        center = packed[0]
+        center = free[0].copy()
         # The bump's slope uses up exactly the headroom, so the perturbed
         # objective keeps the declared bound, and it vanishes beyond
         # ball_radius, where every query lies, so the replay must

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,8 +27,9 @@ from ..core import (
     convert_lip_bound,
     diameter,
 )
+from ..core._buckets import covering_side, max_magnitude
 from ..core.geometry import _check_accuracy, _grid_axes, _grid_rows
-from .packing import greedy_packing
+from .packing import _next_alive
 
 # Largest decomposition grid; past it the call fails instead of allocating.
 _MAX_GRID_POINTS = 2_000_000
@@ -54,6 +56,12 @@ class LayerDecomposition:
       max_is_exact: whether ``max_used`` came from exact metadata or was
         estimated from the grid with a safety margin.
       cell_volume: volume represented by each grid point.
+      axes: the grid's midpoints along each axis; ``points`` are rows of
+        their product in lexicographic order, with coordinates copied
+        from these entries.
+      inside: per point of the whole product grid, in lexicographic
+        order, whether it lies in the domain; None on a box, where every
+        grid point does.
     """
 
     points: np.ndarray
@@ -66,6 +74,8 @@ class LayerDecomposition:
     max_used: float
     max_is_exact: bool
     cell_volume: float
+    axes: tuple[np.ndarray, ...]
+    inside: Optional[np.ndarray]
 
 
 def layer_decomposition(
@@ -89,10 +99,11 @@ def layer_decomposition(
         of allocating.
 
     The result holds ``8 * (d + 3)`` bytes per grid point in the domain,
-    40 at d = 2: the points, values, gaps and labels.  The grid is built,
-    filtered to the domain and evaluated ``_GRID_BLOCK`` points at a
-    time, in lexicographic order, so the other temporaries are bounded
-    by the block.  A ball's points and values are sized to its box and
+    40 at d = 2: the points, values, gaps and labels.  On a ball it also
+    holds ``inside``, one byte per point of the enclosing box's grid.
+    The grid is built, filtered to the domain and evaluated
+    ``_GRID_BLOCK`` points at a time, in lexicographic order, so the
+    other temporaries are bounded by the block.  A ball's points and values are sized to its box and
     shrunk in place to the points inside.  Evaluating in blocks relies
     on the evaluator being pointwise, as :class:`TestFunction` requires.
     """
@@ -113,14 +124,16 @@ def layer_decomposition(
     total = math.prod(len(axis) for axis in axes)
     points = np.empty((total, fn.dim))
     values = np.empty(total)
+    inside = None if fn.domain is box else np.empty(total, dtype=bool)
     kept = 0
     for start in range(0, total, _GRID_BLOCK):
         stop = min(start + _GRID_BLOCK, total)
-        if fn.domain is box:
+        if inside is None:
             block = _grid_rows(axes, start, stop, out=points[start:stop])
         else:
             block = _grid_rows(axes, start, stop)
-            block = np.compress(fn.domain.contains(block), block, axis=0)
+            inside[start:stop] = fn.domain.contains(block)
+            block = np.compress(inside[start:stop], block, axis=0)
             points[kept : kept + len(block)] = block
         if len(block):
             values[kept : kept + len(block)] = fn(block)
@@ -157,20 +170,103 @@ def layer_decomposition(
         max_used=max_used,
         max_is_exact=max_is_exact,
         cell_volume=float(np.prod(steps)),
+        axes=tuple(axes),
+        inside=inside,
     )
 
 
 def _packing_counts(decomposition: LayerDecomposition) -> list[int]:
+    """Greedy packing size of each layer at its own radius, each layer
+    packed as a boolean image of the decomposition's grid."""
     scale = decomposition.scale
     counts = []
     for label in range(scale.m_eps + 1):
-        pts = np.compress(decomposition.labels == label, decomposition.points, axis=0)
-        if len(pts) == 0:
-            counts.append(0)
-            continue
+        image = _layer_image(decomposition, label)
         radius = scale.accuracy_for_class(label) / decomposition.lip
-        counts.append(len(greedy_packing(pts, radius, decomposition.norm)))
+        kept = _grid_packing(image, decomposition.axes, radius, decomposition.norm.kind)
+        counts.append(len(kept))
     return counts
+
+
+def _layer_image(decomposition: LayerDecomposition, label: int) -> np.ndarray:
+    """Whether each point of the whole grid lies in layer ``label``, as a
+    boolean array shaped like the grid.  A ball's layer is scattered
+    through ``inside``, with no integer image of the grid."""
+    shape = tuple(len(axis) for axis in decomposition.axes)
+    if decomposition.inside is None:
+        return decomposition.labels.reshape(shape) == label
+    image = np.zeros(len(decomposition.inside), dtype=bool)
+    image[decomposition.inside] = decomposition.labels == label
+    return image.reshape(shape)
+
+
+def _grid_packing(
+    image: np.ndarray, axes: tuple[np.ndarray, ...], radius: float, kind: str
+) -> list[int]:
+    """Flat indices of :func:`greedy_packing`'s kept points on the grid
+    points where ``image`` is True, the grid being the product of
+    ``axes`` (each sorted, as ``_grid_axes`` makes them) in
+    lexicographic order, and ``image`` shaped like it.  ``image`` is
+    cleared in the process.
+
+    The image is scanned in lexicographic order, the order of the
+    decomposition's points, and each kept point ``p`` clears, with one
+    in-place store, the later points ``q`` of its block that lie within
+    ``radius``.  On axis ``j`` the block spans the entries within
+    ``side = covering_side(radius, M)`` of ``p_j``, ``M`` being the
+    largest absolute axis entry; on the first axis it starts at ``p``'s
+    own row, since the scan has already kept or cleared every earlier
+    point.  A kept point costs about nine numpy calls on the block, and
+    no layer is copied out of the grid or hashed.
+
+    **The same bits as greedy_packing.**  A grid point's coordinates are
+    copies of the axis entries (``_grid_rows``), so ``t_j = q_j - p_j``
+    is the float that :func:`greedy_packing` subtracts, and the ``|t_j|``
+    or ``t_j * t_j`` are combined by broadcasting in the order ``j = 0,
+    1, ...`` that :meth:`Norm.length` uses.
+
+    **The block is complete.**  If ``Norm.length(q - p) <= radius`` as
+    computed, step 1 of the ``core._buckets`` proof bounds ``|q_j -
+    p_j| <= radius (1 + 5u) + 2**-510``, which ``side`` exceeds even
+    after its own three roundings, through its ``radius * 2**-20`` and
+    ``2**-500`` terms.  So ``p_j - side <= q_j <= p_j + side`` exactly,
+    and, rounding being monotone and ``q_j`` a float, ``fl(p_j - side)
+    <= q_j <= fl(p_j + side)``, and ``bisect_left`` of the first and
+    ``bisect_right`` of the second bound ``q_j``'s index on the sorted
+    axis.  A block that is too wide only measures extra points.
+    """
+    d = len(axes)
+    side = covering_side(radius, max_magnitude(*axes))
+    entries = [axis.tolist() for axis in axes]
+    # Axis j shaped (n_j, 1, ..., 1), so that its window broadcasts
+    # against the windows of the later axes.
+    cols = [axis.reshape((-1,) + (1,) * (d - 1 - j)) for j, axis in enumerate(axes)]
+    strides = [math.prod(image.shape[j + 1 :]) for j in range(d)]
+    flat = image.reshape(-1)
+    combine = np.maximum if kind == "sup" else np.add
+    kept: list[int] = []
+    i = _next_alive(flat, 0)
+    while i < len(flat):
+        kept.append(i)
+        block = []
+        acc = None
+        rest = i
+        for j, stride in enumerate(strides):
+            k, rest = divmod(rest, stride)
+            entry = entries[j]
+            p = entry[k]
+            lo = k if j == 0 else bisect_left(entry, p - side)
+            hi = bisect_right(entry, p + side)
+            t = cols[j][lo:hi] - p
+            t = np.multiply(t, t, out=t) if kind == "euclidean" else np.absolute(t, out=t)
+            acc = t if acc is None else combine(acc, t)
+            block.append(slice(lo, hi))
+        if kind == "euclidean":
+            np.sqrt(acc, out=acc)
+        view = image[tuple(block)]
+        view &= acc > radius
+        i = _next_alive(flat, i + 1)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,11 @@ def greedy_packing(points: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
     removes the later points ``q`` with ``norm.length(q - p) <= radius``,
     and the next kept point is the first one not removed.
 
+    It packs arbitrary point sets, for :func:`lemma_consistency_trials`
+    and the ``perfbench`` probe.  :func:`estimate_sc` packs its layers on
+    their grid instead, with ``complexity.layers._grid_packing``, which
+    the tests hold to this function bit for bit.
+
     Cost: up to ``max(_SCAN_LIMIT, 3**d)`` points, each kept point
     measures every later point.  Larger sets are copied once into
     contiguous coordinate columns, ``8 * d`` bytes per point, and hashed
@@ -123,6 +128,13 @@ def _pairwise(points: np.ndarray, norm: Norm) -> np.ndarray:
     return norm.length(diff)
 
 
+def _row_masks(near: np.ndarray) -> list[int]:
+    """Row ``i`` of a square boolean matrix as the bitmask of its true
+    columns; exact in int64 for the ``_EXACT_LIMIT`` points allowed."""
+    bits = near.astype(np.int64) << np.arange(len(near), dtype=np.int64)
+    return bits.sum(axis=1).tolist()
+
+
 def _exact_packing_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> int:
     """Largest packing size, by branch and bound on the conflict graph.
 
@@ -131,17 +143,17 @@ def _exact_packing_bruteforce(points: np.ndarray, radius: float, norm: Norm) -> 
     sets used as ground truth; refuses more than a couple dozen points.
     """
     points = _point_set(points, radius, "packing")
-    n = len(points)
-    if n == 0:
-        return 0
+    return _max_packing(_pairwise(points, norm), radius)
+
+
+def _max_packing(dists: np.ndarray, radius: float) -> int:
+    """:func:`_exact_packing_bruteforce` on the pairwise distances."""
+    n = len(dists)
     if n > _EXACT_LIMIT:
         raise ValueError(f"exact packing supports at most {_EXACT_LIMIT} points, got {n}")
-    dists = _pairwise(points, norm)
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and dists[i, j] <= radius:
-                conflict[i] |= 1 << j
+    near = dists <= radius
+    np.fill_diagonal(near, False)
+    conflict = _row_masks(near)
     best = 0
 
     def grow(candidates: int, size: int) -> None:
@@ -167,19 +179,21 @@ def _exact_covering_bruteforce(points: np.ndarray, radius: float, norm: Norm) ->
     complete.  A fractional bound on the remaining points prunes.
     """
     points = _point_set(points, radius, "covering")
-    n = len(points)
-    if n == 0:
-        return 0
+    return _min_covering(_pairwise(points, norm), radius)
+
+
+def _min_covering(dists: np.ndarray, radius: float) -> int:
+    """:func:`_exact_covering_bruteforce` on the pairwise distances."""
+    n = len(dists)
     if n > _EXACT_LIMIT:
         raise ValueError(f"exact covering supports at most {_EXACT_LIMIT} points, got {n}")
-    dists = _pairwise(points, norm)
-    covers = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if dists[i, j] <= radius:
-                covers[i] |= 1 << j
+    if n == 0:
+        return 0
+    near = dists <= radius
+    covers = _row_masks(near)
+    # The centers whose balls hold point u, in increasing order.
+    centers_of = [np.flatnonzero(col).tolist() for col in near.T]
     widest = max(c.bit_count() for c in covers)
-    full = (1 << n) - 1
     best = n
 
     def descend(uncovered: int, size: int) -> None:
@@ -194,15 +208,13 @@ def _exact_covering_bruteforce(points: np.ndarray, radius: float, norm: Norm) ->
         while probe:
             u = (probe & -probe).bit_length() - 1
             probe &= probe - 1
-            count = sum(1 for c in covers if c >> u & 1)
-            if count < options:
-                scarcest, options = u, count
-        centers = [i for i in range(n) if covers[i] >> scarcest & 1]
-        centers.sort(key=lambda i: -(covers[i] & uncovered).bit_count())
+            if len(centers_of[u]) < options:
+                scarcest, options = u, len(centers_of[u])
+        centers = sorted(centers_of[scarcest], key=lambda i: -(covers[i] & uncovered).bit_count())
         for i in centers:
             descend(uncovered & ~covers[i], size + 1)
 
-    descend(full, 0)
+    descend((1 << n) - 1, 0)
     return best
 
 
@@ -246,9 +258,10 @@ def lemma_consistency_trials(trials: int, seed: int) -> LemmaSuiteVerdict:
         pts = rng.random((n, d))
         norm = norms[int(rng.integers(3))]
         r = float(rng.uniform(0.05, 0.7))
-        pack_2r = _exact_packing_bruteforce(pts, 2.0 * r, norm)
-        cover_r = _exact_covering_bruteforce(pts, r, norm)
-        pack_r = _exact_packing_bruteforce(pts, r, norm)
+        dists = _pairwise(pts, norm)
+        pack_2r = _max_packing(dists, 2.0 * r)
+        cover_r = _min_covering(dists, r)
+        pack_r = _max_packing(dists, r)
         greedy_r = len(greedy_packing(pts, r, norm))
         checks = [
             ("packing(2r) <= covering(r)", pack_2r, cover_r),
@@ -257,8 +270,8 @@ def lemma_consistency_trials(trials: int, seed: int) -> LemmaSuiteVerdict:
         ]
         r2 = float(rng.uniform(0.1, 0.8))
         r1 = r2 * float(rng.uniform(0.2, 0.95))
-        pack_r1 = _exact_packing_bruteforce(pts, r1, norm)
-        pack_r2 = _exact_packing_bruteforce(pts, r2, norm)
+        pack_r1 = _max_packing(dists, r1)
+        pack_r2 = _max_packing(dists, r2)
         checks.append(
             (
                 "packing(r1) <= (4 r2 / r1)^d packing(r2)",

@@ -31,6 +31,8 @@ from lipcert import (
 from lipcert import TestFunction as LipschitzFunction
 from lipcert.complexity import layers
 from lipcert.core import write_json
+from lipcert.core.geometry import _grid_axes
+from seeded_objectives import peaks
 
 
 def make_cone_mix(peaks, heights, lip=1.0):
@@ -304,6 +306,12 @@ def test_report_invariants_across_scales(level):
     assert sandwich_check(rep).ok
 
 
+def _whole_grid(axes):
+    """The product grid of ``axes`` in lexicographic order, by meshgrid."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
 def _oracle_decomposition(fn, eps, norm=None, grid_step=None):
     """The one-shot decomposition the blocked one replaced: the whole
     midpoint grid built by meshgrid, filtered, evaluated and classified
@@ -317,10 +325,11 @@ def _oracle_decomposition(fn, eps, norm=None, grid_step=None):
     counts = np.maximum(1.0, np.ceil(box.edges / grid_step - 1e-12)).astype(int)
     steps = box.edges / counts
     axes = [box.lower[j] + (np.arange(counts[j]) + 0.5) * steps[j] for j in range(box.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    points = _whole_grid(axes)
+    inside = None
     if fn.domain is not box:
-        points = points[np.asarray(fn.domain.contains(points))]
+        inside = np.asarray(fn.domain.contains(points))
+        points = points[inside]
     values = np.asarray(fn(points), dtype=float)
     if fn.known_max is not None:
         max_used, max_is_exact = float(fn.known_max), True
@@ -338,8 +347,24 @@ def _oracle_decomposition(fn, eps, norm=None, grid_step=None):
     return LayerDecomposition(
         points=points, values=values, gaps=gaps, labels=labels, scale=scale, lip=lip,
         norm=norm, max_used=max_used, max_is_exact=max_is_exact,
-        cell_volume=float(np.prod(steps)),
+        cell_volume=float(np.prod(steps)), axes=tuple(axes), inside=inside,
     )
+
+
+def _oracle_packing_counts(decomposition):
+    """The per-layer packing the grid packing replaced: each layer's
+    points compressed out of the decomposition and packed by
+    greedy_packing."""
+    scale = decomposition.scale
+    counts = []
+    for label in range(scale.m_eps + 1):
+        pts = np.compress(decomposition.labels == label, decomposition.points, axis=0)
+        if len(pts) == 0:
+            counts.append(0)
+            continue
+        radius = scale.accuracy_for_class(label) / decomposition.lip
+        counts.append(len(lc.greedy_packing(pts, radius, decomposition.norm)))
+    return counts
 
 
 def _oracle_grid_integral(decomposition, eps):
@@ -389,17 +414,22 @@ def test_blocked_decomposition_is_the_one_shot_one(monkeypatch, name, fraction, 
     oracle = _oracle_decomposition(fn, eps)
     if block == 7:
         assert round(fn.domain.enclosing_box().volume() / dec.cell_volume) % 7 != 0
-    for field in dataclasses.fields(LayerDecomposition):
-        got, want = getattr(dec, field.name), getattr(oracle, field.name)
+    assert (dec.inside is None) == (fn.domain is fn.domain.enclosing_box())
+    assert len(dec.axes) == len(oracle.axes)
+    pairs = [(f.name, getattr(dec, f.name), getattr(oracle, f.name))
+             for f in dataclasses.fields(LayerDecomposition) if f.name != "axes"]
+    pairs += [(f"axes[{j}]", got, want) for j, (got, want) in enumerate(zip(dec.axes, oracle.axes))]
+    for name, got, want in pairs:
         if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and got.shape == want.shape, field.name
-            assert got.flags.c_contiguous, field.name
-            assert np.array_equal(got, want), field.name
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.flags.c_contiguous, name
+            assert np.array_equal(got, want), name
         else:
-            assert got == want, field.name
+            assert got == want, name
     report = report_to_json(estimate_sc(fn, eps))
     monkeypatch.setattr(layers, "layer_decomposition", _oracle_decomposition)
     monkeypatch.setattr(layers, "_grid_integral", _oracle_grid_integral)
+    monkeypatch.setattr(layers, "_packing_counts", _oracle_packing_counts)
     assert report == report_to_json(estimate_sc(fn, eps))
 
 
@@ -443,3 +473,88 @@ def test_greedy_packing_memory_is_the_row_loop_plus_one_column_copy():
         tracemalloc.stop()
     assert len(pts) == 302_592
     assert peak / len(pts) < 40.02 + 8 * pts.shape[1]
+
+
+# --- grid packing against greedy_packing -----------------------------------
+
+
+def _assert_grid_packing_is_greedy(image, axes, radius, norm):
+    """The grid packing of ``image`` keeps greedy_packing's points of the
+    grid rows where ``image`` is True, bit for bit and in order."""
+    grid = _whole_grid(axes)
+    want = lc.greedy_packing(grid[image.reshape(-1)], radius, norm)
+    got = grid[layers._grid_packing(image.copy(), axes, radius, norm.kind)]
+    assert got.shape == want.shape and np.array_equal(got, want), (norm.kind, radius)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["box", "sup", "euclidean", "l1"])
+def test_every_layer_packs_as_greedy_packing(kind, d):
+    # Peaks on moved and scaled boxes and balls, measured in each norm in
+    # turn: about 128 grid points at d = 1 and 400 to 18,400 at d = 2, 3.
+    for seed, norm in enumerate((SUP, EUCLIDEAN, L1)):
+        fn, eps0 = peaks([seed, d, len(kind)], kind, d)
+        eps = eps0 * (2.0**-4, 2.0**-2, 2.0**-1)[d - 1]
+        dec = layer_decomposition(fn, eps, norm=norm)
+        grid = _whole_grid(dec.axes)
+        inside = np.ones(len(grid), dtype=bool) if dec.inside is None else dec.inside
+        assert np.array_equal(grid[inside], dec.points)
+        for label in range(dec.scale.m_eps + 1):
+            image = layers._layer_image(dec, label)
+            assert np.array_equal(image.reshape(-1)[inside], dec.labels == label)
+            radius = dec.scale.accuracy_for_class(label) / dec.lip
+            _assert_grid_packing_is_greedy(image, dec.axes, radius, norm)
+
+
+# On a dyadic grid many pairs lie exactly at a radius that is a multiple
+# of the step, so a block one index short on any side keeps a point that
+# greedy_packing removes; radii run from below one step to past the
+# grid's extent.
+_DYADIC_RADII = [2.0**-6, 2.0**-4, 3 * 2.0**-4, 5 * 2.0**-4, 4.0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_packing_on_dyadic_grids(d):
+    # 32, 256 and 512 points
+    axes, _ = _grid_axes(Box(np.zeros(d), np.full(d, (2.0, 1.0, 0.5)[d - 1])), 2.0**-4)
+    shape = tuple(len(axis) for axis in axes)
+    rng = np.random.default_rng(d)
+    for density in (1.0, 0.6, 0.1):
+        image = rng.random(shape) < density
+        for norm in (SUP, EUCLIDEAN, L1):
+            for radius in _DYADIC_RADII:
+                _assert_grid_packing_is_greedy(image, axes, radius, norm)
+
+
+def test_grid_packing_with_repeated_coordinates():
+    # Floats near 1e16 are 2 apart, so the 128 entries of axis 0 take 33
+    # distinct values, and the sorted axis holds runs of equal entries.
+    axes, _ = _grid_axes(Box(np.array([1e16, 0.0]), np.array([1e16 + 64, 1.0])), 0.5)
+    assert len(axes[0]) == 128 and len(np.unique(axes[0])) == 33
+    rng = np.random.default_rng(16)
+    for density in (1.0, 0.3):
+        image = rng.random((128, 2)) < density
+        for norm in (SUP, EUCLIDEAN, L1):
+            for radius in (0.25, 1.0, 2.0, 6.0, 100.0):
+                _assert_grid_packing_is_greedy(image, axes, radius, norm)
+
+
+def test_grid_packing_of_one_point_and_of_none():
+    axes, _ = _grid_axes(Box(np.zeros(2), np.ones(2)), 0.25)
+    for norm in (SUP, EUCLIDEAN, L1):
+        image = np.zeros((4, 4), dtype=bool)
+        assert layers._grid_packing(image.copy(), axes, 0.5, norm.kind) == []
+        image[2, 1] = True
+        assert layers._grid_packing(image.copy(), axes, 0.5, norm.kind) == [9]
+        _assert_grid_packing_is_greedy(image, axes, 0.5, norm)
+
+
+def test_grid_packing_block_holds_a_pair_that_rounds_onto_the_radius():
+    # fl(0.5 - -0.2) is 0.7, so greedy_packing drops 0.5 at radius 0.7,
+    # though 0.5 lies past fl(-0.2 + 0.7) = 0.49999999999999994: a block
+    # bounded by the radius alone would keep it.
+    axes = (np.array([-0.2, 0.5]),)
+    assert -0.2 + 0.7 < 0.5
+    for norm in (SUP, EUCLIDEAN, L1):
+        assert layers._grid_packing(np.ones(2, dtype=bool), axes, 0.7, norm.kind) == [0]
+        _assert_grid_packing_is_greedy(np.ones(2, dtype=bool), axes, 0.7, norm)
