@@ -16,7 +16,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -44,11 +45,15 @@ _SANDWICH_SLACK = 2.0
 class LayerDecomposition:
     """Grid view of a domain binned by suboptimality gap.
 
+    It stores 17 bytes per grid point in the domain, at any dimension:
+    the values and gaps and a one-byte label.  On a ball, ``inside``
+    adds one byte per point of the enclosing box's grid.  The points
+    themselves are derived from ``axes`` and ``inside`` on first read.
+
     Attributes:
-      points: grid points inside the domain, in lexicographic order.
       values: objective values at the points.
       gaps: nonnegative suboptimality gaps against ``max_used``.
-      labels: schedule class per point (0 = near-optimal).
+      labels: schedule class per point (0 = near-optimal), as ``uint8``.
       scale: the accuracy schedule the labels refer to.
       lip: Lipschitz bound in ``norm``.
       norm: norm used for diameters and packing radii.
@@ -56,15 +61,13 @@ class LayerDecomposition:
       max_is_exact: whether ``max_used`` came from exact metadata or was
         estimated from the grid with a safety margin.
       cell_volume: volume represented by each grid point.
-      axes: the grid's midpoints along each axis; ``points`` are rows of
-        their product in lexicographic order, with coordinates copied
-        from these entries.
+      axes: the grid's midpoints along each axis; the points are rows of
+        their product in lexicographic order.
       inside: per point of the whole product grid, in lexicographic
         order, whether it lies in the domain; None on a box, where every
         grid point does.
     """
 
-    points: np.ndarray
     values: np.ndarray
     gaps: np.ndarray
     labels: np.ndarray
@@ -76,6 +79,58 @@ class LayerDecomposition:
     cell_volume: float
     axes: tuple[np.ndarray, ...]
     inside: Optional[np.ndarray]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Grid points inside the domain, in lexicographic order, as an
+        ``(n, d)`` array whose coordinates are copies of the ``axes``
+        entries: the rows the values were evaluated at, bit for bit.
+        Built on first read, 8 * d bytes per point, and cached."""
+        points = np.empty((len(self.values), len(self.axes)))
+        kept = 0
+        for start, rows in _row_blocks(self.axes):
+            if self.inside is not None:
+                rows = np.compress(self.inside[start : start + len(rows)], rows, axis=0)
+            points[kept : kept + len(rows)] = rows
+            kept += len(rows)
+        return points
+
+
+def _row_blocks(axes: tuple[np.ndarray, ...]) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of the product grid of ``axes`` in lexicographic order,
+    ``_GRID_BLOCK`` at a time, as ``(start, rows)``; every block is
+    written into one buffer, which the next block overwrites."""
+    total = math.prod(len(axis) for axis in axes)
+    buffer = np.empty((min(_GRID_BLOCK, total), len(axes)))
+    for start in range(0, total, _GRID_BLOCK):
+        stop = min(start + _GRID_BLOCK, total)
+        yield start, _grid_rows(axes, start, stop, out=buffer[: stop - start])
+
+
+def _grid_values(
+    fn: TestFunction, axes: tuple[np.ndarray, ...], inside: Optional[np.ndarray]
+) -> np.ndarray:
+    """The objective at the grid points inside its domain, in
+    lexicographic order, filling ``inside`` (None on a box) as the
+    blocks of :func:`_row_blocks` are filtered.  The values are sized to
+    the whole grid and shrunk in place to the points inside."""
+    values = np.empty(math.prod(len(axis) for axis in axes))
+    kept = 0
+    for start, rows in _row_blocks(axes):
+        if inside is not None:
+            mask = inside[start : start + len(rows)]
+            mask[:] = fn.domain.contains(rows)
+            rows = np.compress(mask, rows, axis=0)
+        if len(rows):
+            values[kept : kept + len(rows)] = fn(rows)
+            kept += len(rows)
+    if kept == 0:
+        raise ValueError("no grid points fall inside the domain")
+    if kept < len(values):
+        # A ball keeps part of its box.  No view of the array is alive,
+        # so it shrinks in place and frees its tail.
+        values.resize(kept, refcheck=False)
+    return values
 
 
 def layer_decomposition(
@@ -98,13 +153,15 @@ def layer_decomposition(
         more than ``_MAX_GRID_POINTS`` points fails with advice instead
         of allocating.
 
-    The result holds ``8 * (d + 3)`` bytes per grid point in the domain,
-    40 at d = 2: the points, values, gaps and labels.  On a ball it also
-    holds ``inside``, one byte per point of the enclosing box's grid.
-    The grid is built, filtered to the domain and evaluated
-    ``_GRID_BLOCK`` points at a time, in lexicographic order, so the
-    other temporaries are bounded by the block.  A ball's points and values are sized to its box and
-    shrunk in place to the points inside.  Evaluating in blocks relies
+    The result holds 16 + 1 bytes per grid point in the domain, at any
+    dimension: the values and gaps, and the labels as ``uint8`` (the
+    grid cap keeps the schedule to about 20 classes at d <= 3).  On a
+    ball it also holds ``inside``, one byte per point of the enclosing
+    box's grid.  The points are not stored: ``points`` derives them
+    from the axes on first read and caches them.  The grid is built,
+    filtered to the domain and evaluated ``_GRID_BLOCK`` points at a
+    time, in lexicographic order and in one reused buffer, so the other
+    temporaries are bounded by the block.  Evaluating in blocks relies
     on the evaluator being pointwise, as :class:`TestFunction` requires.
     """
     _check_accuracy(eps)
@@ -121,30 +178,10 @@ def layer_decomposition(
         )
     box = fn.domain.enclosing_box()
     axes, steps = _grid_axes(box, grid_step, max_points=_MAX_GRID_POINTS)
+    axes = tuple(axes)
     total = math.prod(len(axis) for axis in axes)
-    points = np.empty((total, fn.dim))
-    values = np.empty(total)
     inside = None if fn.domain is box else np.empty(total, dtype=bool)
-    kept = 0
-    for start in range(0, total, _GRID_BLOCK):
-        stop = min(start + _GRID_BLOCK, total)
-        if inside is None:
-            block = _grid_rows(axes, start, stop, out=points[start:stop])
-        else:
-            block = _grid_rows(axes, start, stop)
-            inside[start:stop] = fn.domain.contains(block)
-            block = np.compress(inside[start:stop], block, axis=0)
-            points[kept : kept + len(block)] = block
-        if len(block):
-            values[kept : kept + len(block)] = fn(block)
-            kept += len(block)
-    if kept == 0:
-        raise ValueError("no grid points fall inside the domain")
-    if kept < total:
-        # A ball keeps part of its box.  No view of either array is
-        # alive, so both shrink in place and free their tails.
-        points.resize((kept, fn.dim), refcheck=False)
-        values.resize(kept, refcheck=False)
+    values = _grid_values(fn, axes, inside)
     if fn.known_max is not None:
         max_used = float(fn.known_max)
         max_is_exact = True
@@ -158,19 +195,17 @@ def layer_decomposition(
     np.maximum(gaps, 0.0, out=gaps)
     eps0 = lip * diameter(fn.domain, norm)
     scale = ComplexityScale.from_accuracy(eps0, eps)
-    labels = scale.classify(gaps)
     return LayerDecomposition(
-        points=points,
         values=values,
         gaps=gaps,
-        labels=labels,
+        labels=scale.classify(gaps),
         scale=scale,
         lip=lip,
         norm=norm,
         max_used=max_used,
         max_is_exact=max_is_exact,
         cell_volume=float(np.prod(steps)),
-        axes=tuple(axes),
+        axes=axes,
         inside=inside,
     )
 
@@ -216,8 +251,13 @@ def _grid_packing(
     ``side = covering_side(radius, M)`` of ``p_j``, ``M`` being the
     largest absolute axis entry; on the first axis it starts at ``p``'s
     own row, since the scan has already kept or cleared every earlier
-    point.  A kept point costs about nine numpy calls on the block, and
-    no layer is copied out of the grid or hashed.
+    point.  The window of axis ``j`` and its ``|q_j - p_j|`` (or square)
+    depend only on ``p``'s index ``k`` on that axis, so they are
+    computed once per ``(j, k)`` and kept for the call, at most the axis
+    length times the window on each axis, and reused by every later kept
+    point that shares the index.  A kept point then costs a few numpy
+    calls on the block, and no layer is copied out of the grid or
+    hashed.
 
     **The same bits as greedy_packing.**  A grid point's coordinates are
     copies of the axis entries (``_grid_rows``), so ``t_j = q_j - p_j``
@@ -245,6 +285,8 @@ def _grid_packing(
     flat = image.reshape(-1)
     combine = np.maximum if kind == "sup" else np.add
     kept: list[int] = []
+    # Per axis, index k -> (window slice, its terms).
+    memo: list[dict[int, tuple[slice, np.ndarray]]] = [{} for _ in range(d)]
     i = _next_alive(flat, 0)
     while i < len(flat):
         kept.append(i)
@@ -253,16 +295,20 @@ def _grid_packing(
         rest = i
         for j, stride in enumerate(strides):
             k, rest = divmod(rest, stride)
-            entry = entries[j]
-            p = entry[k]
-            lo = k if j == 0 else bisect_left(entry, p - side)
-            hi = bisect_right(entry, p + side)
-            t = cols[j][lo:hi] - p
-            t = np.multiply(t, t, out=t) if kind == "euclidean" else np.absolute(t, out=t)
-            acc = t if acc is None else combine(acc, t)
-            block.append(slice(lo, hi))
+            window = memo[j].get(k)
+            if window is None:
+                entry = entries[j]
+                p = entry[k]
+                lo = k if j == 0 else bisect_left(entry, p - side)
+                hi = bisect_right(entry, p + side)
+                t = cols[j][lo:hi] - p
+                t = np.multiply(t, t, out=t) if kind == "euclidean" else np.absolute(t, out=t)
+                window = memo[j][k] = (slice(lo, hi), t)
+            block.append(window[0])
+            acc = window[1] if acc is None else combine(acc, window[1])
         if kind == "euclidean":
-            np.sqrt(acc, out=acc)
+            # At d = 1 the accumulator is the memo's term array itself.
+            acc = np.sqrt(acc, out=acc) if d > 1 else np.sqrt(acc)
         view = image[tuple(block)]
         view &= acc > radius
         i = _next_alive(flat, i + 1)
@@ -340,7 +386,7 @@ def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
 def _grid_integral(decomposition: LayerDecomposition, eps: float) -> float:
     """Midpoint quadrature of ``1 / (gap + eps)^d`` on the grid."""
     integrand = np.add(decomposition.gaps, eps)
-    integrand **= decomposition.points.shape[1]
+    integrand **= len(decomposition.axes)
     np.divide(1.0, integrand, out=integrand)
     return float(integrand.sum() * decomposition.cell_volume)
 

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Gaps classified at a time, bounding the integer temporaries.
+_CLASSIFY_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ComplexityScale:
@@ -54,6 +57,10 @@ class ComplexityScale:
         is the coarsest band and class ``m_eps`` sits just above the
         target.  Gaps exceeding ``eps0`` beyond float tolerance mean the
         claimed maximum or Lipschitz bound is wrong and raise.
+
+        The labels come in the smallest unsigned integer type that holds
+        ``m_eps``, one byte for any schedule of up to 255 halvings, and
+        are computed ``_CLASSIFY_BLOCK`` gaps at a time.
         """
         gaps = np.asarray(gaps, dtype=float)
         worst = float(gaps.max(initial=0.0))
@@ -62,17 +69,24 @@ class ComplexityScale:
                 f"gap {worst} exceeds the coarsest accuracy {self.eps0}; "
                 "the claimed maximum or the Lipschitz bound is inconsistent"
             )
-        if self.m_eps == 0:
-            return np.zeros(gaps.shape, dtype=int)
+        labels = np.empty(gaps.shape, dtype=np.min_scalar_type(self.m_eps))
+        flat_gaps, flat = gaps.reshape(-1), labels.reshape(-1)
+        for start in range(0, flat.size, _CLASSIFY_BLOCK):
+            stop = start + _CLASSIFY_BLOCK
+            flat[start:stop] = self._classes(flat_gaps[start:stop])
+        return labels
+
+    def _classes(self, gaps: np.ndarray) -> np.ndarray:
+        """Classes of gaps already checked against ``eps0``, as intp."""
         # Position p among the ascending thresholds, capped at m_eps, is
-        # class m_eps + 1 - p, except that p = 0 is class 0; the labels
+        # class m_eps + 1 - p, except that p = 0 is class 0; the classes
         # are computed in the buffer searchsorted returns.
         thresholds = np.asarray(self.schedule[::-1])
-        labels = np.searchsorted(thresholds, gaps, side="left")
-        np.minimum(labels, self.m_eps, out=labels)
-        np.subtract(self.m_eps + 1, labels, out=labels)
-        labels[labels > self.m_eps] = 0
-        return labels
+        classes = np.searchsorted(thresholds, gaps, side="left")
+        np.minimum(classes, self.m_eps, out=classes)
+        np.subtract(self.m_eps + 1, classes, out=classes)
+        classes[classes > self.m_eps] = 0
+        return classes
 
     def accuracy_for_class(self, label: int) -> float:
         """Accuracy at which a class is packed: the target for class 0,

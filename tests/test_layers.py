@@ -315,7 +315,9 @@ def _whole_grid(axes):
 def _oracle_decomposition(fn, eps, norm=None, grid_step=None):
     """The one-shot decomposition the blocked one replaced: the whole
     midpoint grid built by meshgrid, filtered, evaluated and classified
-    at once."""
+    at once.  It carries its meshgrid rows as its ``points``, put in the
+    property's cache, so that neither the comparison nor the oracle
+    packing derives them."""
     if norm is None:
         norm = fn.norm
     lip = lc.convert_lip_bound(fn.lip_bound, fn.norm.kind, norm.kind, fn.dim)
@@ -344,11 +346,14 @@ def _oracle_decomposition(fn, eps, norm=None, grid_step=None):
         pos = np.searchsorted(np.asarray(scale.schedule[::-1]), gaps, side="left")
         pos = np.minimum(pos, scale.m_eps)
         labels = np.where(pos == 0, 0, scale.m_eps - pos + 1)
-    return LayerDecomposition(
-        points=points, values=values, gaps=gaps, labels=labels, scale=scale, lip=lip,
+    assert labels.max(initial=0) <= np.iinfo(np.uint8).max
+    decomposition = LayerDecomposition(
+        values=values, gaps=gaps, labels=labels.astype(np.uint8), scale=scale, lip=lip,
         norm=norm, max_used=max_used, max_is_exact=max_is_exact,
         cell_volume=float(np.prod(steps)), axes=tuple(axes), inside=inside,
     )
+    vars(decomposition)["points"] = points
+    return decomposition
 
 
 def _oracle_packing_counts(decomposition):
@@ -419,6 +424,9 @@ def test_blocked_decomposition_is_the_one_shot_one(monkeypatch, name, fraction, 
     pairs = [(f.name, getattr(dec, f.name), getattr(oracle, f.name))
              for f in dataclasses.fields(LayerDecomposition) if f.name != "axes"]
     pairs += [(f"axes[{j}]", got, want) for j, (got, want) in enumerate(zip(dec.axes, oracle.axes))]
+    assert "points" not in vars(dec)
+    pairs.append(("points", dec.points, vars(oracle)["points"]))
+    assert dec.labels.dtype == np.uint8
     for name, got, want in pairs:
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -433,23 +441,61 @@ def test_blocked_decomposition_is_the_one_shot_one(monkeypatch, name, fraction, 
     assert report == report_to_json(estimate_sc(fn, eps))
 
 
-def test_decomposition_memory_is_its_output():
-    # The decomposition holds 40 bytes per point at d = 2 (points,
-    # values, gaps, labels).  On this 1,048,576-point grid the one-shot
-    # version peaked at 88.0 bytes per point under tracemalloc, on the
-    # full-grid temporaries of the meshgrid and of the evaluator; built
-    # and evaluated in blocks, it peaks at 40.02.
-    fn = lc.get_function("multibump-d2")
-    eps = fn.lip_bound * lc.diameter(fn.domain, fn.norm) * 2.0**-7
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of memory traced during it,
+    above what was traced before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        dec = layer_decomposition(fn, eps)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert len(dec.points) == 1 << 20
-    assert peak / len(dec.points) < 56.0
+    return result, peak
+
+
+def test_decomposition_memory_is_its_output():
+    # The decomposition holds 17 bytes per point at d = 2 (values, gaps
+    # and one-byte labels).  On this 1,048,576-point grid the one-shot
+    # version peaked at 88.0 bytes per point under tracemalloc, on the
+    # full-grid temporaries of the meshgrid and of the evaluator; built
+    # and evaluated in blocks it peaked at 40.02 while it stored the
+    # points and int64 labels, and at 17.6 without them.
+    fn = lc.get_function("multibump-d2")
+    eps = fn.lip_bound * lc.diameter(fn.domain, fn.norm) * 2.0**-7
+    dec, peak = _traced_peak(lambda: layer_decomposition(fn, eps))
+    assert len(dec.values) == 1 << 20
+    assert dec.labels.dtype == np.uint8
+    assert peak / len(dec.values) < 20.0
+
+
+def test_estimate_memory_is_the_decomposition_and_the_integrand():
+    # estimate_sc adds to the decomposition's 17 bytes per point the
+    # grid integral's float integrand, 8; a layer's boolean image and
+    # the packing's memo, alive one layer at a time, are smaller.  On
+    # this 1,048,576-point grid it peaked at 48.0 bytes per point under
+    # tracemalloc while the decomposition stored the points and int64
+    # labels, and at 25.0 without them.
+    fn = lc.get_function("multibump-d2")
+    eps = fn.lip_bound * lc.diameter(fn.domain, fn.norm) * 2.0**-7
+    report, peak = _traced_peak(lambda: estimate_sc(fn, eps))
+    assert sandwich_check(report).ok
+    assert peak / (1 << 20) < 27.0
+
+
+def test_estimate_and_grid_integral_never_read_points(monkeypatch):
+    def unread(self):
+        raise AssertionError("points read")
+
+    monkeypatch.setattr(LayerDecomposition, "points", property(unread))
+    for name in ("multibump-d2", "cone-d2", "multibump-d1"):
+        fn = lc.get_function(name)
+        eps = fn.lip_bound * lc.diameter(fn.domain, fn.norm) * 2.0**-4
+        estimate_sc(fn, eps)
+        integral_estimate(fn, eps, method="grid")
+    ball = _cone_3d(Ball(np.zeros(3), 1.0, EUCLIDEAN))
+    estimate_sc(ball, 2.0**-1)
+    integral_estimate(ball, 2.0**-1, method="grid")
 
 
 def test_greedy_packing_memory_is_the_row_loop_plus_one_column_copy():
