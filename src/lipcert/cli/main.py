@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -74,12 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--L", type=float, default=1.0, help="Lipschitz bound")
     run.add_argument("--eps", type=float, help="accuracy target (certified runs)")
     run.add_argument("--budget", type=int, default=100_000)
-    run.add_argument("--x1", type=float, help="first query (1-D sawtooth only)")
     run.add_argument("--out", help="write the trace JSON here")
 
     sweep = sub.add_parser("sweep", help="batch CSV from a config")
     sweep.add_argument("--config", required=True, help="flat key = value config file")
-    sweep.add_argument("--jobs", type=int, help="override the config's parallelism")
     sweep.add_argument("--out", help="override the config's CSV path")
 
     complexity = sub.add_parser(
@@ -92,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     complexity.add_argument("--method", default="grid", choices=("grid", "montecarlo"))
     complexity.add_argument("--samples", type=int, default=20_000)
     complexity.add_argument("--seed", type=int, default=0)
-    complexity.add_argument("--gamma", type=float, help="domain regularity constant")
     complexity.add_argument("--norm", choices=("sup", "euclidean", "l1"))
     complexity.add_argument("--out", help="write the report JSON here")
 
@@ -132,13 +129,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     fn = get_function(args.function, lip=args.L)
-    runner = ALGORITHMS[args.algo]
-    if args.x1 is not None:
-        if args.algo != "ps1d":
-            print("lipcert run: --x1 applies to ps1d only", file=sys.stderr)
-            return 1
-        runner = partial(runner, x1=args.x1)
-    trace = runner(fn, args.eps, args.budget)
+    trace = ALGORITHMS[args.algo](fn, args.eps, args.budget)
     for warning in trace.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     parts = [
@@ -170,11 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"lipcert sweep: cannot read config: {exc}", file=sys.stderr)
         return 1
-    if args.jobs is not None:
-        config = replace(config, jobs=args.jobs)
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    out = _resolve_out(config.out)
+    out = _resolve_out(config.out if args.out is None else args.out)
     stem = config.plot_stem
     config = replace(config, out=out, plot_stem=_resolve_out(stem) if stem else None)
     result = run_sweep(config)
@@ -193,7 +180,6 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
         args.eps,
         norm=None if args.norm is None else Norm(args.norm),
         grid_step=args.grid_step,
-        gamma=args.gamma,
         integral_method=args.method,
         mc_samples=args.samples,
         seed=args.seed,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -55,15 +54,12 @@ class SweepConfig:
     functions: tuple[str, ...] = LABELS
     lip: float = 1.0
     eps_count: int = 6
-    eps_floor: float = 1e-6
     budget: int = 120_000
     budgets: dict = field(default_factory=dict)
     algorithms: dict = field(default_factory=dict)
-    grid_step_divisor: float = 8.0
     integral_method: str = "grid"
     mc_samples: int = 20_000
     seed: int = 0
-    jobs: int = 1
     out: str = "sweep.csv"
     plot_stem: Optional[str] = None
 
@@ -80,20 +76,14 @@ class SweepConfig:
         _check_lip_bound(self.lip)
         if self.eps_count < 1:
             raise ValueError("eps-count must be at least 1")
-        if not 0 <= self.eps_floor < math.inf:
-            raise ValueError("eps-floor must be finite and non-negative")
         if self.budget < 1 or any(b < 1 for b in self.budgets.values()):
             raise ValueError("budgets must be positive")
-        if not 8 * (1 - 1e-12) <= self.grid_step_divisor < math.inf:
-            raise ValueError("grid-step-divisor must be finite and at least 8")
         if self.integral_method not in ("grid", "montecarlo"):
             raise ValueError(f"unknown integral-method {self.integral_method!r}")
         if self.mc_samples < 2:
             raise ValueError("mc-samples must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 # Config key of each scalar setting: its field name with dashes, and L
@@ -184,7 +174,6 @@ def _compute_row(config: SweepConfig, fn: TestFunction, eps: float) -> dict:
     report = estimate_sc(
         fn,
         eps,
-        grid_step=(eps / fn.lip_bound) / config.grid_step_divisor,
         integral_method=config.integral_method,
         mc_samples=config.mc_samples,
         seed=config.seed,
@@ -202,12 +191,12 @@ def _compute_row(config: SweepConfig, fn: TestFunction, eps: float) -> dict:
         prop1 = "na"
     else:
         prop1 = "pass" if sigma <= 2.0 * a_bound else "fail"
-    sandwich_ok = sandwich_check(report).ok
+    sandwich = sandwich_check(report)
     verdicts = ";".join(
         (
             f"cert={'pass' if cert_ok else 'fail'}",
             f"prop1={prop1}",
-            f"sandwich={'pass' if sandwich_ok else 'fail'}",
+            f"sandwich={'pass' if sandwich.ok else 'fail'}",
         )
     )
     return {
@@ -222,8 +211,8 @@ def _compute_row(config: SweepConfig, fn: TestFunction, eps: float) -> dict:
         "SNC": report.snc,
         "integral": report.integral,
         "a_bound": a_bound,
-        "sandwich_lower": report.c_lower * report.integral,
-        "sandwich_upper": report.c_upper * report.integral,
+        "sandwich_lower": sandwich.lower_value,
+        "sandwich_upper": sandwich.upper_value,
         "verdicts": verdicts,
     }
 
@@ -254,34 +243,22 @@ class SweepResult:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute a sweep and write its CSV and plot-data files.
 
-    Rows are computed per (function, accuracy) pair, in parallel when
-    ``jobs`` exceeds one, but always written in configuration order, so
-    repeated runs of the same config produce identical bytes.  A row
-    whose computation raises is emitted with ERROR cells and the
-    exception type in the verdicts column; the sweep itself continues.
+    Rows are computed one (function, accuracy) pair at a time, in
+    configuration order, so repeated runs of the same config produce
+    identical bytes.  A row whose computation raises is emitted with
+    ERROR cells and the exception type in the verdicts column; the sweep
+    itself continues.
     """
-    tasks: list[tuple[TestFunction, float]] = []
+    rows = []
     for label in config.functions:
         fn = get_function(label, lip=config.lip)
         eps0 = fn.lip_bound * diameter(fn.domain, fn.norm)
         for j in range(1, config.eps_count + 1):
             eps = eps0 * 0.5**j
-            if eps < config.eps_floor:
-                break
-            tasks.append((fn, eps))
-
-    def compute(task: tuple[TestFunction, float]) -> dict:
-        fn, eps = task
-        try:
-            return _compute_row(config, fn, eps)
-        except Exception as exc:
-            return _error_row(config, fn, eps, exc)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(compute, tasks))
-    else:
-        rows = [compute(task) for task in tasks]
+            try:
+                rows.append(_compute_row(config, fn, eps))
+            except Exception as exc:
+                rows.append(_error_row(config, fn, eps, exc))
 
     with open(config.out, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -338,7 +338,7 @@ class ComplexityReport:
     integral: float
     method: str
     seed: Optional[int]
-    gamma: Optional[float]
+    gamma: float
     c_lower: float
     c_upper: float
     lip: float
@@ -355,7 +355,6 @@ class SandwichVerdict:
     upper_ok: bool
     lower_value: float
     upper_value: float
-    sc: int
 
 
 def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
@@ -363,11 +362,8 @@ def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
 
     The lower side allows a factor ``_SANDWICH_SLACK`` (two) because the
     greedy packing can undercount the true packing number; the upper side
-    is checked as stated.  Reports built without a domain-regularity
-    constant cannot be checked and raise.
+    is checked as stated.
     """
-    if report.gamma is None:
-        raise ValueError("report carries no domain-regularity constant")
     sc = report.sc
     lower_value = report.c_lower * report.integral
     upper_value = report.c_upper * report.integral
@@ -379,7 +375,6 @@ def sandwich_check(report: ComplexityReport) -> SandwichVerdict:
         upper_ok=upper_ok,
         lower_value=lower_value,
         upper_value=upper_value,
-        sc=sc,
     )
 
 
@@ -394,7 +389,6 @@ def _grid_integral(decomposition: LayerDecomposition, eps: float) -> float:
 def integral_estimate(
     fn: TestFunction,
     eps: float,
-    norm: Optional[Norm] = None,
     method: str = "grid",
     mc_samples: int = 20000,
     seed: int = 0,
@@ -403,16 +397,18 @@ def integral_estimate(
 
     Args:
       method: ``grid`` for midpoint quadrature on the default grid of
-        :func:`layer_decomposition`, ``montecarlo`` for seeded uniform
-        sampling.  For a finer grid, read ``integral`` from
-        :func:`estimate_sc` with its ``grid_step``.
+        :func:`layer_decomposition` in the objective's own norm,
+        ``montecarlo`` for seeded uniform sampling.  For a finer grid,
+        read ``integral`` from :func:`estimate_sc` with its
+        ``grid_step``.
 
     Returns:
       The estimate and, for Monte Carlo, its standard error (None for
       the grid method).
     """
+    _check_accuracy(eps)
     if method == "grid":
-        return _grid_integral(layer_decomposition(fn, eps, norm=norm), eps), None
+        return _grid_integral(layer_decomposition(fn, eps), eps), None
     if method == "montecarlo":
         if fn.known_max is None:
             raise ValueError("Monte Carlo integration needs exact maximum metadata")
@@ -434,7 +430,6 @@ def estimate_sc(
     eps: float,
     norm: Optional[Norm] = None,
     grid_step: Optional[float] = None,
-    gamma: Optional[float] = None,
     integral_method: str = "grid",
     mc_samples: int = 20000,
     seed: int = 0,
@@ -453,31 +448,29 @@ def estimate_sc(
         maximum is used and flagged.
       eps: target accuracy.
       norm, grid_step: as in :func:`layer_decomposition`.
-      gamma: domain regularity constant; defaults to the exact value for
-        boxes and balls.
       integral_method: ``grid`` reuses the decomposition's evaluations;
-        ``montecarlo`` draws seeded uniform samples.
+        ``montecarlo`` draws seeded uniform samples, before the grid is
+        built, so that a refused method or sample count costs no grid.
       mc_samples, seed: Monte Carlo parameters.
+
+    The domain regularity constant ``gamma`` is ``2**-d``, exact for
+    boxes and balls: around any domain point, at least the orthant of a
+    ball pointing back into the domain stays in it.
     """
+    stderr = None
+    seed_used: Optional[int] = None
+    if integral_method != "grid":
+        integral, stderr = integral_estimate(
+            fn, eps, method=integral_method, mc_samples=mc_samples, seed=seed
+        )
+        seed_used = seed
     decomposition = layer_decomposition(fn, eps, norm=norm, grid_step=grid_step)
     counts = _packing_counts(decomposition)
     sc = int(sum(counts))
     snc = int(sum(counts[1:]))
     if integral_method == "grid":
         integral = _grid_integral(decomposition, decomposition.scale.eps)
-        stderr = None
-        seed_used: Optional[int] = None
-    else:
-        integral, stderr = integral_estimate(
-            fn, eps, norm=norm, method=integral_method, mc_samples=mc_samples, seed=seed
-        )
-        seed_used = seed
-    if gamma is None:
-        # Exact for boxes and balls: around any domain point, at least
-        # the orthant of a ball pointing back into the domain stays in it.
-        gamma = 2.0 ** (-fn.dim)
-    if not 0 < gamma <= 1:
-        raise ValueError(f"domain regularity constant must lie in (0, 1], got {gamma}")
+    gamma = 2.0 ** (-fn.dim)
     used_lip = decomposition.lip
     used_norm = decomposition.norm
     c_lower = 1.0 / used_norm.ball_volume(1.0 / used_lip, fn.dim)

@@ -150,17 +150,14 @@ class Envelope1D:
         return best_v, best_x
 
 
-def ps_run_1d(
-    fn: TestFunction,
-    eps: float,
-    budget: int,
-    x1: Optional[float] = None,
-) -> RunTrace:
+def ps_run_1d(fn: TestFunction, eps: float, budget: int) -> RunTrace:
     """Exact sawtooth certification on an interval.
 
-    Each round queries, observes, recomputes the envelope maximum, emits
-    the certificate (envelope maximum minus best observed value), and
-    moves to the envelope's leftmost argmax.  Each round is one query,
+    The first query is the interval's midpoint, taken as ``0.5 * a +
+    0.5 * b`` so that it stays finite near float range.  Each round
+    queries, observes, recomputes the envelope maximum, emits the
+    certificate (envelope maximum minus best observed value), and moves
+    to the envelope's leftmost argmax.  Each round is one query,
     and :func:`~lipcert.core.build_trace` stops the run after the round
     whose certificate reaches ``eps`` or that spends the budget.  The
     envelope uses the objective's ``lip_bound``; in one dimension all
@@ -170,19 +167,15 @@ def ps_run_1d(
       fn: one-dimensional objective on a box domain.
       eps: accuracy to certify; refused before any query unless positive and finite.
       budget: maximum number of queries.
-      x1: first query; defaults to the interval midpoint, taken as
-        ``0.5 * a + 0.5 * b`` so that it stays finite near float range.
     """
     _check_accuracy(eps)
     if fn.dim != 1 or not isinstance(fn.domain, Box):
         raise ValueError("exact sawtooth certification needs a 1-D box domain")
     lip = fn.lip_bound
     a, b = float(fn.domain.lower[0]), float(fn.domain.upper[0])
-    x = 0.5 * a + 0.5 * b if x1 is None else float(x1)
-    if not a <= x <= b:
-        raise ValueError(f"first query {x} outside [{a}, {b}]")
     env = Envelope1D(a, b, lip)
-    return build_trace("ps1d", fn.label, lip, eps, budget, _ps1d_rounds(fn, env, x))
+    rounds = _ps1d_rounds(fn, env, 0.5 * a + 0.5 * b)
+    return build_trace("ps1d", fn.label, lip, eps, budget, rounds)
 
 
 def _ps1d_rounds(fn: TestFunction, env: Envelope1D, x: float):

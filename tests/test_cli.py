@@ -102,12 +102,14 @@ def test_run_psgrid_past_float_range_warns_and_stops(capsys):
 
 
 def test_run_domain_error_exits_one(capsys):
-    code = main([
-        "run", "--function", "tent-d1", "--algo", "ps1d", "--eps", "0.25",
-        "--x1", "2.0",
-    ])
+    # ps1d needs a 1-D box, and the disc is neither
+    code = main(["run", "--function", "cone-d2", "--algo", "ps1d", "--eps", "0.25"])
     assert code == 1
-    assert "outside" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lipcert run: exact sawtooth certification needs a 1-D box domain\n"
+    )
 
 
 def test_unwritable_out_exits_one(tmp_path, capsys):
@@ -167,18 +169,6 @@ def test_certified_algorithms_accepted_by_sweep_and_audit():
         )
 
 
-def test_run_x1_only_for_ps1d(capsys):
-    code = main(["run", "--function", "tent-d1", "--eps", "0.25", "--x1", "0.3"])
-    assert code == 1
-    assert "--x1 applies to ps1d only" in capsys.readouterr().err
-    code = main([
-        "run", "--function", "tent-d1", "--algo", "ps1d", "--eps", "0.25",
-        "--x1", "0.3",
-    ])
-    assert code == 0
-    assert capsys.readouterr().out.startswith("algorithm=ps1d ")
-
-
 def test_usage_errors_exit_one():
     for argv in ([], ["frobnicate"], ["run"], ["run", "--function", "nope"]):
         with pytest.raises(SystemExit) as excinfo:
@@ -194,9 +184,9 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
         main(["run", "--function", "tent-d1", "--bogus"])
     assert excinfo.value.code == 1
     base = ["run", "--function", "tent-d1", "--eps", "0.25", "--budget", "20"]
-    assert main(base + ["--algo", "ps1d", "--x1", "0.3"]) == 0
+    assert main(base + ["--algo", "ps1d", "--L", "2.0"]) == 0
     assert main(base) == 0
-    assert [(args.algo, args.x1) for args in seen] == [("ps1d", 0.3), ("cdoo", None)]
+    assert [(args.algo, args.L) for args in seen] == [("ps1d", 2.0), ("cdoo", 1.0)]
     assert capsys.readouterr().out.startswith("algorithm=ps1d ")
     assert build_parser() is not build_parser()
 
@@ -231,8 +221,8 @@ def test_complexity_command(tmp_path, capsys):
     assert doc["c"] == 0.5 and doc["C"] == 128.0
 
     assert main(["complexity", "--function", "tent-d1", "--eps", "0.25",
-                 "--gamma", "2.0"]) == 1
-    assert "regularity" in capsys.readouterr().err
+                 "--grid-step", "0.05"]) == 1
+    assert "coarser than (eps / lip) / 8" in capsys.readouterr().err
     code = main([
         "complexity", "--function", "tent-d1", "--eps", "0.25",
         "--method", "montecarlo", "--samples", "2000", "--seed", "4",
@@ -317,16 +307,15 @@ def test_sweep_command(tmp_path, capsys):
     assert (tmp_path / "rows.csv").exists()
 
     override = tmp_path / "other.csv"
-    assert main(["sweep", "--config", str(config), "--out", str(override),
-                 "--jobs", "2"]) == 0
+    assert main(["sweep", "--config", str(config), "--out", str(override)]) == 0
     assert override.exists()
     capsys.readouterr()
 
-    # the override goes through the config's own check, and writes nothing
-    for jobs in ("0", "-3"):
-        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "no.csv"),
-                     "--jobs", jobs]) == 1
-        assert "jobs must be at least 1" in capsys.readouterr().err
+    # a config no row can use fails its check and writes nothing
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"mc-samples = 1\nout = {tmp_path / 'no.csv'}\n")
+    assert main(["sweep", "--config", str(bad)]) == 1
+    assert "mc-samples must be at least 2" in capsys.readouterr().err
     assert not (tmp_path / "no.csv").exists()
 
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1

@@ -19,7 +19,6 @@ from lipcert import (
     SUP,
     Ball,
     Box,
-    ComplexityReport,
     ComplexityScale,
     LayerDecomposition,
     estimate_sc,
@@ -188,36 +187,59 @@ def test_sandwich_check_rederivation_and_slack(monkeypatch):
     }
     assert verdict.lower_value == rep.c_lower * rep.integral
     assert verdict.upper_value == rep.c_upper * rep.integral
-    assert verdict.sc == rep.sc
     # zero slack forces the lower comparison against nothing at all
     monkeypatch.setattr(layers, "_SANDWICH_SLACK", 0.0)
     assert not sandwich_check(rep).lower_ok
     assert json.loads(report_to_json(rep))["verdicts"]["sandwich_lower"] is False
 
 
-def test_sandwich_check_requires_gamma():
-    rep = estimate_sc(lc.get_function("tent-d1"), 0.25)
-    bare = ComplexityReport(
-        function=rep.function, eps0=rep.eps0, eps=rep.eps, m_eps=rep.m_eps,
-        schedule=rep.schedule, packing_counts=rep.packing_counts, sc=rep.sc,
-        snc=rep.snc, integral=rep.integral, method=rep.method, seed=rep.seed,
-        gamma=None, c_lower=rep.c_lower, c_upper=rep.c_upper,
-        lip=rep.lip, norm_kind=rep.norm_kind,
-    )
-    with pytest.raises(ValueError):
-        sandwich_check(bare)
-
-
-def test_gamma_validation_and_default():
-    tent = lc.get_function("tent-d1")
-    assert estimate_sc(tent, 0.25).gamma == 0.5
+def test_gamma_is_two_to_the_minus_d_on_boxes_and_balls():
+    assert estimate_sc(lc.get_function("tent-d1"), 0.25).gamma == 0.5
     assert estimate_sc(lc.get_function("cone-d2"), 0.5).gamma == 0.25
-    with pytest.raises(ValueError):
-        estimate_sc(tent, 0.25, gamma=0.0)
-    with pytest.raises(ValueError):
-        estimate_sc(tent, 0.25, gamma=1.5)
-    rep = estimate_sc(tent, 0.25, gamma=1.0)
-    assert rep.c_upper == 64.0
+    rep = estimate_sc(_cone_3d(Ball(np.zeros(3), 1.0, EUCLIDEAN)), 2.0**-1)
+    assert rep.gamma == 0.125
+    # C = 1 / (gamma * volume of the l1 ball of radius 1 / (128 L))
+    assert rep.c_upper == 1.0 / (0.125 * L1.ball_volume(1.0 / 128.0, 3))
+
+
+def _counted(fn):
+    calls = []
+
+    def counting(x, inner=fn.evaluator):
+        calls.append(len(x))
+        return inner(x)
+
+    return dataclasses.replace(fn, evaluator=counting), calls
+
+
+@pytest.mark.parametrize(
+    "known_max, kwargs, message",
+    [
+        (True, {"integral_method": "simpson"}, "unknown integral method 'simpson'"),
+        (False, {"integral_method": "montecarlo"}, "needs exact maximum metadata"),
+        (True, {"integral_method": "montecarlo", "mc_samples": 1}, "at least two samples"),
+        (True, {"integral_method": "montecarlo", "eps": math.nan}, "accuracy target"),
+    ],
+    ids=["simpson", "montecarlo-without-max", "one-sample", "nan-target"],
+)
+def test_estimate_refuses_an_integral_before_evaluating_the_grid(known_max, kwargs, message):
+    # each refusal used to come after the whole grid was evaluated and packed
+    fn = lc.get_function("multibump-d2")
+    if not known_max:
+        fn = dataclasses.replace(fn, known_max=None)
+    fn, calls = _counted(fn)
+    with pytest.raises(ValueError, match=message):
+        estimate_sc(fn, **{"eps": 2.0**-6, **kwargs})
+    assert calls == []
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+def test_montecarlo_integral_refuses_a_bad_target_before_sampling(eps):
+    # it used to return (nan, nan) for nan and (0.0, 0.0) for inf
+    fn, calls = _counted(lc.get_function("tent-d1"))
+    with pytest.raises(ValueError, match="accuracy target must be positive and finite"):
+        integral_estimate(fn, eps, method="montecarlo")
+    assert calls == []
 
 
 def test_value_shift_leaves_report_unchanged():

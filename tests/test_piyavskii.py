@@ -191,25 +191,26 @@ def test_envelope_rejects_non_finite_values(bad):
     assert env.max_and_argmax() == (0.5, 0.0)
 
 
-def far_tent():
-    """A tent of height 3e307 at 1.3e308 on [1e308, 1.6e308], where the
+def far_tent(peak=1.3e308):
+    """A tent of height 3e307 at ``peak`` on [1e308, 1.6e308], where the
     sum of two points of the interval overflows."""
     return lc.TestFunction(
         "far-tent",
         Box([1e308], [1.6e308]),
         SUP,
         1.0,
-        lambda x: 3e307 - np.abs(x[:, 0] - 1.3e308),
+        lambda x: 3e307 - np.abs(x[:, 0] - peak),
         known_max=3e307,
     )
 
 
 def test_ps1d_finds_the_peak_of_a_gap_whose_ends_sum_past_float_range():
-    # the gap [1e308, 1.6e308] used to be dropped, and 0 certified at
-    # the second query
-    fn = far_tent()
-    trace = ps_run_1d(fn, 1e300, 10, x1=1e308)
-    assert trace.queries.ravel().tolist() == [1e308, 1.6e308, 1.3e308]
+    # The peak sits in the gap [1.3e308, 1.6e308] that the midpoint opens,
+    # whose ends sum past float range; that gap used to be dropped, and 0
+    # certified at the third query.
+    fn = far_tent(peak=1.5e308)
+    trace = ps_run_1d(fn, 1e300, 10)
+    assert trace.queries.ravel().tolist() == [1.3e308, 1e308, 1.6e308, 1.5e308]
     assert certificate_validity(trace, fn.known_max).ok
     assert trace.certificates[-1] == 0.0
 
@@ -242,14 +243,6 @@ def test_hand_traced_tent_run():
     assert sigma_from_trace(trace) == 3
 
 
-def test_custom_first_query():
-    fn = lc.get_function("tent-d1")
-    trace = ps_run_1d(fn, eps=0.05, budget=50, x1=0.25)
-    assert trace.queries.ravel()[0] == 0.25
-    assert certificate_validity(trace, fn.known_max).ok
-    assert sigma_from_trace(trace) < math.inf
-
-
 def test_certificates_valid_across_1d_registry():
     for fn in lc.registry():
         if fn.dim != 1:
@@ -259,17 +252,33 @@ def test_certificates_valid_across_1d_registry():
         assert check.ok, (fn.label, check)
 
 
-def test_x1_outside_domain_rejected():
-    fn = lc.get_function("tent-d1")
-    with pytest.raises(ValueError):
-        ps_run_1d(fn, eps=0.1, budget=10, x1=2.0)
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (5e-324, 1e-323),
+        (5e-324, 1.5e-323),
+        (0.0, 5e-324),
+        (-1.5e-323, -5e-324),
+        (-2.2250738585072014e-308, 2.2250738585072014e-308),
+        (-1e-310, 3e-310),
+        (-3.0, -1.0),
+        (1.7e308, 1.7976931348623157e308),
+        (-1.7976931348623157e308, -1.7e308),
+        (-8e307, 8e307),
+    ],
+)
+def test_first_query_is_the_midpoint_inside_the_interval(a, b):
+    fn = lc.TestFunction("flat", Box([a], [b]), SUP, 1.0, lambda x: np.zeros(len(x)), 0.0)
+    x = ps_run_1d(fn, 1.0, 1).queries[0, 0]
+    assert x == 0.5 * a + 0.5 * b
+    assert a <= x <= b
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_first_query_raises(poison, bad):
-    fn = poison(lc.get_function("tent-d1"), [0.25], bad)
+    fn = poison(lc.get_function("tent-d1"), [0.5], bad)
     with pytest.raises(ValueError, match="non-finite"):
-        ps_run_1d(fn, eps=1 / 16, budget=100, x1=0.25)
+        ps_run_1d(fn, eps=1 / 16, budget=100)
 
 
 def test_1d_only():

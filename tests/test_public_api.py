@@ -1,12 +1,15 @@
 """Every public name has a caller inside the package or in a demo,
 every defaulted parameter of a public function is set by some caller,
-and no module imports a name it never reads."""
+no module imports a name it never reads, and the README names every
+command-line flag and sweep config key."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import lipcert
+from lipcert.cli.main import build_parser
+from lipcert.cli.sweep import _PREFIX_KEYS, _SCALAR_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,14 +63,6 @@ def test_demo_runs(demo, tmp_path):
     assert proc.stdout
 
 
-# Defaulted parameters set only where the callee cannot be named, each
-# with where that is.
-EXEMPT_PARAMETERS = {
-    ("ps_run_1d", "x1"): "`lipcert run --x1` binds it with partial() on the "
-    "runner it looked up in ALGORITHMS",
-}
-
-
 def _callee(node: ast.expr) -> str:
     if isinstance(node, ast.Name):
         return node.id
@@ -77,19 +74,16 @@ def _callee(node: ast.expr) -> str:
 def _parameters_set(path: Path) -> set[tuple[str, object]]:
     """``(function, keyword)`` for every keyword a call passes, and
     ``(function, index)`` for every positional argument, ``index`` being
-    ``"*"`` for a starred one.  A ``partial`` of a named function counts
-    as a call with the arguments bound after it."""
+    ``"*"`` for a starred one."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.Call):
             continue
-        name, args = _callee(node.func), node.args
-        if name == "partial" and args:
-            name, args = _callee(args[0]), args[1:]
+        name = _callee(node.func)
         found.update((name, kw.arg) for kw in node.keywords if kw.arg)
         found.update(
             (name, "*" if isinstance(arg, ast.Starred) else index)
-            for index, arg in enumerate(args)
+            for index, arg in enumerate(node.args)
         )
     return found
 
@@ -107,7 +101,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
         if not inspect.isfunction(function):
             continue
         for index, param in enumerate(inspect.signature(function).parameters.values()):
-            if param.default is param.empty or (name, param.name) in EXEMPT_PARAMETERS:
+            if param.default is param.empty:
                 continue
             ways = {(name, param.name)}
             if param.kind is param.POSITIONAL_OR_KEYWORD:
@@ -144,3 +138,24 @@ def test_no_module_imports_a_name_it_never_reads():
         if path.name != "__init__.py" and (names := _unread_imports(path))
     }
     assert stale == {}, f"imported but never read: {stale}"
+
+
+def test_readme_names_every_flag_and_config_key():
+    readme = (ROOT / "README.md").read_text()
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    unnamed = [f for f in sorted(flags) if not re.search(re.escape(f) + r"(?![\w-])", readme)]
+    # config keys count where a line of the README sets them
+    written = re.findall(r"^([\w.-]+) =", readme, re.MULTILINE)
+    unnamed += [key for key in sorted(_SCALAR_KEYS) if key not in written]
+    unnamed += [p for p in _PREFIX_KEYS if not any(w.startswith(p) for w in written)]
+    assert unnamed == [], f"flags and config keys the README does not name: {unnamed}"
