@@ -92,8 +92,15 @@ def test_full_config_round_trip():
         ("budget.tent-d1 = 0", "positive"),
         ("integral-method = simpson", "integral-method"),
         ("eps-floor = 1e-3", "unknown key 'eps-floor'"),
+        ("eps-floor = -1e-3", "unknown key 'eps-floor'"),
+        ("eps-floor = inf", "unknown key 'eps-floor'"),
+        ("eps-floor = nan", "unknown key 'eps-floor'"),
         ("grid-step-divisor = 16", "unknown key 'grid-step-divisor'"),
+        ("grid-step-divisor = 4", "unknown key 'grid-step-divisor'"),
+        ("grid-step-divisor = inf", "unknown key 'grid-step-divisor'"),
+        ("grid-step-divisor = nan", "unknown key 'grid-step-divisor'"),
         ("jobs = 2", "unknown key 'jobs'"),
+        ("jobs = 0", "unknown key 'jobs'"),
         ("mc-samples = 1", "mc-samples must be at least 2"),
         ("mc-samples = 0", "mc-samples must be at least 2"),
         ("seed = -1", "seed must be non-negative"),
